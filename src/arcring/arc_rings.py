@@ -16,9 +16,12 @@ left to right, then the bottom row; that order is what every sign depends on.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import attrgetter
 
 from . import matchings as _m
 from .exterior import ExteriorElement, EvenTensorElement, wedge, rename
+from .zlinalg import SparseZ
 
 
 # ---------------------------------------------------------------------------
@@ -58,97 +61,49 @@ def exterior_degree(mono):
     return len(mono.colored)
 
 
-class RingElement:
+class RingElement(SparseZ):
     """Exact integer combination of basis monomials of H^n or OH^n."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    n = property(attrgetter("space"))
 
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    assert mono.n == n
-                    c = self.terms.get(mono, 0) + coeff
-                    if c:
-                        self.terms[mono] = c
-                    else:
-                        del self.terms[mono]
-
-    @staticmethod
-    def zero(n):
-        return RingElement(n)
+    def _normal(self, mono):
+        if mono.n != self.space:
+            raise ValueError(f"{mono!r} is not a basis monomial for "
+                             f"n={self.space}")
+        return mono, 1
 
     @staticmethod
     def monomial(mono, coeff=1):
         return RingElement(mono.n, {mono: coeff})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, RingElement) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        assert self.n == other.n
-        out = RingElement(self.n, dict(self.terms))
-        for mono, coeff in other.terms.items():
-            c = out.terms.get(mono, 0) + coeff
-            if c:
-                out.terms[mono] = c
-            else:
-                out.terms.pop(mono, None)
-        return out
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        out = RingElement(self.n)
-        if k:
-            out.terms = {m: k * c for m, c in self.terms.items()}
-        return out
-
     def __repr__(self):
         return format_element(self)
+
+
+def block_monomials(top, bottom):
+    """The basis monomials [top|bottom|s] of one block, ordered by |s| and
+    then by the sorted circle indices of s."""
+    k = len(_m.closed_diagram(top, bottom).circles)
+    return [BasisMonomial(top.word, bottom.word, frozenset(s))
+            for p in range(k + 1) for s in combinations(range(1, k + 1), p)]
 
 
 def ring_basis(n, theory="odd"):
     """All (BasisMonomial, degree) over all blocks, in canonical order.
     The basis set does not depend on the theory; the argument is kept for
     symmetry of the API."""
-    assert theory in ("odd", "even")
-    if n > 5:
-        raise ValueError("n too large")
-    out = []
-    for b in _m.enumerate_matchings(n):
-        for a in _m.enumerate_matchings(n):
-            circles = _m.closed_diagram(b, a).circles
-            k = len(circles)
-            subsets = sorted(
-                (frozenset(i + 1 for i in range(k) if mask >> i & 1)
-                 for mask in range(2 ** k)),
-                key=lambda s: (len(s), tuple(sorted(s))))
-            for s in subsets:
-                mono = BasisMonomial(b.word, a.word, s)
-                out.append((mono, mono.degree()))
-    return out
+    if theory not in ("odd", "even"):
+        raise ValueError(f"unknown theory {theory!r}")
+    _m.check_size("basis", n)
+    mats = _m.enumerate_matchings(n)
+    return [(mono, mono.degree())
+            for b in mats for a in mats for mono in block_monomials(b, a)]
 
 
 def unit(n):
-    terms = {BasisMonomial(a.word, a.word, frozenset()): 1
-             for a in _m.enumerate_matchings(n)}
-    e = RingElement(n)
-    e.terms = terms
-    return e
+    return RingElement(n, {BasisMonomial(a.word, a.word, frozenset()): 1
+                           for a in _m.enumerate_matchings(n)})
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +333,9 @@ class _Bridge:
         return ("split", parent, child_scan, child_partner)
 
 
-def _final_index_map(state, c, a):
-    """Map component ids of the fully resolved diagram to 1-based circle
-    indices of W(c)a."""
+def _final_terms(state, c, a, terms):
+    """Re-key terms over sets of component ids of the fully resolved diagram
+    by sets of 1-based circle indices of W(c)a."""
     final = _m.closed_diagram(c, a)
     labels = state.labels()
     assert len(labels) == len(final.circles)
@@ -390,7 +345,11 @@ def _final_index_map(state, c, a):
         idx = final.circle_of[tcols[0]]
         assert frozenset(tcols) == final.circles[idx - 1]
         index[cid] = idx
-    return index
+    out = {}
+    for ids, coeff in terms.items():
+        colored = frozenset(index[cid] for cid in ids)
+        out[colored] = out.get(colored, 0) + coeff
+    return {s: v for s, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +400,7 @@ def _resolve_monomials(rule, c, b, a, colored_x, colored_y, theory,
             else:
                 elem = _even_split(elem, parent, ch_scan, ch_partner,
                                    new_labels)
-    index = _final_index_map(state, c, a)
-    out = {}
-    for mono, coeff in elem.terms.items():
-        colored = frozenset(index[cid] for cid in mono)
-        assert len(colored) == len(mono)
-        out[colored] = out.get(colored, 0) + coeff
-    return {s: v for s, v in out.items() if v}
+    return _final_terms(state, c, a, elem.terms)
 
 
 def _even_split(elem, parent, c1, c2, new_labels):
@@ -468,14 +421,14 @@ def _even_split(elem, parent, c1, c2, new_labels):
     return out
 
 
-def multiply(rule, x, y, theory="odd", stats=None):
-    """Bilinear product; zero across non-matching blocks.  For the even
-    theory the rule is ignored (the product is order-independent and carries
-    no orientations); the usual left-to-right scan is used."""
-    assert x.n == y.n
-    if theory == "even":
-        rule = BUILTIN_RULES["default"]
+def _block_product(resolve, x, y):
+    """Bilinear extension of resolve(c, b, a, colored_x, colored_y), the
+    product of two basis monomials as {colored set: coeff}; each distinct
+    monomial pair is resolved once.  Zero across non-matching blocks."""
+    if x.n != y.n:
+        raise ValueError(f"cannot multiply elements for n={x.n} and n={y.n}")
     out = RingElement(x.n)
+    terms = out.terms
     cache = {}
     for mx, cx in x.terms.items():
         for my, cy in y.terms.items():
@@ -483,19 +436,28 @@ def multiply(rule, x, y, theory="odd", stats=None):
                 continue
             key = (mx.top, mx.bottom, my.bottom, mx.colored, my.colored)
             if key not in cache:
-                c = _m.Matching(mx.top)
-                b = _m.Matching(mx.bottom)
-                a = _m.Matching(my.bottom)
-                cache[key] = _resolve_monomials(
-                    rule, c, b, a, mx.colored, my.colored, theory, stats)
+                cache[key] = resolve(
+                    _m.Matching(mx.top), _m.Matching(mx.bottom),
+                    _m.Matching(my.bottom), mx.colored, my.colored)
             for colored, coeff in cache[key].items():
                 mono = BasisMonomial(mx.top, my.bottom, colored)
-                cc = out.terms.get(mono, 0) + cx * cy * coeff
+                cc = terms.get(mono, 0) + cx * cy * coeff
                 if cc:
-                    out.terms[mono] = cc
+                    terms[mono] = cc
                 else:
-                    out.terms.pop(mono, None)
+                    terms.pop(mono, None)
     return out
+
+
+def multiply(rule, x, y, theory="odd", stats=None):
+    """Bilinear product; zero across non-matching blocks.  For the even
+    theory the rule is ignored (the product is order-independent and carries
+    no orientations); the usual left-to-right scan is used."""
+    if theory == "even":
+        rule = BUILTIN_RULES["default"]
+    return _block_product(
+        lambda c, b, a, colored_x, colored_y: _resolve_monomials(
+            rule, c, b, a, colored_x, colored_y, theory, stats), x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -575,38 +537,15 @@ def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
                             if keys_now[cid] <= kj or keys_now[cid] < ki)
                     put(new_colored, alpha * (-1) ** m * coeff)
             terms = new_terms
-
-    index = _final_index_map(state, c, a)
-    out = {}
-    for colored, coeff in terms.items():
-        s = frozenset(index[cid] for cid in colored)
-        out[s] = out.get(s, 0) + coeff
-    return {s: v for s, v in out.items() if v}
+    return _final_terms(state, c, a, terms)
 
 
 def multiply_diagrammatic(rule, x, y):
     """Same contract as multiply (odd theory), via the colored-diagram sign
     tables."""
-    assert x.n == y.n
-    out = RingElement(x.n)
-    cache = {}
-    for mx, cx in x.terms.items():
-        for my, cy in y.terms.items():
-            if mx.bottom != my.top:
-                continue
-            key = (mx.top, mx.bottom, my.bottom, mx.colored, my.colored)
-            if key not in cache:
-                cache[key] = _resolve_diagrammatic(
-                    rule, _m.Matching(mx.top), _m.Matching(mx.bottom),
-                    _m.Matching(my.bottom), mx.colored, my.colored)
-            for colored, coeff in cache[key].items():
-                mono = BasisMonomial(mx.top, my.bottom, colored)
-                cc = out.terms.get(mono, 0) + cx * cy * coeff
-                if cc:
-                    out.terms[mono] = cc
-                else:
-                    out.terms.pop(mono, None)
-    return out
+    return _block_product(
+        lambda c, b, a, colored_x, colored_y: _resolve_diagrammatic(
+            rule, c, b, a, colored_x, colored_y), x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +574,8 @@ def parse_element(text, n=None):
     import re
 
     s = text.strip()
+    if not s:
+        raise ValueError("empty element")
     if s == "0":
         if n is None:
             raise ValueError("cannot infer n from '0'")

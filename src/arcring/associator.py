@@ -10,7 +10,7 @@ data between two rules by triples (pairs of arrows).
 from itertools import product as _product
 
 from . import matchings as _m
-from .arc_rings import (BasisMonomial, RingElement, multiply, ring_basis)
+from .arc_rings import RingElement, block_monomials, multiply, ring_basis
 from .zlinalg import solve_f2
 
 
@@ -20,15 +20,6 @@ def scission_count(c, b, a):
     total = (_m.distance(c, b) + _m.distance(b, a) - _m.distance(c, a))
     assert total % 2 == 0, "scission count must be integral"
     return total // 2
-
-
-def _block_monomials(top, bottom):
-    k = len(_m.closed_diagram(top, bottom).circles)
-    subsets = sorted(
-        (frozenset(i + 1 for i in range(k) if mask >> i & 1)
-         for mask in range(2 ** k)),
-        key=lambda s: (len(s), tuple(sorted(s))))
-    return [BasisMonomial(top.word, bottom.word, s) for s in subsets]
 
 
 def _proportionality(pairs):
@@ -66,13 +57,14 @@ def phi0(rule, d, c, b, a):
     S = scission_count(c, b, a)
 
     def pairs():
-        for mx in _block_monomials(d, c):
+        ys, zs = block_monomials(c, b), block_monomials(b, a)
+        for mx in block_monomials(d, c):
             x = RingElement.monomial(mx)
             phi1 = (-1) ** (len(mx.colored) * S)
-            for my in _block_monomials(c, b):
+            for my in ys:
                 y = RingElement.monomial(my)
                 xy = multiply(rule, x, y)
-                for mz in _block_monomials(b, a):
+                for mz in zs:
                     z = RingElement.monomial(mz)
                     left = multiply(rule, xy, z)
                     right = multiply(rule, x, multiply(rule, y, z))
@@ -88,6 +80,7 @@ def phi0(rule, d, c, b, a):
 def phi0_table(rule, n):
     """{(d,c,b,a) words: bit or None}, bit = 1 iff phi0 = -1; None marks
     the cells where the sign is undefined."""
+    _m.check_size("assoc", n)
     mats = _m.enumerate_matchings(n)
     table = {}
     for d, c, b, a in _product(mats, repeat=4):
@@ -111,6 +104,7 @@ def cocycle_defect(rule, n, table=None, twisted=True):
     which reduces to the plain cocycle condition exactly where the cup
     square of S vanishes (e.g. everywhere it is testable at n <= 2).  Pass
     twisted=False to check the plain condition instead."""
+    _m.check_size("assoc", n)
     if table is None:
         table = phi0_table(rule, n)
     mats = _m.enumerate_matchings(n)
@@ -134,6 +128,7 @@ def cocycle_defect(rule, n, table=None, twisted=True):
 def solve_coboundary(table, n):
     """lambda0 over matching triples with d^2(lambda0) = table over F2 on
     every defined cell, or None.  Canonical solution: free variables zero."""
+    _m.check_size("assoc", n)
     words = [m.word for m in _m.enumerate_matchings(n)]
     triples = list(_product(words, repeat=3))
     col_of = {t: j for j, t in enumerate(triples)}
@@ -162,9 +157,10 @@ def rule_sign_ratio(rule1, rule2, c, b, a):
     rules on (c,b,a)."""
 
     def pairs():
-        for my in _block_monomials(c, b):
+        zs = block_monomials(b, a)
+        for my in block_monomials(c, b):
             y = RingElement.monomial(my)
-            for mz in _block_monomials(b, a):
+            for mz in zs:
                 z = RingElement.monomial(mz)
                 yield multiply(rule1, y, z), multiply(rule2, y, z)
 
@@ -223,11 +219,9 @@ def build_rule_isomorphism(rule1, rule2, n):
 
     # full structure-constant verification of x -> (-1)^eps * x
     def theta(elem):
-        out = RingElement.zero(elem.n)
-        for mono, coeff in elem.terms.items():
-            s = -1 if eps[mono.top, mono.bottom] else 1
-            out = out + RingElement.monomial(mono, s * coeff)
-        return out
+        return RingElement(elem.n, {
+            mono: -coeff if eps[mono.top, mono.bottom] else coeff
+            for mono, coeff in elem.terms.items()})
 
     basis = [mono for mono, _ in ring_basis(n)]
     for mx in basis:

@@ -12,21 +12,15 @@ is returned in canonical column-HNF form, so bases are deterministic.
 from dataclasses import dataclass, field
 
 from . import matchings as _m
-from .arc_rings import (BasisMonomial, RingElement, multiply, format_element)
+from .arc_rings import (BasisMonomial, RingElement, block_monomials, multiply,
+                        format_element)
 from .zlinalg import kernel_basis_Z, column_hnf, solve_Z
 
 
 def diagonal_monomials(n, p):
     """All [a|a|s] with |s| = p, in canonical order."""
-    out = []
-    for a in _m.enumerate_matchings(n):
-        k = len(_m.closed_diagram(a, a).circles)
-        subsets = sorted(
-            (frozenset(i + 1 for i in range(k) if mask >> i & 1)
-             for mask in range(2 ** k) if bin(mask).count("1") == p),
-            key=lambda s: tuple(sorted(s)))
-        out.extend(BasisMonomial(a.word, a.word, s) for s in subsets)
-    return out
+    return [mono for a in _m.enumerate_matchings(n)
+            for mono in block_monomials(a, a) if len(mono.colored) == p]
 
 
 @dataclass
@@ -106,24 +100,21 @@ def _commutation_constraints(n, rule, p):
     unknowns = diagonal_monomials(n, p)
     col_of = {m: j for j, m in enumerate(unknowns)}
     rows = []
-    for a in _m.enumerate_matchings(n):
-        k = len(_m.closed_diagram(a, a).circles)
-        for i in range(1, k + 1):
-            g = RingElement.monomial(
-                BasisMonomial(a.word, a.word, frozenset({i})))
-            row_of = {}
-            block_rows = []
-            for mono in unknowns:
-                if mono.bottom != a.word:
-                    continue
-                z = RingElement.monomial(mono)
-                diff = multiply(rule, z, g) - multiply(rule, g, z)
-                for out_mono, coeff in diff.terms.items():
-                    if out_mono not in row_of:
-                        row_of[out_mono] = len(block_rows)
-                        block_rows.append([0] * len(unknowns))
-                    block_rows[row_of[out_mono]][col_of[mono]] += coeff
-            rows.extend(block_rows)
+    for gen in diagonal_monomials(n, 1):
+        g = RingElement.monomial(gen)
+        row_of = {}
+        block_rows = []
+        for mono in unknowns:
+            if mono.bottom != gen.top:
+                continue
+            z = RingElement.monomial(mono)
+            diff = multiply(rule, z, g) - multiply(rule, g, z)
+            for out_mono, coeff in diff.terms.items():
+                if out_mono not in row_of:
+                    row_of[out_mono] = len(block_rows)
+                    block_rows.append([0] * len(unknowns))
+                block_rows[row_of[out_mono]][col_of[mono]] += coeff
+        rows.extend(block_rows)
     return rows
 
 
@@ -151,20 +142,20 @@ def _solve(n, rule, theory, flavor, extra_rows=None):
 
 def odd_center(n, rule):
     """OZ(OH^n): elements with z_a.1_ab = 1_ab.z_b, solved over Z."""
-    assert n <= 4
+    _m.check_size("center", n)
     return _solve(n, rule, "odd", "odd-center")
 
 
 def ring_center(n, rule):
     """Z(OH^n): the odd-center system plus strict commutation with the
     degree-1 diagonal generators."""
-    assert n <= 4
+    _m.check_size("center", n)
     return _solve(n, rule, "odd", "odd-ring-center",
                   extra_rows=lambda p: _commutation_constraints(n, rule, p))
 
 
 def even_center(n):
-    assert n <= 4
+    _m.check_size("center", n)
     from .arc_rings import BUILTIN_RULES
     return _solve(n, BUILTIN_RULES["default"], "even", "even-center")
 

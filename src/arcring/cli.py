@@ -194,18 +194,37 @@ def _verify_relations(n, rule):
     return None
 
 
+# Each verify suite: its entry in matchings.SIZE_LIMITS and its check,
+# which returns None or a failure message.
+_SUITES = {
+    "catalan": ("basis", lambda args: _verify_catalan(args.n)),
+    "mod2": ("basis", lambda args: _verify_mod2(args.n, args.rule)),
+    "centers": ("center", lambda args: _verify_centers(args.n, args.rule)),
+    "iso": ("springer", lambda args: _verify_iso(args.n, args.rule)),
+    "cocycle": ("assoc", lambda args: _verify_cocycle(args.n, args.rule)),
+    "relations": ("basis", lambda args: _verify_relations(args.n, args.rule)),
+}
+_COMMAND_SIZES = {"bn": "basis", "mul": "basis", "center": "center",
+                  "springer": "springer", "assoc": "assoc"}
+
+
+def _suites(args):
+    return list(_SUITES) if args.suite == "all" else [args.suite]
+
+
+def _check_sizes(args):
+    """Reject an --n above the limit of the command, or of any selected
+    verify suite, before any work."""
+    if args.command == "verify":
+        for name in _suites(args):
+            _m.check_size(_SUITES[name][0], args.n)
+    elif args.command in _COMMAND_SIZES:
+        _m.check_size(_COMMAND_SIZES[args.command], args.n)
+
+
 def _cmd_verify(args):
-    suites = {
-        "catalan": lambda: _verify_catalan(args.n),
-        "mod2": lambda: _verify_mod2(args.n, args.rule),
-        "centers": lambda: _verify_centers(args.n, args.rule),
-        "iso": lambda: _verify_iso(args.n, args.rule),
-        "cocycle": lambda: _verify_cocycle(args.n, args.rule),
-        "relations": lambda: _verify_relations(args.n, args.rule),
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    for name in names:
-        failure = suites[name]()
+    for name in _suites(args):
+        failure = _SUITES[name][1](args)
         if failure is not None:
             print(f"{name}: FAIL ({failure})")
             return 1
@@ -267,8 +286,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rule", type=_rule, default="default")
     p.add_argument("--suite", default="all",
-                   choices=("all", "catalan", "mod2", "centers", "iso",
-                            "cocycle", "relations"))
+                   choices=("all", *_SUITES))
     p.set_defaults(func=_cmd_verify)
     return parser
 
@@ -281,9 +299,8 @@ def main(argv=None):
             args.rule = _rule(args.rule)
         except argparse.ArgumentTypeError as exc:
             parser.error(str(exc))
-    if getattr(args, "n", 0) and not 1 <= args.n <= 5:
-        parser.error("--n out of range (1..5)")
     try:
+        _check_sizes(args)
         return args.func(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

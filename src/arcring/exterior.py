@@ -6,6 +6,10 @@ because every sign below depends on it.  An ExteriorElement stores monomials
 as tuples of labels listed in label order, mapped to nonzero integers.
 """
 
+from operator import attrgetter
+
+from .zlinalg import SparseZ
+
 
 def _sort_with_sign(factors, position):
     """Sort a tuple of labels by `position`; return (sorted_tuple, sign) or
@@ -24,37 +28,30 @@ def _sort_with_sign(factors, position):
     return tuple(l for _, l in arr), sign
 
 
-class ExteriorElement:
+class ExteriorElement(SparseZ):
     """Element of Lambda* V(S) for an ordered label set S."""
 
-    __slots__ = ("labels", "_pos", "terms")
+    __slots__ = ("_pos",)
+    labels = property(attrgetter("space"))
 
+    # SparseZ.__init__ is inlined in both constructors below, since every
+    # wedge, rename and split builds an empty element on new labels
     def __init__(self, labels, terms=None):
         labels = tuple(labels)
-        assert len(set(labels)) == len(labels), "labels must be distinct"
-        self.labels = labels
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"labels must be distinct: {labels!r}")
+        self.space = labels
         self._pos = {l: i for i, l in enumerate(labels)}
         self.terms = {}
         if terms:
-            for mono, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                mono = tuple(mono)
-                for l in mono:
-                    if l not in self._pos:
-                        raise ValueError(f"unknown label {l!r}")
-                srt, sign = _sort_with_sign(mono, self._pos)
-                if sign == 0:
-                    continue
-                c = self.terms.get(srt, 0) + sign * coeff
-                if c:
-                    self.terms[srt] = c
-                else:
-                    self.terms.pop(srt, None)
+            self._collect(terms)
 
-    @staticmethod
-    def zero(labels):
-        return ExteriorElement(labels)
+    def _normal(self, mono):
+        mono = tuple(mono)
+        for l in mono:
+            if l not in self._pos:
+                raise ValueError(f"unknown label {l!r}")
+        return _sort_with_sign(mono, self._pos)
 
     @staticmethod
     def one(labels):
@@ -63,41 +60,6 @@ class ExteriorElement:
     @staticmethod
     def generator(labels, l):
         return ExteriorElement(labels, {(l,): 1})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, ExteriorElement)
-                and self.labels == other.labels and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.labels, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        assert self.labels == other.labels
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            c = terms.get(mono, 0) + coeff
-            if c:
-                terms[mono] = c
-            else:
-                terms.pop(mono, None)
-        out = ExteriorElement(self.labels)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        out = ExteriorElement(self.labels)
-        if k:
-            out.terms = {m: k * c for m, c in self.terms.items()}
-        return out
 
     def __repr__(self):
         if not self.terms:
@@ -182,85 +144,31 @@ def relabel_merge(x, l1, l2, target, new_labels):
     return rename(x, {l1: target, l2: target}, new_labels)
 
 
-class EvenTensorElement:
+class EvenTensorElement(SparseZ):
     """Element of A^{tensor m}, A = Z[t]/t^2, one factor per label.  A monomial
     is the frozenset of labels whose factor carries t."""
 
-    __slots__ = ("labels", "terms")
+    __slots__ = ()
+    labels = property(attrgetter("space"))
 
     def __init__(self, labels, terms=None):
         labels = tuple(labels)
-        assert len(set(labels)) == len(labels)
-        self.labels = labels
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"labels must be distinct: {labels!r}")
+        self.space = labels
         self.terms = {}
         if terms:
-            lset = set(labels)
-            for mono, coeff in terms.items():
-                mono = frozenset(mono)
-                assert mono <= lset
-                if coeff:
-                    self.terms[mono] = self.terms.get(mono, 0) + coeff
-                    if not self.terms[mono]:
-                        del self.terms[mono]
+            self._collect(terms)
 
-    @staticmethod
-    def zero(labels):
-        return EvenTensorElement(labels)
+    def _normal(self, mono):
+        mono = frozenset(mono)
+        if not mono.issubset(self.space):
+            raise ValueError(f"unknown labels in {set(mono)!r}")
+        return mono, 1
 
     @staticmethod
     def one(labels):
         return EvenTensorElement(labels, {frozenset(): 1})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, EvenTensorElement)
-                and self.labels == other.labels and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.labels, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        assert self.labels == other.labels
-        out = EvenTensorElement(self.labels, dict(self.terms))
-        for mono, coeff in other.terms.items():
-            c = out.terms.get(mono, 0) + coeff
-            if c:
-                out.terms[mono] = c
-            else:
-                out.terms.pop(mono, None)
-        return out
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        out = EvenTensorElement(self.labels)
-        if k:
-            out.terms = {m: k * c for m, c in self.terms.items()}
-        return out
-
-    def product(self, other):
-        """Factor-wise product on a common label set (t*t = 0)."""
-        assert self.labels == other.labels
-        out = EvenTensorElement(self.labels)
-        terms = {}
-        for mx, cx in self.terms.items():
-            for my, cy in other.terms.items():
-                if mx & my:
-                    continue  # some factor gets t twice
-                mono = mx | my
-                c = terms.get(mono, 0) + cx * cy
-                if c:
-                    terms[mono] = c
-                else:
-                    terms.pop(mono, None)
-        out.terms = terms
-        return out
 
     def rename(self, mapping, new_labels):
         """Relabel factors; a repeated target with two t's kills the term

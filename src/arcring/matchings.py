@@ -12,6 +12,20 @@ from functools import lru_cache
 
 MAX_N = 12
 
+# Largest n each computation accepts: the ring basis and products (and the
+# CLI's bn and mul), the centers, the odd Springer quotient, and the phi0
+# associator table with everything built on it (6.7M triple products at
+# n = 4).  Entry points call check_size before any work.
+SIZE_LIMITS = {"basis": 5, "center": 4, "springer": 4, "assoc": 3}
+
+
+def check_size(what, n):
+    """Raise ValueError unless 1 <= n <= SIZE_LIMITS[what]."""
+    limit = SIZE_LIMITS[what]
+    if not isinstance(n, int) or not 1 <= n <= limit:
+        raise ValueError(f"n={n} out of range for {what}: "
+                         f"need 1 <= n <= {limit}")
+
 
 class Matching:
     """A crossingless perfect matching of {1, ..., 2n}."""
@@ -42,18 +56,6 @@ class Matching:
         self.n = n
         self.word = word
         self.partner = partner
-
-    @staticmethod
-    def from_partner(n, partner):
-        """Rebuild the word from a partner involution (sanity-checked)."""
-        word = []
-        for i in range(1, 2 * n + 1):
-            j = partner[i]
-            assert partner[j] == i and j != i
-            word.append("(" if j > i else ")")
-        m = Matching("".join(word))
-        assert m.partner == dict(partner), "involution has crossings"
-        return m
 
     def arcs(self):
         """Arcs (i, j) with i < j, sorted."""

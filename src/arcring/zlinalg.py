@@ -1,9 +1,85 @@
-"""Exact dense linear algebra over Z and F2.
+"""Exact linear algebra over Z and F2.
 
 Matrices are lists of row lists of Python ints (arbitrary precision).  Small
 and deterministic by design: canonical column-HNF kernels for golden tests,
 Smith normal form with divisibility fix-up, and plain GF(2) elimination.
+
+SparseZ is the common base of the sparse integer combinations (ring
+elements, exterior and tensor states, odd polynomials).
 """
+
+
+class SparseZ:
+    """Finite Z-combination of monomials of one space, stored as
+    {normal monomial: nonzero int}.  `space` (n, a label tuple, a variable
+    count) must be equal for two elements to be added.  Subclasses define
+    `_normal(mono) -> (key, sign)`, the normal form of a monomial and the
+    sign it picks up on the way; sign 0 drops the term."""
+
+    __slots__ = ("space", "terms")
+
+    def __init__(self, space, terms=None):
+        self.space = space
+        self.terms = {}
+        if terms:
+            self._collect(terms)
+
+    def _collect(self, terms):
+        own = self.terms
+        normal = self._normal
+        for mono, coeff in terms.items():
+            if not coeff:
+                continue
+            key, sign = normal(mono)
+            if not sign:
+                continue
+            c = own.get(key, 0) + sign * coeff
+            if c:
+                own[key] = c
+            else:
+                own.pop(key, None)
+
+    @classmethod
+    def zero(cls, space):
+        return cls(space)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.space == other.space
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.space, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other.space != self.space:
+            raise ValueError(f"cannot add {type(other).__name__} on "
+                             f"{other.space!r} to {type(self).__name__} on "
+                             f"{self.space!r}")
+        terms = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            c = terms.get(mono, 0) + coeff
+            if c:
+                terms[mono] = c
+            else:
+                terms.pop(mono, None)
+        out = type(self)(self.space)
+        out.terms = terms
+        return out
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, k):
+        out = type(self)(self.space)
+        if k:
+            out.terms = {m: k * c for m, c in self.terms.items()}
+        return out
 
 
 def _identity(k):
@@ -30,10 +106,6 @@ def mat_mul(A, B):
 
 def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A and A[0] else []
 
 
 def column_hnf(M):

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -100,6 +101,30 @@ def test_degree_additivity():
                     assert mz.degree() == dx + dy
 
 
+def composable_triples(n):
+    """All basis triples (x, y, z) with x.bottom == y.top, y.bottom == z.top."""
+    by_top = {}
+    for bm, _ in ring_basis(n):
+        by_top.setdefault(bm.top, []).append(bm)
+    return [(x, y, z) for monos in by_top.values() for x in monos
+            for y in by_top[x.bottom] for z in by_top[y.bottom]]
+
+
+@pytest.mark.parametrize("n, count, sample", [(2, 432, None),
+                                              (3, 45200, 5000)])
+def test_even_product_associative(n, count, sample):
+    # H^n is associative; a seeded sample keeps n = 3 at about a second
+    triples = composable_triples(n)
+    assert len(triples) == count
+    if sample is not None:
+        triples = random.Random(2015).sample(triples, sample)
+    for x, y, z in triples:
+        ex, ey, ez = (RingElement.monomial(m) for m in (x, y, z))
+        left = multiply(DEFAULT, multiply(DEFAULT, ex, ey, "even"), ez, "even")
+        right = multiply(DEFAULT, ex, multiply(DEFAULT, ey, ez, "even"), "even")
+        assert left == right, (x, y, z)
+
+
 def test_flipped_rule_flips_split_sign():
     x = mono("(())", "()()")
     y = mono("()()", "(())")
@@ -142,6 +167,10 @@ def test_parse_errors():
         parse_element("[(())|(())|{7}]")  # circle index out of range
     with pytest.raises(ValueError):
         parse_element("junk")
+    with pytest.raises(ValueError):
+        parse_element("")
+    with pytest.raises(ValueError):
+        parse_element("  ", 2)
 
 
 @settings(max_examples=40, deadline=None)

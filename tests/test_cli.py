@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from arcring.cli import main
@@ -107,3 +112,40 @@ def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "center", "--n", "2", "--flavor", "odd")
     _, out2, _ = run(capsys, "center", "--n", "2", "--flavor", "odd")
     assert out1 == out2
+
+
+def test_empty_element_exits_2(capsys):
+    code, _, err = run(capsys, "mul", "--n", "2", "--x", "",
+                       "--y", "[(())|(())|{}]")
+    assert code == 2
+    assert "empty" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bn", "--n", "6"],
+    ["bn", "--n", "0"],
+    ["mul", "--n", "6", "--x", "[()|()|{}]", "--y", "[()|()|{}]"],
+    ["center", "--n", "5"],
+    ["springer", "--n", "5", "--ranks"],
+    ["assoc", "--n", "4", "--phi0"],
+    ["verify", "--n", "4", "--suite", "all"],
+    ["verify", "--n", "4", "--suite", "cocycle"],
+    ["verify", "--n", "5", "--suite", "centers"],
+], ids=" ".join)
+def test_n_above_limit_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "out of range" in err
+
+
+def test_n_above_limit_exits_2_under_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]]
+                      if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "arcring.cli", "center", "--n", "5"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "out of range" in proc.stderr

@@ -95,13 +95,6 @@ def test_rename_is_an_algebra_map():
     assert lhs == rhs
 
 
-def test_even_tensor_product_nilpotent():
-    x = EvenTensorElement(LABELS, {frozenset({0}): 1})
-    assert x.product(x).is_zero()
-    y = EvenTensorElement(LABELS, {frozenset(): 1, frozenset({1}): 1})
-    assert y.product(x).terms == {frozenset({0}): 1, frozenset({0, 1}): 1}
-
-
 def test_even_tensor_rename_merges():
     x = EvenTensorElement(LABELS, {frozenset({0, 1}): 1})
     assert x.rename({1: 0}, (0, 2, 3)).is_zero()

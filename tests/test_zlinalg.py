@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from arcring.arc_rings import BasisMonomial, RingElement
+from arcring.exterior import EvenTensorElement, ExteriorElement
+from arcring.springer import OddPolynomial
 from arcring.zlinalg import (mat_mul, mat_vec, column_hnf, smith_normal_form,
                              rank_Z, kernel_basis_Z, solve_Z, solve_f2,
                              lattices_equal)
@@ -98,3 +102,20 @@ def test_solve_f2_consistent_systems(rows, x):
     assert sol is not None
     for row, bv in zip(rows, b):
         assert sum(a * v for a, v in zip(row, sol)) % 2 == bv
+
+
+@pytest.mark.parametrize("cls, space, other_space, monos", [
+    (RingElement, 2, 3, [BasisMonomial("(())", "(())", frozenset({1})),
+                         BasisMonomial("()()", "(())", frozenset())]),
+    (ExteriorElement, (0, 1, 2), (0, 1), [(2, 0), (1,)]),
+    (EvenTensorElement, (0, 1, 2), (0, 1), [frozenset({0, 2}), frozenset({1})]),
+    (OddPolynomial, 4, 2, [(3, 1), (2, 2)]),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_sparse_z_spaces_and_hash(cls, space, other_space, monos):
+    forward = cls(space, dict(zip(monos, (3, -2))))
+    backward = cls(space, dict(reversed(list(forward.terms.items()))))
+    assert list(forward.terms) != list(backward.terms)
+    assert forward == backward and hash(forward) == hash(backward)
+    assert (forward - backward).is_zero()
+    with pytest.raises(ValueError):
+        forward + cls(other_space)
