@@ -3,24 +3,27 @@ and the bridge-resolution multiplication.
 
 Multiplication of x in c(.)b by y in b(.)a stacks the closed diagram W(c)b on
 top of W(b)a and resolves one bridge per arc of b, scanning basepoints in the
-order prescribed by the multiplication rule.  Two independent implementations
-are provided:
+order prescribed by the multiplication rule.  The geometry of that resolution
+is computed once per (rule, c, b, a) by `_plan`, as merge and split events on
+circle positions.  Two independent interpretations of the plan are provided:
 
-  multiply              simulates the odd/even functor on the elementary
-                        merge/split moves (normative);
+  multiply              applies the odd/even surface functor of `functors`
+                        to the plan's merge/split/permute moves (normative);
   multiply_diagrammatic reimplements the same product through the colored
-                        diagram sign tables (independent oracle, odd only).
+                        diagram sign tables (independent oracle, odd only);
+                        it shares the plan's geometry, not its algebra.
 
-Circle components are ordered throughout by scanning the top boundary row
+Circles are ordered throughout by (row, min column): the top boundary row
 left to right, then the bottom row; that order is what every sign depends on.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from operator import attrgetter
 
+from . import functors as _f
 from . import matchings as _m
-from .exterior import ExteriorElement, EvenTensorElement, wedge, rename
 from .zlinalg import SparseZ
 
 
@@ -34,7 +37,9 @@ class BasisMonomial:
     colored: frozenset
 
     def __post_init__(self):
-        assert len(self.top) == len(self.bottom)
+        if len(self.top) != len(self.bottom):
+            raise ValueError(f"matching words {self.top!r} and "
+                             f"{self.bottom!r} differ in length")
 
     @property
     def n(self):
@@ -110,7 +115,9 @@ def unit(n):
 # multiplication rules
 
 class MultiplicationRule:
-    """Per-triple scan order on basepoints plus split orientations."""
+    """Per-triple scan order on basepoints plus split orientations.  Products
+    cache the resolution plan per rule and triple, so a rule must not change
+    its answers after its first product."""
 
     name = "abstract"
 
@@ -119,8 +126,9 @@ class MultiplicationRule:
 
     def split_source(self, c, b, a, scan, partner, key_scan, key_partner):
         """Which endpoint of the arc {scan, partner} of b is the orientation
-        source of the split.  key_* are the post-split component order keys of
-        the components through the two columns."""
+        source of the split.  key_scan and key_partner order the two children
+        through the two columns: they are the children's 1-based positions
+        in the (row, min column) order of the post-split circles."""
         raise NotImplementedError
 
 
@@ -225,200 +233,105 @@ BUILTIN_RULES = {"default": DefaultRule(), "ord": OrderRule()}
 
 
 # ---------------------------------------------------------------------------
-# the two-row bridge diagram
+# the resolution plan: geometry only, shared by both products
 
-class _Bridge:
-    """Geometric state of the bridge resolution: ports ('T', col)/('B', col)
-    with the arcs of c, b (twice) and a as edges; components tracked as
-    id -> point set.  Components are ordered by (row, min column), top row
-    first — the scan order of the equivalence proof."""
-
-    def __init__(self, c, b, a):
-        self.n = c.n
-        self.b = b
-        cols = range(1, 2 * self.n + 1)
-        # edge lists per point; edges are ('kind', i, j) with i < j
-        self.edges = set()
-        for (i, j) in c.arcs():
-            self.edges.add(("c", i, j))
-        for (i, j) in b.arcs():
-            self.edges.add(("bt", i, j))
-            self.edges.add(("bb", i, j))
-        for (i, j) in a.arcs():
-            self.edges.add(("a", i, j))
-        self.vertical = set()  # columns already resolved
-        self.comp_points = {}
-        self.next_id = 0
-        top = _m.closed_diagram(c, b).circles
-        bot = _m.closed_diagram(b, a).circles
-        self.top_count = len(top)
-        for circ in top:
-            self.comp_points[self.next_id] = frozenset(("T", p) for p in circ)
-            self.next_id += 1
-        for circ in bot:
-            self.comp_points[self.next_id] = frozenset(("B", p) for p in circ)
-            self.next_id += 1
-
-    def key(self, cid):
-        pts = self.comp_points[cid]
-        tcols = [p for (row, p) in pts if row == "T"]
-        if tcols:
-            return (0, min(tcols))
-        return (1, min(p for (_, p) in pts))
-
-    def labels(self):
-        return tuple(sorted(self.comp_points, key=self.key))
-
-    def comp_of(self, point):
-        for cid, pts in self.comp_points.items():
-            if point in pts:
-                return cid
-        raise AssertionError(f"point {point} unaccounted for")
-
-    def _adjacency(self):
-        adj = {}
-        for (kind, i, j) in self.edges:
-            row = "T" if kind in ("c", "bt") else "B"
-            p, q = (row, i), (row, j)
-            adj.setdefault(p, []).append(q)
-            adj.setdefault(q, []).append(p)
-        for col in self.vertical:
-            adj.setdefault(("T", col), []).append(("B", col))
-            adj.setdefault(("B", col), []).append(("T", col))
-        return adj
-
-    def _component_from(self, start, adj):
-        seen = {start}
-        stack = [start]
-        while stack:
-            for q in adj.get(stack.pop(), ()):
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return frozenset(seen)
-
-    def surgery(self, col):
-        """Resolve the bridge on the arc of b through `col`.  Returns
-        ('merge', target, loser) or ('split', parent, child_scan, child_partner)
-        where the children are the post-surgery components through `col` and
-        its partner column."""
-        j = self.b.partner[col]
-        i, jj = min(col, j), max(col, j)
-        assert ("bt", i, jj) in self.edges, "arc already resolved"
-        ct = self.comp_of(("T", col))
-        cb = self.comp_of(("B", col))
-        self.edges.remove(("bt", i, jj))
-        self.edges.remove(("bb", i, jj))
-        self.vertical.add(i)
-        self.vertical.add(jj)
-        adj = self._adjacency()
-        if ct != cb:
-            # merge: smaller-key component keeps its id
-            target, loser = (ct, cb) if self.key(ct) < self.key(cb) else (cb, ct)
-            self.comp_points[target] = (self.comp_points[target]
-                                        | self.comp_points[loser])
-            del self.comp_points[loser]
-            return ("merge", target, loser)
-        # split
-        parent = ct
-        pts_scan = self._component_from(("T", col), adj)
-        pts_partner = self._component_from(("T", j), adj)
-        assert pts_scan != pts_partner, "planar surgery must split"
-        assert pts_scan | pts_partner == self.comp_points[parent]
-        child_scan = parent
-        child_partner = self.next_id
-        self.next_id += 1
-        self.comp_points[child_scan] = pts_scan
-        self.comp_points[child_partner] = pts_partner
-        return ("split", parent, child_scan, child_partner)
+def _circle_positions(c, b, a, resolved):
+    """Map every point of W(c)b stacked on W(b)a, with the bridges at the
+    columns in `resolved` done, to the 1-based position of its circle.  Top
+    point k is k and bottom point k is 2n + k, so numbering the circles by
+    least point puts them in (row, min column) order."""
+    m = 2 * c.n
+    pos = {}
+    count = 0
+    for start in range(1, 2 * m + 1):
+        if start in pos:
+            continue
+        count += 1
+        p = start
+        while p not in pos:
+            # an arc of c (top row) or of a (bottom row), then an arc of b in
+            # the same row or, at a resolved column, the vertical strand
+            q = c.partner[p] if p <= m else m + a.partner[p - m]
+            pos[p] = pos[q] = count
+            col = q if q <= m else q - m
+            row = q - col
+            p = col + m - row if col in resolved else b.partner[col] + row
+    return pos
 
 
-def _final_terms(state, c, a, terms):
-    """Re-key terms over sets of component ids of the fully resolved diagram
-    by sets of 1-based circle indices of W(c)a."""
-    final = _m.closed_diagram(c, a)
-    labels = state.labels()
-    assert len(labels) == len(final.circles)
-    index = {}
-    for cid in labels:
-        tcols = sorted(p for (row, p) in state.comp_points[cid] if row == "T")
-        idx = final.circle_of[tcols[0]]
-        assert frozenset(tcols) == final.circles[idx - 1]
-        index[cid] = idx
-    out = {}
-    for ids, coeff in terms.items():
-        colored = frozenset(index[cid] for cid in ids)
-        out[colored] = out.get(colored, 0) + coeff
-    return {s: v for s, v in out.items() if v}
+def _plan(rule, c, b, a):
+    """The bridge resolutions of W(c)b stacked on W(b)a in the scan order of
+    `rule`, as a tuple of events on 1-based circle positions in (row, min
+    column) order; initially the circles of W(c)b come first, and at the end
+    position k is circle k of W(c)a.
+
+      ("merge", p, q)   p is the circle through the top of the column, q
+                        the one through its bottom; the merged circle sits
+                        at min(p, q) and the slot max(p, q) disappears.
+      ("split", p, i, j, scan_is_source)
+                        circle p splits; i and j are the post-split positions
+                        of the children through the scanned column and its
+                        partner.  One child keeps position p, the other is
+                        the one at max(i, j).
+
+    Cached per (rule, c.word, b.word, a.word), holding only the event tuples;
+    a rule must therefore not be mutated after its first product."""
+    return _plan_of_words(rule, c.word, b.word, a.word)
+
+
+@lru_cache(maxsize=None)
+def _plan_of_words(rule, c, b, a):
+    c, b, a = _m.Matching(c), _m.Matching(b), _m.Matching(a)
+    m = 2 * c.n
+    resolved = set()
+    pos = _circle_positions(c, b, a, resolved)
+    events = []
+    for col in rule.order(c, b, a):
+        if col in resolved:
+            continue
+        partner = b.partner[col]
+        resolved.update((col, partner))
+        new = _circle_positions(c, b, a, resolved)
+        if pos[col] != pos[m + col]:
+            events.append(("merge", pos[col], pos[m + col]))
+        else:
+            i, j = new[col], new[partner]
+            src = rule.split_source(c, b, a, col, partner, i, j)
+            if src not in (col, partner):
+                raise ValueError(f"split source {src!r} is not an endpoint "
+                                 f"of the arc ({col}, {partner}) of {b.word}")
+            events.append(("split", pos[col], i, j, src == col))
+        pos = new
+    return tuple(events)
 
 
 # ---------------------------------------------------------------------------
-# normative multiplication (functor simulation)
+# normative multiplication (the surface functor on the plan)
 
-def _resolve_monomials(rule, c, b, a, colored_x, colored_y, theory,
-                       stats=None):
-    """Product of [c|b|colored_x] . [b|a|colored_y]; returns {frozenset: int}
-    over colored sets of W(c)a circle indices."""
-    state = _Bridge(c, b, a)
-    labels = state.labels()
-    ids_x = tuple(sorted((i - 1 for i in colored_x)))
-    ids_y = tuple(sorted((state.top_count + i - 1 for i in colored_y)))
-    if theory == "odd":
-        elem = ExteriorElement(labels, {ids_x + ids_y: 1})
-    else:
-        elem = EvenTensorElement(labels, {frozenset(ids_x + ids_y): 1})
-
-    for col in rule.order(c, b, a):
-        if col in state.vertical:
+def _moves(plan):
+    """The plan as functor moves.  A split puts the child that keeps the
+    parent's position first; Permutes then carry the other child from the
+    next slot to its own."""
+    for event in plan:
+        if event[0] == "merge":
+            yield _f.Merge(event[1], event[2])
             continue
-        partner = state.b.partner[col]
-        result = state.surgery(col)
-        new_labels = state.labels()
-        if result[0] == "merge":
-            _, target, loser = result
-            if theory == "odd":
-                elem = rename(elem, {loser: target}, new_labels)
-            else:
-                elem = elem.rename({loser: target}, new_labels)
-        else:
-            _, parent, ch_scan, ch_partner = result
-            if stats is not None:
-                stats["splits"] = stats.get("splits", 0) + 1
-            key_scan = state.key(ch_scan)
-            key_partner = state.key(ch_partner)
-            src = rule.split_source(c, b, a, col, partner,
-                                    key_scan, key_partner)
-            assert src in (col, partner)
-            if src == col:
-                a1, a2 = ch_scan, ch_partner
-            else:
-                a1, a2 = ch_partner, ch_scan
-            if theory == "odd":
-                xbar = rename(elem, {parent: a1}, new_labels)
-                factor = ExteriorElement(new_labels, {(a1,): 1, (a2,): -1})
-                elem = wedge(factor, xbar)
-            else:
-                elem = _even_split(elem, parent, ch_scan, ch_partner,
-                                   new_labels)
-    return _final_terms(state, c, a, elem.terms)
+        _, p, i, j, scan_is_source = event
+        yield _f.Split(p, source_first=scan_is_source == (i == p))
+        for k in range(p + 1, max(i, j)):
+            yield _f.Permute(k, k + 1)
 
 
-def _even_split(elem, parent, c1, c2, new_labels):
-    out = EvenTensorElement(new_labels)
-    terms = {}
-    for mono, coeff in elem.terms.items():
-        if parent in mono:
-            images = [frozenset(x for x in mono if x != parent) | {c1, c2}]
-        else:
-            images = [mono | {c1}, mono | {c2}]
-        for mono2 in images:
-            cc = terms.get(mono2, 0) + coeff
-            if cc:
-                terms[mono2] = cc
-            else:
-                terms.pop(mono2, None)
-    out.terms = terms
-    return out
+def _resolve_monomials(rule, c, b, a, colored_x, colored_y, theory):
+    """Product of [c|b|colored_x] . [b|a|colored_y]: the surface functor of
+    `theory` on the moves of the resolution plan.  Returns {frozenset: int}
+    over colored sets of W(c)a circle indices."""
+    top = len(_m.closed_diagram(c, b))
+    state = _f.basis_state(
+        top + len(_m.closed_diagram(b, a)),
+        sorted(colored_x) + [top + i for i in sorted(colored_y)], theory)
+    state = _f.apply_word(_moves(_plan(rule, c, b, a)), state, theory)
+    return {frozenset(mono): coeff for mono, coeff in state.terms.items()}
 
 
 def _block_product(resolve, x, y):
@@ -449,7 +362,7 @@ def _block_product(resolve, x, y):
     return out
 
 
-def multiply(rule, x, y, theory="odd", stats=None):
+def multiply(rule, x, y, theory="odd"):
     """Bilinear product; zero across non-matching blocks.  For the even
     theory the rule is ignored (the product is order-independent and carries
     no orientations); the usual left-to-right scan is used."""
@@ -457,87 +370,61 @@ def multiply(rule, x, y, theory="odd", stats=None):
         rule = BUILTIN_RULES["default"]
     return _block_product(
         lambda c, b, a, colored_x, colored_y: _resolve_monomials(
-            rule, c, b, a, colored_x, colored_y, theory, stats), x, y)
+            rule, c, b, a, colored_x, colored_y, theory), x, y)
 
 
 # ---------------------------------------------------------------------------
 # diagrammatic multiplication (colored diagrams with sign tables; odd only)
 
 def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
-    state = _Bridge(c, b, a)
-    # terms: {frozenset(component ids colored): coeff}
-    ids_x = frozenset(i - 1 for i in colored_x)
-    ids_y = frozenset(state.top_count + i - 1 for i in colored_y)
-    terms = {ids_x | ids_y: 1}
+    top = len(_m.closed_diagram(c, b))
+    # terms: {frozenset(positions of colored circles): coeff}
+    terms = {frozenset(colored_x) | {top + i for i in colored_y}: 1}
 
-    for col in rule.order(c, b, a):
-        if col in state.vertical:
-            continue
-        partner = state.b.partner[col]
-        # component order before the surgery
-        ct = state.comp_of(("T", col))
-        cb = state.comp_of(("B", col))
-        keys_before = {cid: state.key(cid) for cid in state.comp_points}
-        result = state.surgery(col)
-        if result[0] == "merge":
-            _, target, loser = result
-            x_comp, y_comp = ct, cb  # top-side and bottom-side components
-            new_terms = {}
+    for event in _plan(rule, c, b, a):
+        new_terms = {}
+
+        def put(colored, coeff):
+            cc = new_terms.get(colored, 0) + coeff
+            if cc:
+                new_terms[colored] = cc
+            else:
+                new_terms.pop(colored, None)
+
+        if event[0] == "merge":
+            _, x_comp, y_comp = event  # top-side and bottom-side circles
+            first, last = min(x_comp, y_comp), max(x_comp, y_comp)
             for colored, coeff in terms.items():
                 cx, cy = x_comp in colored, y_comp in colored
                 if cx and cy:
                     continue
-                if not cx and not cy:
-                    new_colored = colored
-                    sign = 1
-                else:
-                    if cx:
-                        lo, hi = keys_before[y_comp], keys_before[x_comp]
-                    else:
-                        lo, hi = keys_before[x_comp], keys_before[y_comp]
-                    m = sum(1 for cid in colored
-                            if cid not in (x_comp, y_comp)
-                            and lo < keys_before[cid] < hi)
+                sign = 1
+                if cx or cy:
+                    lo, hi = (y_comp, x_comp) if cx else (x_comp, y_comp)
+                    m = sum(1 for p in colored if lo < p < hi)
                     sign = (-1) ** m
-                    new_colored = (colored - {x_comp, y_comp}) | {target}
-                cc = new_terms.get(new_colored, 0) + sign * coeff
-                if cc:
-                    new_terms[new_colored] = cc
-                else:
-                    new_terms.pop(new_colored, None)
-            terms = new_terms
+                put(frozenset(first if p == last else p - (p > last)
+                              for p in colored), sign * coeff)
         else:
-            _, parent, ch_scan, ch_partner = result
-            keys_now = {cid: state.key(cid) for cid in state.comp_points}
-            src = rule.split_source(c, b, a, col, partner,
-                                    keys_now[ch_scan], keys_now[ch_partner])
-            alpha = 1 if src == col else -1
-            ki, kj = keys_now[ch_scan], keys_now[ch_partner]
-            new_terms = {}
-
-            def put(colored, coeff):
-                cc = new_terms.get(colored, 0) + coeff
-                if cc:
-                    new_terms[colored] = cc
-                else:
-                    new_terms.pop(colored, None)
-
+            _, parent, ki, kj, scan_is_source = event
+            alpha = 1 if scan_is_source else -1
+            moved = max(ki, kj)  # the child that leaves the parent's slot
             for colored, coeff in terms.items():
-                others = colored - {parent}
+                others = frozenset(p + (p >= moved) for p in colored
+                                   if p != parent)
                 if parent not in colored:
                     # uncolored circle splits: alpha (b_i D_i - b_j D_j)
-                    m_i = sum(1 for cid in others if keys_now[cid] < ki)
-                    m_j = sum(1 for cid in others if keys_now[cid] < kj)
-                    put(others | {ch_scan}, alpha * (-1) ** m_i * coeff)
-                    put(others | {ch_partner}, -alpha * (-1) ** m_j * coeff)
+                    m_i = sum(1 for p in others if p < ki)
+                    m_j = sum(1 for p in others if p < kj)
+                    put(others | {ki}, alpha * (-1) ** m_i * coeff)
+                    put(others | {kj}, -alpha * (-1) ** m_j * coeff)
                 else:
                     # colored circle splits: both children colored, sign beta
-                    new_colored = others | {ch_scan, ch_partner}
-                    m = sum(1 for cid in new_colored
-                            if keys_now[cid] <= kj or keys_now[cid] < ki)
+                    new_colored = others | {ki, kj}
+                    m = sum(1 for p in new_colored if p <= kj or p < ki)
                     put(new_colored, alpha * (-1) ** m * coeff)
-            terms = new_terms
-    return _final_terms(state, c, a, terms)
+        terms = new_terms
+    return terms
 
 
 def multiply_diagrammatic(rule, x, y):

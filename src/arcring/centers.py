@@ -172,7 +172,8 @@ def center_structure_constants(basis, rule):
     def coords(elem):
         v = [0] * len(monos)
         for mono, coeff in elem.terms.items():
-            assert mono in row_of, "product left the diagonal blocks"
+            if mono not in row_of:
+                raise AssertionError("product left the diagonal blocks")
             v[row_of[mono]] = coeff
         x = solve_Z(G, v)
         if x is None:
@@ -191,5 +192,6 @@ def center_structure_constants(basis, rule):
             for k, gk in enumerate(basis.generators):
                 left = multiply(rule, prods[i, j], gk, theory)
                 right = multiply(rule, gi, prods[j, k], theory)
-                assert left == right, "center product not associative"
+                if left != right:
+                    raise AssertionError("center product not associative")
     return table

@@ -136,14 +136,6 @@ def rename(x, mapping, new_labels):
     return out
 
 
-def relabel_merge(x, l1, l2, target, new_labels):
-    """Lambda* V(S) -> Lambda* V(S)/<l1 - l2>: substitute both labels by
-    `target`, whose position in the order is fixed by new_labels."""
-    if l1 == l2 or l1 not in x._pos or l2 not in x._pos:
-        raise ValueError("bad merge labels")
-    return rename(x, {l1: target, l2: target}, new_labels)
-
-
 class EvenTensorElement(SparseZ):
     """Element of A^{tensor m}, A = Z[t]/t^2, one factor per label.  A monomial
     is the frozenset of labels whose factor carries t."""

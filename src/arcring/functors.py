@@ -183,17 +183,21 @@ def euler_characteristic(move):
     raise TypeError(f"unknown move {move!r}")
 
 
+def basis_state(m, subset, theory):
+    """The basis state on m circles that carries a generator on each circle
+    of `subset`, a sorted sequence of positions."""
+    if theory == "odd":
+        return ExteriorElement(_labels(m), {tuple(subset): 1})
+    if theory == "even":
+        return EvenTensorElement(_labels(m), {frozenset(subset): 1})
+    raise ValueError(f"unknown theory {theory!r}")
+
+
 def _monomials(m, theory):
     """All basis states on m circles, as elements."""
-    labels = _labels(m)
-    out = []
-    for mask in range(2 ** m):
-        subset = tuple(i for i in labels if mask >> (i - 1) & 1)
-        if theory == "odd":
-            out.append(ExteriorElement(labels, {subset: 1}))
-        else:
-            out.append(EvenTensorElement(labels, {frozenset(subset): 1}))
-    return out
+    return [basis_state(m, [i for i in _labels(m) if mask >> (i - 1) & 1],
+                        theory)
+            for mask in range(2 ** m)]
 
 
 def _maps_equal(word1, word2, m, theory, sign=1):
@@ -313,7 +317,8 @@ def verify_relations(max_labels, theory):
     circles; returns {relation_name: bool} plus extra odd-theory checks."""
     if not 1 <= max_labels <= 5:
         raise ValueError("max_labels must be in 1..5")
-    assert theory in ("even", "odd")
+    if theory not in ("even", "odd"):
+        raise ValueError(f"unknown theory {theory!r}")
     report = {}
     for m in range(1, max_labels + 1):
         for name, instances in _relations(theory, m).items():

@@ -92,7 +92,7 @@ def parse_poly(text, nvars):
     if s == "0":
         return OddPolynomial.zero(nvars)
     pos = 0
-    out = OddPolynomial.zero(nvars)
+    terms = {}
     first = True
     while pos < len(s):
         match = _TERM_RE.match(s, pos)
@@ -108,10 +108,10 @@ def parse_poly(text, nvars):
             int(u) for u in mono[1:].split("x"))
         if any(not 1 <= i <= nvars for i in indices):
             raise ValueError(f"variable index out of range in {match.group(0)}")
-        out = out + OddPolynomial(nvars, {indices: c})
+        terms[indices] = terms.get(indices, 0) + c
         pos = match.end()
         first = False
-    return out
+    return OddPolynomial(nvars, terms)
 
 
 def epsilon_generator(n, I, r):
@@ -119,7 +119,8 @@ def epsilon_generator(n, I, r):
     Sum_{i_1<...<i_r in I} prod_j (-1)^(pos_I(i_j)-1) x_{i_j}."""
     I = tuple(I)
     nvars = 2 * n
-    assert all(1 <= i <= nvars for i in I) and len(set(I)) == len(I)
+    if not all(1 <= i <= nvars for i in I) or len(set(I)) != len(I):
+        raise ValueError(f"I = {I} must be distinct indices in 1..{nvars}")
     k = len(I) - n
     if not 1 <= k <= n:
         raise ValueError(f"|I| = {len(I)} must be n+k with 1 <= k <= n")
@@ -182,7 +183,8 @@ class QuotientPresentation:
             if ideal_rank:
                 _, D, _ = smith_normal_form(H)
                 diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
-                assert all(v in (0, 1) for v in diag), "torsion in quotient"
+                if any(v not in (0, 1) for v in diag):
+                    raise AssertionError("torsion in quotient")
             self.graded_rank[d] = len(monos) - ideal_rank
             # greedy lex basis: keep a monomial if it is independent mod the
             # ideal and the monomials already kept
@@ -201,7 +203,9 @@ class QuotientPresentation:
                     work, rank = cand, r2
             assert len(chosen) == self.graded_rank[d]
             self.basis[d] = chosen
-        assert self.graded_rank[n + 1] == 0
+        if self.graded_rank[n + 1]:
+            raise AssertionError("degree-(n+1) slice of the quotient is "
+                                 "not zero")
         for i in range(1, nvars + 1):
             assert self.reduces_to_zero(
                 OddPolynomial(nvars, {(i, i): 1})), "x_i^2 not in the ideal"
@@ -213,7 +217,7 @@ class QuotientPresentation:
             by_deg.setdefault(len(mono), {})[mono] = coeff
         for d, terms in by_deg.items():
             if d > self.n:
-                # the degree-(n+1) slice is zero (asserted above) and the
+                # the degree-(n+1) slice is zero (checked above) and the
                 # ideal is closed under multiplication, so everything of
                 # higher degree is in the ideal too
                 continue
@@ -270,7 +274,7 @@ def map_s(p, n, rule=None, center=None):
     circle of W(a)a through basepoint i.  If a center lattice is supplied the
     image is verified to lie in it."""
     assert p.nvars == 2 * n
-    out = RingElement.zero(n)
+    terms = {}
     for a in _m.enumerate_matchings(n):
         circle_of = _m.closed_diagram(a, a).circle_of
         for mono, coeff in p.terms.items():
@@ -278,8 +282,9 @@ def map_s(p, n, rule=None, center=None):
             norm, sign = _normalize(labels)
             if len(set(norm)) != len(norm):
                 continue
-            out = out + RingElement.monomial(
-                BasisMonomial(a.word, a.word, frozenset(norm)), sign * coeff)
+            key = BasisMonomial(a.word, a.word, frozenset(norm))
+            terms[key] = terms.get(key, 0) + sign * coeff
+    out = RingElement(n, terms)
     if center is not None:
         assert center.contains(out), "image outside the center lattice"
     return out
@@ -343,10 +348,11 @@ def verify_springer_iso(n, rule):
                 ok = False
                 break
             prod = multiply(rule, images[i], images[j])
-            expect = RingElement.zero(n)
+            expect = {}
             for c, img in zip(coords, images):
-                expect = expect + img.scale(c)
-            if prod != expect:
+                for mono, coeff in img.terms.items():
+                    expect[mono] = expect.get(mono, 0) + c * coeff
+            if prod != RingElement(n, expect):
                 ok = False
                 break
         if not ok:
@@ -374,12 +380,11 @@ def even_presentation_check(n):
 
     X = {}
     for i in range(1, nvars + 1):
-        elem = RingElement.zero(n)
+        terms = {}
         for a in _m.enumerate_matchings(n):
             circ = _m.closed_diagram(a, a).circle_of[i]
-            elem = elem + RingElement.monomial(
-                BasisMonomial(a.word, a.word, frozenset({circ})), (-1) ** i)
-        X[i] = elem
+            terms[BasisMonomial(a.word, a.word, frozenset({circ}))] = (-1) ** i
+        X[i] = RingElement(n, terms)
 
     cert["stages"]["central"] = all(ec.contains(X[i]) for i in X)
     cert["stages"]["squares_vanish"] = all(
@@ -393,10 +398,11 @@ def even_presentation_check(n):
 
     ok = True
     for k in range(1, nvars + 1):
-        total = RingElement.zero(n)
+        total = {}
         for I in combinations(range(1, nvars + 1), k):
-            total = total + x_product(I)
-        if not total.is_zero():
+            for mono, coeff in x_product(I).terms.items():
+                total[mono] = total.get(mono, 0) + coeff
+        if any(total.values()):
             ok = False
     cert["stages"]["symmetric_sums_vanish"] = ok
 

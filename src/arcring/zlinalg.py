@@ -271,8 +271,8 @@ def kernel_basis_Z(M):
         return [[] for _ in range(cols)]
     K = [list(row) for row in zip(*ker_cols)]  # cols x (cols - r)
     K = column_hnf(K)
-    for row in mat_mul(M, K):
-        assert all(v == 0 for v in row)
+    if any(any(row) for row in mat_mul(M, K)):
+        raise AssertionError("kernel basis is not in the kernel")
     return K
 
 
@@ -295,7 +295,8 @@ def solve_Z(A, b):
         elif c[i]:
             return None
     x = mat_vec(V, y)
-    assert mat_vec(A, x) == list(b)
+    if mat_vec(A, x) != list(b):
+        raise AssertionError("integer solution does not solve A x = b")
     return x
 
 
@@ -325,7 +326,8 @@ def solve_f2(A, b):
     for i, c in enumerate(pivots):
         x[c] = aug[i][cols]
     for row, bv in zip(A, b):
-        assert (sum(a * v for a, v in zip(row, x)) - bv) % 2 == 0
+        if (sum(a * v for a, v in zip(row, x)) - bv) % 2:
+            raise AssertionError("F2 solution does not solve A x = b")
     return x
 
 

@@ -139,6 +139,39 @@ def test_custom_rule_validation():
     validate_rule(rule, 2)
 
 
+def test_custom_rule_sources():
+    # explicit sources on every n = 3 triple reproduce the built-in rules
+    mats = m.enumerate_matchings(3)
+    words = [(c.word, b.word, a.word) for c in mats for b in mats
+             for a in mats]
+
+    def custom(pick):
+        return CustomRule(3, sources={
+            t: {frozenset(arc): pick(arc) for arc in m.Matching(t[1]).arcs()}
+            for t in words})
+
+    basis = [bm for bm, _ in ring_basis(3)]
+    for rule, builtin in ((custom(min), DEFAULT),
+                          (custom(max), FlippedRule(DEFAULT))):
+        for mx in basis:
+            x = RingElement.monomial(mx)
+            for my in basis:
+                if mx.bottom != my.top:
+                    continue
+                y = RingElement.monomial(my)
+                assert multiply(rule, x, y) == multiply(builtin, x, y)
+                assert multiply_diagrammatic(rule, x, y) == \
+                    multiply_diagrammatic(builtin, x, y)
+    off_arc = custom(lambda arc: next(p for p in range(1, 7)
+                                      if p not in arc))
+    x = mono("((()))", "()()()")
+    y = mono("()()()", "((()))")  # one split
+    with pytest.raises(ValueError):
+        multiply(off_arc, x, y)
+    with pytest.raises(ValueError):
+        multiply_diagrammatic(off_arc, x, y)
+
+
 def test_even_ignores_rule():
     basis = [bm for bm, _ in ring_basis(2)]
     for mx in basis:

@@ -3,8 +3,8 @@ from itertools import product
 import pytest
 
 from arcring import matchings as m
-from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
-                               multiply, BUILTIN_RULES, FlippedRule)
+from arcring.arc_rings import (RingElement, ring_basis, multiply,
+                               BUILTIN_RULES, FlippedRule, _plan)
 from arcring.associator import (scission_count, phi0, UndefinedSign,
                                 cocycle_defect, solve_coboundary,
                                 rule_sign_ratio, eta_table,
@@ -27,13 +27,9 @@ def test_scission_matches_instrumented_splits():
     for n in (1, 2, 3):
         mats = m.enumerate_matchings(n)
         for c, b, a in product(mats, repeat=3):
-            stats = {}
-            x = RingElement.monomial(
-                BasisMonomial(c.word, b.word, frozenset()))
-            y = RingElement.monomial(
-                BasisMonomial(b.word, a.word, frozenset()))
-            multiply(DEFAULT, x, y, stats=stats)
-            assert stats.get("splits", 0) == scission_count(c, b, a)
+            plan = _plan(DEFAULT, c, b, a)
+            splits = sum(event[0] == "split" for event in plan)
+            assert splits == scission_count(c, b, a)
 
 
 def test_phi0_diagonal_trivial():

@@ -108,6 +108,22 @@ def test_verify_all_n2(capsys):
     assert out.count("pass") == 6
 
 
+def test_verify_relations_follows_n(capsys, monkeypatch):
+    from arcring import functors
+    asked = []
+    real = functors.verify_relations
+
+    def spy(max_labels, theory):
+        asked.append(max_labels)
+        return real(max_labels, theory)
+
+    monkeypatch.setattr(functors, "verify_relations", spy)
+    for n in ("1", "3"):
+        code, _, _ = run(capsys, "verify", "--n", n, "--suite", "relations")
+        assert code == 0
+    assert asked == [2, 2, 5, 5]
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "center", "--n", "2", "--flavor", "odd")
     _, out2, _ = run(capsys, "center", "--n", "2", "--flavor", "odd")
@@ -139,13 +155,32 @@ def test_n_above_limit_exits_2(capsys, argv):
     assert "out of range" in err
 
 
-def test_n_above_limit_exits_2_under_optimize():
+def _run_optimized(*args):
+    """Run the interpreter with -O (asserts stripped) on src/."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + ([os.environ["PYTHONPATH"]]
                       if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "arcring.cli", "center", "--n", "5"],
-        env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-O", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_n_above_limit_exits_2_under_optimize():
+    proc = _run_optimized("-m", "arcring.cli", "center", "--n", "5")
     assert proc.returncode == 2
     assert "out of range" in proc.stderr
+
+
+def test_bad_input_raises_under_optimize():
+    proc = _run_optimized("-c", """
+from arcring.arc_rings import BasisMonomial
+from arcring.springer import epsilon_generator
+print(__debug__)
+for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
+            lambda: epsilon_generator(2, (1, 2, 9), 1)):
+    try:
+        bad()
+    except ValueError:
+        print("ValueError")
+""")
+    assert proc.stdout.split() == ["False", "ValueError", "ValueError"]

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcring.exterior import (ExteriorElement, EvenTensorElement, wedge,
-                              contract_dual, rename, relabel_merge)
+                              contract_dual, rename)
 
 LABELS = (0, 1, 2, 3)
 
@@ -78,10 +78,10 @@ def test_contract_dual_is_an_antiderivation(x, y):
 
 def test_rename_merge_kills_repeats():
     x = ExteriorElement(LABELS, {(0, 1): 1})
-    merged = relabel_merge(x, 0, 1, 0, (0, 2, 3))
+    merged = rename(x, {0: 0, 1: 0}, (0, 2, 3))
     assert merged.is_zero()
     x2 = ExteriorElement(LABELS, {(1, 2): 1})
-    merged2 = relabel_merge(x2, 0, 1, 0, (0, 2, 3))
+    merged2 = rename(x2, {0: 0, 1: 0}, (0, 2, 3))
     assert merged2.terms == {(0, 2): 1}
 
 

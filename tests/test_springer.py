@@ -42,6 +42,8 @@ def test_poly_parse_format_roundtrip():
     assert p.terms == {(1, 3): 1, (2, 2): -2}
     assert format_poly(p) == s
     assert format_poly(parse_poly("0", 4)) == "0"
+    assert parse_poly("x1 + x2 - x1", 4) == parse_poly("x2", 4)
+    assert parse_poly("x2x1 + x1x2", 4).is_zero()
     with pytest.raises(ValueError):
         parse_poly("x9", 4)
 
