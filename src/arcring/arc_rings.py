@@ -334,6 +334,10 @@ def _resolve_monomials(rule, c, b, a, colored_x, colored_y, theory):
     return {frozenset(mono): coeff for mono, coeff in state.terms.items()}
 
 
+# one Matching per word, shared by every product
+_matching = lru_cache(maxsize=None)(_m.Matching)
+
+
 def _block_product(resolve, x, y):
     """Bilinear extension of resolve(c, b, a, colored_x, colored_y), the
     product of two basis monomials as {colored set: coeff}; each distinct
@@ -350,8 +354,8 @@ def _block_product(resolve, x, y):
             key = (mx.top, mx.bottom, my.bottom, mx.colored, my.colored)
             if key not in cache:
                 cache[key] = resolve(
-                    _m.Matching(mx.top), _m.Matching(mx.bottom),
-                    _m.Matching(my.bottom), mx.colored, my.colored)
+                    _matching(mx.top), _matching(mx.bottom),
+                    _matching(my.bottom), mx.colored, my.colored)
             for colored, coeff in cache[key].items():
                 mono = BasisMonomial(mx.top, my.bottom, colored)
                 cc = terms.get(mono, 0) + cx * cy * coeff

@@ -3,10 +3,14 @@
 Matrices are lists of row lists of Python ints (arbitrary precision).  Small
 and deterministic by design: canonical column-HNF kernels for golden tests,
 Smith normal form with divisibility fix-up, and plain GF(2) elimination.
+The column HNF itself works on sparse columns {row: int} (`hnf_columns`),
+and `hnf_reduce` reduces a vector modulo its lattice.
 
 SparseZ is the common base of the sparse integer combinations (ring
 elements, exterior and tensor states, odd polynomials).
 """
+
+from heapq import heapify, heappop, heappush
 
 
 class SparseZ:
@@ -108,6 +112,85 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
+def hnf_columns(columns):
+    """Column Hermite normal form of the lattice spanned by sparse integer
+    columns {row: int} (rows are any sortable keys, read in increasing order).
+
+    Returns {pivot row: column} in increasing pivot order: column j is zero
+    above its positive pivot, and every later pivot row holds entries in
+    [0, pivot) in the earlier columns.  Canonical for the lattice.  Rows are
+    cleared one at a time: the live column with the smallest |entry| in the
+    row, the shortest among equals (less fill-in), is the pivot, every other
+    live column drops its floor quotient of it, and this repeats until the
+    pivot is alone.  That keeps the coefficients small, where pairwise
+    Euclid-and-swap let them grow; a unit pivot clears its row in one
+    pass."""
+    lead = {}  # row -> live columns whose first nonzero entry is in it
+    for col in columns:
+        col = {r: v for r, v in col.items() if v}
+        if col:
+            lead.setdefault(min(col), []).append(col)
+    rows = list(lead)
+    heapify(rows)
+    echelon = {}
+    while rows:
+        r = heappop(rows)
+        group = lead.pop(r)
+        while len(group) > 1:
+            piv = min(group, key=lambda col: (abs(col[r]), len(col)))
+            p = piv[r]
+            kept = [piv]
+            for col in group:
+                if col is piv:
+                    continue
+                _add_multiple(col, -(col[r] // p), piv)
+                if r in col:
+                    kept.append(col)
+                elif col:
+                    first = min(col)
+                    if first not in lead:
+                        lead[first] = []
+                        heappush(rows, first)
+                    lead[first].append(col)
+            group = kept
+        piv = group[0]
+        if piv[r] < 0:
+            for k in piv:
+                piv[k] = -piv[k]
+        p = piv[r]
+        for prev in echelon.values():
+            q = prev.get(r, 0) // p
+            if q:
+                _add_multiple(prev, -q, piv)
+        echelon[r] = piv
+    return echelon
+
+
+def hnf_reduce(echelon, v):
+    """Remainder of the sparse vector v {row: int} modulo the lattice of an
+    `hnf_columns` echelon: each pivot row, in order, drops its floor
+    quotient.  The remainder is {} exactly when v lies in the lattice; its
+    pivot-row entries lie in [0, pivot)."""
+    v = {r: x for r, x in v.items() if x}
+    for r, col in echelon.items():
+        x = v.get(r)
+        if x:
+            q = x // col[r]
+            if q:
+                _add_multiple(v, -q, col)
+    return v
+
+
+def _add_multiple(col, q, other):
+    """col += q * other, in place, for sparse columns."""
+    for k, v in other.items():
+        x = col.get(k, 0) + q * v
+        if x:
+            col[k] = x
+        else:
+            del col[k]
+
+
 def column_hnf(M):
     """Column-style Hermite normal form: returns H = M * V (V unimodular,
     not returned) in column echelon form with positive pivots, entries to the
@@ -115,36 +198,9 @@ def column_hnf(M):
     column lattice of M."""
     if not M:
         return []
-    rows = len(M)
-    cols = [list(col) for col in zip(*M)]  # work on columns
-    done = 0
-    for r in range(rows):
-        # find a column with nonzero entry in row r among cols[done:]
-        piv = None
-        for ci in range(done, len(cols)):
-            if cols[ci][r]:
-                piv = ci
-                break
-        if piv is None:
-            continue
-        cols[done], cols[piv] = cols[piv], cols[done]
-        # gcd out row r across the remaining columns
-        for ci in range(done + 1, len(cols)):
-            while cols[ci][r]:
-                q = cols[done][r] // cols[ci][r]
-                cols[done] = [a - q * b for a, b in zip(cols[done], cols[ci])]
-                cols[done], cols[ci] = cols[ci], cols[done]
-        if cols[done][r] < 0:
-            cols[done] = [-a for a in cols[done]]
-        # reduce earlier pivot columns... (column HNF: reduce later columns'
-        # entries in this row are already zero; reduce previous columns)
-        for ci in range(done):
-            q = cols[ci][r] // cols[done][r]
-            if q:
-                cols[ci] = [a - q * b for a, b in zip(cols[ci], cols[done])]
-        done += 1
-    cols = cols[:done]
-    return [list(row) for row in zip(*cols)] if cols else [[] for _ in range(rows)]
+    echelon = hnf_columns(dict(enumerate(col)) for col in zip(*M))
+    return [[col.get(i, 0) for col in echelon.values()]
+            for i in range(len(M))]
 
 
 def smith_normal_form(M):

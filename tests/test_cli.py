@@ -174,13 +174,34 @@ def test_n_above_limit_exits_2_under_optimize():
 def test_bad_input_raises_under_optimize():
     proc = _run_optimized("-c", """
 from arcring.arc_rings import BasisMonomial
-from arcring.springer import epsilon_generator
+from arcring.springer import (OddPolynomial, QuotientPresentation,
+                              _laurent_divexact, epsilon_generator, map_s,
+                              parse_poly, qint, quotient_presentation)
+
+class Outside:
+    def contains(self, element):
+        return False
+
+def squares_not_in_ideal():
+    QuotientPresentation.reduces_to_zero = lambda self, p: False
+    quotient_presentation(1)
+
 print(__debug__)
+x1 = OddPolynomial.generator(4, 1)
 for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
-            lambda: epsilon_generator(2, (1, 2, 9), 1)):
+            lambda: epsilon_generator(2, (1, 2, 9), 1),
+            lambda: quotient_presentation(2).basis_coordinates(
+                parse_poly("x1 + x1x2", 4)),
+            lambda: map_s(x1, 3),
+            lambda: map_s(x1, 2, center=Outside()),
+            lambda: qint(-1),
+            lambda: _laurent_divexact({0: 1}, {}),
+            lambda: _laurent_divexact({0: 1}, {1: 2}),
+            squares_not_in_ideal):
     try:
         bad()
-    except ValueError:
-        print("ValueError")
+    except (ValueError, AssertionError) as exc:
+        print(type(exc).__name__)
 """)
-    assert proc.stdout.split() == ["False", "ValueError", "ValueError"]
+    assert proc.stdout.split() == ["False"] + ["ValueError"] * 4 + [
+        "AssertionError"] * 5, proc.stderr

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -9,10 +10,47 @@ from arcring.springer import (OddPolynomial, format_poly, parse_poly,
                               ideal_slice, map_s, verify_springer_iso,
                               even_presentation_check, qint, qbinom,
                               format_laurent, _degree_monomials)
-from arcring.zlinalg import lattices_equal
+from arcring.zlinalg import column_hnf, lattices_equal, rank_Z
 from conftest import odd_center_cached
 
 DEFAULT = BUILTIN_RULES["default"]
+
+quotient_cached = lru_cache(maxsize=None)(quotient_presentation)
+
+# The basis the greedy rank_Z loop (greedy_basis below) chose at n = 4,
+# recorded from one run of that loop (193 Smith normal forms, 70 s); one
+# string of variable indices per monomial.
+GREEDY_BASIS_4 = {
+    0: [""],
+    1: "1 2 3 4 5 6 7".split(),
+    2: ("12 13 14 15 16 17 23 24 25 26 27 34 35 36 37 45 46 47 56 "
+        "57").split(),
+    3: ("123 124 125 126 127 134 135 136 137 145 146 147 156 157 234 235 "
+        "236 237 245 246 247 256 257 345 346 347 356 357").split(),
+    4: ("1234 1235 1236 1237 1245 1246 1247 1256 1257 1345 1346 1347 1356 "
+        "1357").split(),
+    5: [],
+}
+
+
+def greedy_basis(n, d):
+    """The basis loop the echelon pass replaced, as an oracle: keep each
+    monomial, in order, that raises the Z-rank of the ideal slice together
+    with the monomials kept so far (one Smith normal form per candidate)."""
+    monos = _degree_monomials(2 * n, d)
+    gens = ideal_slice(n, d)
+    work = (column_hnf([[p.terms.get(m, 0) for p in gens] for m in monos])
+            if gens else [[] for _ in monos])
+    rank = len(work[0])
+    chosen = []
+    for mono in monos:
+        if rank == len(monos):
+            break
+        cand = [row + [int(m == mono)] for row, m in zip(work, monos)]
+        if rank_Z(cand) > rank:
+            chosen.append(mono)
+            work, rank = cand, rank + 1
+    return chosen
 
 
 def test_anticommutation_normal_form():
@@ -90,6 +128,59 @@ def test_quotient_total_rank_and_squares():
             assert q.reduces_to_zero(OddPolynomial(2 * n, {(i, i): 1}))
 
 
+def test_quotient_n4():
+    q = quotient_cached(4)
+    assert q.graded_rank == {0: 1, 1: 7, 2: 20, 3: 28, 4: 14, 5: 0}
+    assert {d: ["".join(map(str, m)) for m in q.basis[d]]
+            for d in q.basis} == GREEDY_BASIS_4
+    assert q.reduces_to_zero(OddPolynomial(8, {(1, 2, 3, 4, 5): 1}))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_standard_monomials_are_the_greedy_basis(n):
+    q = quotient_cached(n)
+    for d in range(n + 2):
+        assert q.basis[d] == greedy_basis(n, d), d
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_slice_pivots_are_units(n):
+    # unit pivots make every slice saturated, so the quotient has no torsion
+    q = quotient_cached(n)
+    for d, echelon in q.ideal_hnf.items():
+        assert all(col[r] == 1 for r, col in echelon.items()), d
+
+
+def test_basis_coordinates_reduce_mod_ideal():
+    q = quotient_cached(2)
+    # x4 = x1 - x2 + x3 and x3x4 = -x1x2 in the quotient; basis x1 x2 x3,
+    # then x1x2 x1x3
+    assert q.basis_coordinates(parse_poly("x4", 4)) == (0, 1, -1, 1, 0, 0)
+    assert q.basis_coordinates(parse_poly("x3x4", 4)) == (0, 0, 0, 0, -1, 0)
+    assert q.basis_coordinates(parse_poly("x1x2x3", 4)) == (0,) * 6
+
+
+def test_non_unit_pivots(monkeypatch):
+    """A degree-1 slice whose HNF pivot is 2 (the real slices have unit
+    pivots): a saturated one keeps its quotient, whose standard monomial
+    x1 does not span x2, and a torsion one is rejected by the Smith form."""
+    import arcring.springer as sp
+    real = sp.ideal_slice
+
+    def with_degree_1(text):
+        monkeypatch.setattr(sp, "ideal_slice", lambda n, d, side="left": (
+            [parse_poly(text, 2)] if d == 1 else real(n, d, side)))
+
+    with_degree_1("x1 + 2*x2")
+    q = sp.QuotientPresentation(1)
+    assert q.basis[1] == [(1,)]
+    assert q.basis_coordinates(parse_poly("x1", 2)) == (0, 1)
+    assert q.basis_coordinates(parse_poly("x2", 2)) is None
+    with_degree_1("2*x1 - 2*x2")
+    with pytest.raises(AssertionError, match="torsion"):
+        sp.QuotientPresentation(1)
+
+
 def test_left_ideal_equals_right_ideal():
     for n in (1, 2):
         nvars = 2 * n
@@ -117,11 +208,9 @@ def test_mod2_basis_stability():
         q = quotient_presentation(n)
         for d in range(n + 1):
             monos = q.ambient[d]
-            H = q.ideal_hnf[d]
-            ideal_cols = len(H[0]) if H and H[0] else 0
-            cols = []
-            for j in range(ideal_cols):
-                cols.append([H[i][j] for i in range(len(monos))])
+            # row i of the echelon is the monomial monos[-1 - i]
+            cols = [[col.get(len(monos) - 1 - i, 0) for i in range(len(monos))]
+                    for col in q.ideal_hnf[d].values()]
             for bm in q.basis[d]:
                 cols.append([1 if mo == bm else 0 for mo in monos])
             # mod-2 rank of [ideal | basis] columns must be full in each slice
@@ -165,11 +254,17 @@ def test_map_s_center_membership():
     assert not img.is_zero()
 
 
-@pytest.mark.parametrize("rule_name", ["default", "ord"])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n, rule_name", [
+    (1, "default"), (1, "ord"), (2, "default"), (2, "ord"), (3, "default"),
+    (3, "ord"), (4, "default")])
 def test_springer_isomorphism(n, rule_name):
     cert = verify_springer_iso(n, BUILTIN_RULES[rule_name])
     assert cert["passed"], cert.get("failed_stage")
+    assert list(cert["seconds"]) == ["quotient_presentation", "odd_center",
+                                     *cert["stages"]]
+    assert cert["slice_shape"] == {
+        d: (comb(2 * n + d - 1, d), len(ideal_slice(n, d)))
+        for d in range(n + 2)}
     assert cert["quotient_rank"] == cert["center_rank"] | {n + 1: 0} or \
         all(cert["quotient_rank"].get(d, 0) == cert["center_rank"].get(d, 0)
             for d in range(n + 2))
