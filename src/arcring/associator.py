@@ -18,7 +18,8 @@ def scission_count(c, b, a):
     """S(c,b,a) = (d(c,b) + d(b,a) - d(c,a)) / 2, the number of splits in
     the (c,b,a) multiplication."""
     total = (_m.distance(c, b) + _m.distance(b, a) - _m.distance(c, a))
-    assert total % 2 == 0, "scission count must be integral"
+    if total % 2:
+        raise AssertionError("scission count must be integral")
     return total // 2
 
 
@@ -146,9 +147,10 @@ def solve_coboundary(table, n):
         return None
     sol = {t: x[j] for t, j in col_of.items()}
     for (d, c, b, a), v in table.items():
-        if v is not None:
-            assert (sol[c, b, a] ^ sol[d, b, a] ^ sol[d, c, a]
-                    ^ sol[d, c, b]) == v
+        if v is not None and (sol[c, b, a] ^ sol[d, b, a] ^ sol[d, c, a]
+                              ^ sol[d, c, b]) != v:
+            raise AssertionError(f"d(lambda0) differs from the table at "
+                                 f"{(d, c, b, a)}")
     return sol
 
 
@@ -203,7 +205,9 @@ def build_rule_isomorphism(rule1, rule2, n):
     # eta must be a 2-cocycle: its defect on quadruples vanishes
     for d, c, b, a in _product(words, repeat=4):
         defect = (eta[c, b, a] ^ eta[d, b, a] ^ eta[d, c, a] ^ eta[d, c, b])
-        assert defect == 0, "eta is not a 2-cocycle despite equal associators"
+        if defect:
+            raise AssertionError("eta is not a 2-cocycle despite equal "
+                                 "associators")
     pairs = list(_product(words, repeat=2))
     col_of = {p: j for j, p in enumerate(pairs)}
     rows, rhs = [], []
@@ -214,7 +218,9 @@ def build_rule_isomorphism(rule1, rule2, n):
         rows.append(row)
         rhs.append(eta[c, b, a])
     x = solve_f2(rows, rhs)
-    assert x is not None, "delta eps = eta unsolvable despite 2-cocycle eta"
+    if x is None:
+        raise AssertionError("delta eps = eta unsolvable despite 2-cocycle "
+                             "eta")
     eps = {p: x[j] for p, j in col_of.items()}
 
     # full structure-constant verification of x -> (-1)^eps * x
@@ -232,5 +238,6 @@ def build_rule_isomorphism(rule1, rule2, n):
             y1 = RingElement.monomial(my)
             lhs = theta(multiply(rule1, x1, y1))
             rhs1 = multiply(rule2, theta(x1), theta(y1))
-            assert lhs == rhs1, "sign map is not a ring homomorphism"
+            if lhs != rhs1:
+                raise AssertionError("sign map is not a ring homomorphism")
     return eps

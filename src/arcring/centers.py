@@ -7,14 +7,17 @@ ordered pairs (a, b); the ordinary ring center of the odd theory adds strict
 commutation with the degree-1 diagonal generators.  Each exterior-degree
 slice is solved separately (the constraints are homogeneous) and the kernel
 is returned in canonical column-HNF form, so bases are deterministic.
+Membership and coordinates in a center come from one `hnf_columns` echelon
+of its generators.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import matchings as _m
 from .arc_rings import (BasisMonomial, RingElement, block_monomials, multiply,
                         format_element)
-from .zlinalg import kernel_basis_Z, column_hnf, solve_Z
+from .zlinalg import hnf_columns, hnf_reduce, kernel_basis_Z
 
 
 def diagonal_monomials(n, p):
@@ -45,29 +48,69 @@ class CenterBasis:
                 if any(len(m.colored) == p for m in g.terms)]
         return [[g.terms.get(m, 0) for g in gens] for m in monos], gens
 
-    def contains(self, elem):
-        """Lattice membership, degree slice by degree slice."""
-        by_p = {}
+    @cached_property
+    def _echelon(self):
+        """({diagonal monomial: row}, echelon of the generators): generator
+        k is a column over the diagonal monomials of all degrees with a tag
+        1 in row len(row_of) + k.  Built on first use, so the generators
+        must be complete by then."""
+        monos = [m for p in range(self.n + 1)
+                 for m in diagonal_monomials(self.n, p)]
+        row_of = {m: i for i, m in enumerate(monos)}
+        tag = len(monos)
+        echelon = hnf_columns(
+            {**{row_of[m]: c for m, c in g.terms.items()}, tag + k: 1}
+            for k, g in enumerate(self.generators))
+        if any(r >= tag for r in echelon):
+            raise AssertionError("center generators are linearly dependent")
+        return row_of, echelon
+
+    def coordinates(self, elem):
+        """Coefficients of elem in the generators, as a tuple, or None if
+        elem is off the lattice.  Reducing elem by the tagged echelon leaves
+        the monomial rows empty exactly on the lattice, and -coordinates in
+        the tag rows."""
+        row_of, echelon = self._echelon
+        vec = {}
         for mono, coeff in elem.terms.items():
-            if mono.top != mono.bottom:
-                return False
-            by_p.setdefault(len(mono.colored), {})[mono] = coeff
-        for p, terms in by_p.items():
-            M, gens = self.coordinate_matrix(p)
-            if not gens:
-                return False
-            monos = diagonal_monomials(self.n, p)
-            v = [terms.get(m, 0) for m in monos]
-            if solve_Z(M, v) is None:
-                return False
-        return True
+            if mono not in row_of:
+                return None
+            vec[row_of[mono]] = coeff
+        rem = hnf_reduce(echelon, vec)
+        tag = len(row_of)
+        if any(r < tag for r in rem):
+            return None
+        return tuple(-rem.get(tag + k, 0) for k in range(len(self.generators)))
+
+    def contains(self, elem):
+        """Lattice membership."""
+        return self.coordinates(elem) is not None
+
+
+def _block_rows(unknowns, image):
+    """Rows of the constraint Sum_j x_j image(unknowns[j]) = 0, one per
+    output monomial in order of first appearance; image returns None for an
+    unknown that does not enter."""
+    row_of = {}
+    rows = []
+    for j, mono in enumerate(unknowns):
+        diff = image(mono)
+        if diff is None:
+            continue
+        for out_mono, coeff in diff.terms.items():
+            row = row_of.get(out_mono)
+            if row is None:
+                row = row_of[out_mono] = [0] * len(unknowns)
+                rows.append(row)
+            row[j] += coeff
+    return rows
 
 
 def _pair_constraints(n, rule, p, theory):
-    """Rows of the system {z_a.1_ab - 1_ab.z_b = 0} on the degree-p slice."""
+    """Rows of the system {z_a.1_ab - 1_ab.z_b = 0} on the degree-p slice,
+    one block of rows per ordered pair (a, b): the images live in a(.)b."""
     mats = _m.enumerate_matchings(n)
     unknowns = diagonal_monomials(n, p)
-    col_of = {m: j for j, m in enumerate(unknowns)}
     rows = []
     for a in mats:
         for b in mats:
@@ -75,46 +118,33 @@ def _pair_constraints(n, rule, p, theory):
                 continue
             one_ab = RingElement.monomial(
                 BasisMonomial(a.word, b.word, frozenset()))
-            # image coordinates live in block a(.)b
-            row_of = {}
-            block_rows = []
-            for mono in unknowns:
-                z = RingElement.monomial(mono)
-                if mono.bottom == a.word:
-                    diff = multiply(rule, z, one_ab, theory)
-                elif mono.top == b.word:
-                    diff = -multiply(rule, one_ab, z, theory)
-                else:
-                    continue
-                for out_mono, coeff in diff.terms.items():
-                    if out_mono not in row_of:
-                        row_of[out_mono] = len(block_rows)
-                        block_rows.append([0] * len(unknowns))
-                    block_rows[row_of[out_mono]][col_of[mono]] += coeff
-            rows.extend(block_rows)
+
+            def image(mono):
+                if mono.top == a.word:
+                    return multiply(rule, RingElement.monomial(mono), one_ab,
+                                    theory)
+                if mono.top == b.word:
+                    return -multiply(rule, one_ab, RingElement.monomial(mono),
+                                     theory)
+                return None
+            rows.extend(_block_rows(unknowns, image))
     return unknowns, rows
 
 
 def _commutation_constraints(n, rule, p):
-    """Rows of {z_a ^ g - g ^ z_a = 0} for degree-1 diagonal generators g."""
+    """Rows of {z_a ^ g - g ^ z_a = 0} for degree-1 diagonal generators g,
+    one block of rows per g."""
     unknowns = diagonal_monomials(n, p)
-    col_of = {m: j for j, m in enumerate(unknowns)}
     rows = []
     for gen in diagonal_monomials(n, 1):
         g = RingElement.monomial(gen)
-        row_of = {}
-        block_rows = []
-        for mono in unknowns:
+
+        def image(mono):
             if mono.bottom != gen.top:
-                continue
+                return None
             z = RingElement.monomial(mono)
-            diff = multiply(rule, z, g) - multiply(rule, g, z)
-            for out_mono, coeff in diff.terms.items():
-                if out_mono not in row_of:
-                    row_of[out_mono] = len(block_rows)
-                    block_rows.append([0] * len(unknowns))
-                block_rows[row_of[out_mono]][col_of[mono]] += coeff
-        rows.extend(block_rows)
+            return multiply(rule, z, g) - multiply(rule, g, z)
+        rows.extend(_block_rows(unknowns, image))
     return rows
 
 
@@ -124,15 +154,10 @@ def _solve(n, rule, theory, flavor, extra_rows=None):
         unknowns, rows = _pair_constraints(n, rule, p, theory)
         if extra_rows is not None:
             rows = rows + extra_rows(p)
-        if not unknowns:
-            basis.graded_rank[p] = 0
-            continue
-        if not rows:
-            K = column_hnf([[1 if i == j else 0 for j in range(len(unknowns))]
-                            for i in range(len(unknowns))])
-        else:
-            K = kernel_basis_Z(rows)
-        dim = len(K[0]) if K and K[0] else 0
+        # a zero row stands for "no constraint": there are no pairs a != b
+        # at n = 1, and the top degree p = n gets no rows from them
+        K = kernel_basis_Z(rows or [[0] * len(unknowns)])
+        dim = len(K[0]) if K else 0
         basis.graded_rank[p] = dim
         for j in range(dim):
             g = RingElement(n, {m: K[i][j] for i, m in enumerate(unknowns)})
@@ -164,28 +189,14 @@ def center_structure_constants(basis, rule):
     """Products of all generator pairs re-expressed in the basis; closure and
     associativity are mandatory (their failure signals a bug)."""
     theory = "even" if basis.flavor == "even-center" else "odd"
-    n = basis.n
-    monos = [m for p in range(n + 1) for m in diagonal_monomials(n, p)]
-    row_of = {m: i for i, m in enumerate(monos)}
-    G = [[g.terms.get(m, 0) for g in basis.generators] for m in monos]
-
-    def coords(elem):
-        v = [0] * len(monos)
-        for mono, coeff in elem.terms.items():
-            if mono not in row_of:
-                raise AssertionError("product left the diagonal blocks")
-            v[row_of[mono]] = coeff
-        x = solve_Z(G, v)
-        if x is None:
-            raise AssertionError("center not closed under multiplication")
-        return tuple(x)
-
     table = {}
     prods = {}
     for i, gi in enumerate(basis.generators):
         for j, gj in enumerate(basis.generators):
             prods[i, j] = multiply(rule, gi, gj, theory)
-            table[i, j] = coords(prods[i, j])
+            table[i, j] = basis.coordinates(prods[i, j])
+            if table[i, j] is None:
+                raise AssertionError("center not closed under multiplication")
     # associativity defect must vanish
     for i, gi in enumerate(basis.generators):
         for j in range(len(basis.generators)):

@@ -73,7 +73,8 @@ def _check_pos(move, m):
 def apply_odd(move, x):
     """Apply an elementary move to an ExteriorElement on labels 1..m."""
     m = len(x.labels)
-    assert x.labels == _labels(m)
+    if x.labels != _labels(m):
+        raise ValueError(f"labels {x.labels} are not 1..{m}")
     _check_pos(move, m)
     if isinstance(move, Birth):
         p = move.pos
@@ -110,7 +111,8 @@ def apply_even(move, x):
     """Apply an elementary move to an EvenTensorElement on labels 1..m.
     Orientations are ignored."""
     m = len(x.labels)
-    assert x.labels == _labels(m)
+    if x.labels != _labels(m):
+        raise ValueError(f"labels {x.labels} are not 1..{m}")
     _check_pos(move, m)
     if isinstance(move, Birth):
         p = move.pos

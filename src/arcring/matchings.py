@@ -15,8 +15,11 @@ MAX_N = 12
 # Largest n each computation accepts: the ring basis and products (and the
 # CLI's bn and mul), the centers, the odd Springer quotient, and the phi0
 # associator table with everything built on it (6.7M triple products at
-# n = 4).  Entry points call check_size before any work.
-SIZE_LIMITS = {"basis": 5, "center": 4, "springer": 4, "assoc": 3}
+# n = 4); and the largest m of the quantum binomial [m choose k] (about
+# 0.6 s at m = 64, 9 s at m = 120).  Entry points call check_size before any
+# work.
+SIZE_LIMITS = {"basis": 5, "center": 4, "springer": 4, "assoc": 3,
+               "qbinom": 64}
 
 
 def check_size(what, n):

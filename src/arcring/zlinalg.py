@@ -1,10 +1,15 @@
 """Exact linear algebra over Z and F2.
 
-Matrices are lists of row lists of Python ints (arbitrary precision).  Small
-and deterministic by design: canonical column-HNF kernels for golden tests,
-Smith normal form with divisibility fix-up, and plain GF(2) elimination.
-The column HNF itself works on sparse columns {row: int} (`hnf_columns`),
-and `hnf_reduce` reduces a vector modulo its lattice.
+One sparse elimination engine answers the lattice questions (kernel,
+membership, coordinates, rank).  `hnf_columns` brings sparse integer columns
+{row: int} to canonical column Hermite normal form; `hnf_reduce` reduces a
+vector modulo the lattice of such an echelon, which decides membership and,
+when every column carries a tag row of its own, leaves the coordinates in
+the tag rows; `kernel_basis_Z` reads a saturated kernel off the echelon of a
+matrix stacked on the identity.  `column_hnf` and `lattices_equal` wrap it
+for dense matrices.  Besides it: `smith_normal_form` (invariant factors, for
+torsion) and plain GF(2) elimination (`solve_f2`).  Matrices are lists of
+row lists of Python ints.
 
 SparseZ is the common base of the sparse integer combinations (ring
 elements, exterior and tensor states, odd polynomials).
@@ -88,28 +93,6 @@ class SparseZ:
 
 def _identity(k):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def mat_mul(A, B):
-    if not A or not B:
-        return [[] for _ in A]
-    rows, inner, cols = len(A), len(B), len(B[0])
-    assert not A or len(A[0]) == inner
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        for k in range(inner):
-            aik = Ai[k]
-            if aik:
-                Bk = B[k]
-                row = out[i]
-                for j in range(cols):
-                    row[j] += aik * Bk[j]
-    return out
-
-
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
 def hnf_columns(columns):
@@ -246,23 +229,27 @@ def smith_normal_form(M):
             break
         swap_rows(t, piv[0])
         swap_cols(t, piv[1])
-        # reduce row/column t; re-pivot on the smallest remainder until clear
+        # clear column t, then row t, each time from the smallest nonzero
+        # entry as pivot, until both are clear: re-picking the smallest
+        # remainder keeps the entries small (against a fixed pivot they can
+        # grow to thousands of bits, on a 7x7 matrix with entries in [-6, 6])
         while True:
-            dirty = False
+            i = min((i for i in range(t, rows) if D[i][t]),
+                    key=lambda i: abs(D[i][t]))
+            swap_rows(t, i)
             for i in range(t + 1, rows):
                 if D[i][t]:
                     add_row(i, t, -(D[i][t] // D[t][t]))
-                    if D[i][t]:
-                        swap_rows(i, t)
-                        dirty = True
+            if any(D[i][t] for i in range(t + 1, rows)):
+                continue
+            j = min((j for j in range(t, cols) if D[t][j]),
+                    key=lambda j: abs(D[t][j]))
+            swap_cols(t, j)
             for j in range(t + 1, cols):
                 if D[t][j]:
                     add_col(j, t, -(D[t][j] // D[t][t]))
-                    if D[t][j]:
-                        swap_cols(j, t)
-                        dirty = True
-            if not dirty and all(D[i][t] == 0 for i in range(t + 1, rows)) \
-                    and all(D[t][j] == 0 for j in range(t + 1, cols)):
+            if not any(D[t][j] for j in range(t + 1, cols)) \
+                    and not any(D[i][t] for i in range(t + 1, rows)):
                 break
         t += 1
 
@@ -304,56 +291,28 @@ def smith_normal_form(M):
     return U, D, V
 
 
-def rank_Z(M):
-    if not M or not M[0]:
-        return 0
-    _, D, _ = smith_normal_form(M)
-    return sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i])
-
-
 def kernel_basis_Z(M):
-    """Primitive basis of {v : Mv = 0}, columns of the returned matrix, in
-    canonical column-HNF form."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    if cols == 0:
-        return [[] for _ in range(cols)]
-    if rows == 0:
-        return _identity(cols)
-    U, D, V = smith_normal_form(M)
-    r = sum(1 for i in range(min(rows, cols)) if D[i][i])
-    ker_cols = [[V[i][j] for i in range(cols)] for j in range(r, cols)]
-    if not ker_cols:
-        return [[] for _ in range(cols)]
-    K = [list(row) for row in zip(*ker_cols)]  # cols x (cols - r)
-    K = column_hnf(K)
-    if any(any(row) for row in mat_mul(M, K)):
-        raise AssertionError("kernel basis is not in the kernel")
-    return K
+    """Saturated basis of {v : Mv = 0}, columns of the returned matrix, in
+    canonical column-HNF form.
 
-
-def solve_Z(A, b):
-    """One integer solution x of A x = b, or None."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if rows == 0:
-        return [0] * cols
-    U, D, V = smith_normal_form(A)
-    c = mat_vec(U, b)
-    y = [0] * cols
-    r = min(rows, cols)
-    for i in range(rows):
-        d = D[i][i] if i < r else 0
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    x = mat_vec(V, y)
-    if mat_vec(A, x) != list(b):
-        raise AssertionError("integer solution does not solve A x = b")
-    return x
+    One `hnf_columns` pass over the columns of M stacked on the identity,
+    rows (0, i) of M above rows (1, j) of the identity.  The echelon
+    columns whose pivot lies in the identity part are zero on M's rows; their
+    identity part is a basis of the kernel, saturated because column
+    operations are unimodular, and already in column HNF."""
+    cols = len(M[0]) if M else 0
+    columns = [{(0, i): row[j] for i, row in enumerate(M) if row[j]}
+               for j in range(cols)]
+    echelon = hnf_columns({**col, (1, j): 1} for j, col in enumerate(columns))
+    kernel = [{j: x for (_, j), x in col.items()}
+              for (part, _), col in echelon.items() if part]
+    for vec in kernel:
+        image = {}
+        for j, x in vec.items():
+            _add_multiple(image, x, columns[j])
+        if image:
+            raise AssertionError("kernel basis is not in the kernel")
+    return [[vec.get(j, 0) for vec in kernel] for j in range(cols)]
 
 
 def solve_f2(A, b):

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 from arcring import matchings as m
@@ -5,7 +6,7 @@ from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
                                multiply, BUILTIN_RULES)
 from arcring.centers import (odd_center, ring_center, even_center,
                              center_structure_constants, diagonal_monomials)
-from arcring.zlinalg import lattices_equal, solve_Z
+from arcring.zlinalg import lattices_equal
 from conftest import odd_center_cached
 
 DEFAULT = BUILTIN_RULES["default"]
@@ -68,6 +69,26 @@ def test_rule_independence_of_lattice():
             Ma, _ = a.coordinate_matrix(p)
             Mb, _ = b.coordinate_matrix(p)
             assert lattices_equal(Ma, Mb)
+
+
+def test_coordinates_round_trip():
+    rng = random.Random(7)
+    for basis in (odd_center_cached("default", 3), even_center(2),
+                  ring_center(2, DEFAULT)):
+        for _ in range(20):
+            coeffs = tuple(rng.randint(-3, 3) for _ in basis.generators)
+            elem = RingElement.zero(basis.n)
+            for c, g in zip(coeffs, basis.generators):
+                elem = elem + g.scale(c)
+            assert basis.coordinates(elem) == coeffs
+            assert basis.contains(elem)
+    oz = odd_center_cached("default", 2)
+    # a lone degree-1 diagonal monomial is not central, an off-diagonal one
+    # is off every block of the center
+    for mono in (BasisMonomial("(())", "(())", frozenset({1})),
+                 BasisMonomial("(())", "()()", frozenset())):
+        assert oz.coordinates(RingElement.monomial(mono)) is None
+        assert not oz.contains(RingElement.monomial(mono))
 
 
 def test_ring_center_inside_odd_center():

@@ -102,6 +102,15 @@ def test_qbinom(capsys):
     assert code == 2
 
 
+def test_qbinom_size_limit(capsys):
+    code, out, _ = run(capsys, "qbinom", "--m", "0", "--k", "0")
+    assert (code, out.strip()) == (0, "1")
+    # m = 240 ran for minutes before the limit
+    code, _, err = run(capsys, "qbinom", "--m", "1000", "--k", "500")
+    assert code == 2
+    assert "out of range for qbinom" in err
+
+
 def test_verify_all_n2(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2", "--suite", "all")
     assert code == 0
@@ -186,6 +195,38 @@ def squares_not_in_ideal():
     QuotientPresentation.reduces_to_zero = lambda self, p: False
     quotient_presentation(1)
 
+import arcring.associator as A
+import arcring.matchings as M
+from arcring.arc_rings import BUILTIN_RULES
+from arcring.exterior import EvenTensorElement, ExteriorElement
+from arcring.functors import Birth, apply_even, apply_odd
+
+DEFAULT = BUILTIN_RULES["default"]
+W2 = [a.word for a in M.enumerate_matchings(2)]
+
+
+def patched(module, name, value, call):
+    def run():
+        old = getattr(module, name)
+        setattr(module, name, value)
+        try:
+            call()
+        finally:
+            setattr(module, name, old)
+    return run
+
+
+def non_cocycle_eta(rule1, rule2, n):
+    eta = {t: 0 for t in A._product(W2, repeat=3)}
+    eta[W2[0], W2[0], W2[1]] = 1
+    return eta
+
+
+def eta_not_a_cocycle():
+    A.first_phi0_difference = lambda *args: None
+    A.eta_table = non_cocycle_eta
+    A.build_rule_isomorphism(DEFAULT, DEFAULT, 2)
+
 print(__debug__)
 x1 = OddPolynomial.generator(4, 1)
 for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
@@ -197,11 +238,23 @@ for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
             lambda: qint(-1),
             lambda: _laurent_divexact({0: 1}, {}),
             lambda: _laurent_divexact({0: 1}, {1: 2}),
-            squares_not_in_ideal):
+            squares_not_in_ideal,
+            lambda: apply_odd(Birth(1), ExteriorElement((0, 1))),
+            lambda: apply_even(Birth(1), EvenTensorElement((0, 1))),
+            patched(M, "distance", lambda a, b: 1,
+                    lambda: A.scission_count(*[M.Matching("()")] * 3)),
+            patched(A, "solve_f2", lambda rows, rhs: [0] * len(rows[0]),
+                    lambda: A.solve_coboundary({("()",) * 4: 1}, 1)),
+            patched(A, "solve_f2", lambda rows, rhs: None,
+                    lambda: A.build_rule_isomorphism(DEFAULT, DEFAULT, 1)),
+            patched(A, "solve_f2", lambda rows, rhs: [1] + [0] * 15,
+                    lambda: A.build_rule_isomorphism(DEFAULT, DEFAULT, 2)),
+            eta_not_a_cocycle):
     try:
         bad()
     except (ValueError, AssertionError) as exc:
         print(type(exc).__name__)
 """)
-    assert proc.stdout.split() == ["False"] + ["ValueError"] * 4 + [
-        "AssertionError"] * 5, proc.stderr
+    assert proc.stdout.split() == (
+        ["False"] + ["ValueError"] * 4 + ["AssertionError"] * 5
+        + ["ValueError"] * 2 + ["AssertionError"] * 5), proc.stderr

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix
 
 from arcring.arc_rings import BUILTIN_RULES
 from arcring.springer import (OddPolynomial, format_poly, parse_poly,
@@ -10,14 +11,14 @@ from arcring.springer import (OddPolynomial, format_poly, parse_poly,
                               ideal_slice, map_s, verify_springer_iso,
                               even_presentation_check, qint, qbinom,
                               format_laurent, _degree_monomials)
-from arcring.zlinalg import column_hnf, lattices_equal, rank_Z
+from arcring.zlinalg import column_hnf, lattices_equal
 from conftest import odd_center_cached
 
 DEFAULT = BUILTIN_RULES["default"]
 
 quotient_cached = lru_cache(maxsize=None)(quotient_presentation)
 
-# The basis the greedy rank_Z loop (greedy_basis below) chose at n = 4,
+# The basis the greedy rank loop (greedy_basis below) chose at n = 4,
 # recorded from one run of that loop (193 Smith normal forms, 70 s); one
 # string of variable indices per monomial.
 GREEDY_BASIS_4 = {
@@ -36,7 +37,7 @@ GREEDY_BASIS_4 = {
 def greedy_basis(n, d):
     """The basis loop the echelon pass replaced, as an oracle: keep each
     monomial, in order, that raises the Z-rank of the ideal slice together
-    with the monomials kept so far (one Smith normal form per candidate)."""
+    with the monomials kept so far (one sympy rank per candidate)."""
     monos = _degree_monomials(2 * n, d)
     gens = ideal_slice(n, d)
     work = (column_hnf([[p.terms.get(m, 0) for p in gens] for m in monos])
@@ -47,7 +48,7 @@ def greedy_basis(n, d):
         if rank == len(monos):
             break
         cand = [row + [int(m == mono)] for row, m in zip(work, monos)]
-        if rank_Z(cand) > rank:
+        if Matrix(cand).rank() > rank:
             chosen.append(mono)
             work, rank = cand, rank + 1
     return chosen
@@ -270,11 +271,32 @@ def test_springer_isomorphism(n, rule_name):
             for d in range(n + 2))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_even_presentation(n):
     cert = even_presentation_check(n)
     assert cert["passed"], cert.get("failed_stage")
     assert cert["span_rank"] == comb(2 * n, n)
+
+
+def test_even_presentation_span_is_the_center_lattice(monkeypatch):
+    """Dropping the empty product X_() = 1 from the span, or doubling it,
+    fails the span stage; the doubled span has the full rank C(2n, n), which
+    a rank comparison alone would accept."""
+    import arcring.arc_rings as ar
+    real = ar.unit
+    for scale, rank in ((0, comb(4, 2) - 1), (2, comb(4, 2))):
+        monkeypatch.setattr(ar, "unit", lambda n: real(n).scale(scale))
+        cert = even_presentation_check(2)
+        assert cert["failed_stage"] == "spans_center"
+        assert cert["span_rank"] == rank
+        assert not cert["passed"]
+
+
+def test_qbinom_size_limit():
+    assert qbinom(0, 0) == {0: 1}
+    assert sum(qbinom(64, 1).values()) == 64
+    with pytest.raises(ValueError, match="out of range"):
+        qbinom(65, 1)
 
 
 def test_qint_qbinom():
