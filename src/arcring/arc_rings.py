@@ -274,17 +274,23 @@ def _plan(rule, c, b, a):
                         partner.  One child keeps position p, the other is
                         the one at max(i, j).
 
-    Cached per (rule, c.word, b.word, a.word), holding only the event tuples;
-    a rule must therefore not be mutated after its first product."""
-    return _plan_of_words(rule, c.word, b.word, a.word)
+    Cached per (rule, c.word, b.word, a.word), holding only the event
+    tuples, their move word and a circle count; a rule must therefore not be
+    mutated after its first product."""
+    return _plan_of_words(rule, c.word, b.word, a.word)[0]
 
 
 @lru_cache(maxsize=None)
 def _plan_of_words(rule, c, b, a):
+    """(events, word, top): the plan's events, the same plan as a word of
+    functor moves, checked against the circle counts it meets, and the
+    number of circles of W(c)b."""
     c, b, a = _m.Matching(c), _m.Matching(b), _m.Matching(a)
     m = 2 * c.n
     resolved = set()
     pos = _circle_positions(c, b, a, resolved)
+    top = max(pos[p] for p in range(1, m + 1))
+    start = max(pos.values())
     events = []
     for col in rule.order(c, b, a):
         if col in resolved:
@@ -302,7 +308,9 @@ def _plan_of_words(rule, c, b, a):
                                  f"of the arc ({col}, {partner}) of {b.word}")
             events.append(("split", pos[col], i, j, src == col))
         pos = new
-    return tuple(events)
+    word = tuple(_moves(events))
+    _f.check_word(word, start)
+    return tuple(events), word, top
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +330,31 @@ def _moves(plan):
             yield _f.Permute(k, k + 1)
 
 
+def _mask(colored):
+    mask = 0
+    for i in colored:
+        mask |= 1 << i - 1
+    return mask
+
+
+def _colored(mask):
+    """The 1-based circles of the set bits of a mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return frozenset(out)
+
+
 def _resolve_monomials(rule, c, b, a, colored_x, colored_y, theory):
     """Product of [c|b|colored_x] . [b|a|colored_y]: the surface functor of
     `theory` on the moves of the resolution plan.  Returns {frozenset: int}
     over colored sets of W(c)a circle indices."""
-    top = len(_m.closed_diagram(c, b))
-    state = _f.basis_state(
-        top + len(_m.closed_diagram(b, a)),
-        sorted(colored_x) + [top + i for i in sorted(colored_y)], theory)
-    state = _f.apply_word(_moves(_plan(rule, c, b, a)), state, theory)
-    return {frozenset(mono): coeff for mono, coeff in state.terms.items()}
+    _, word, top = _plan_of_words(rule, c.word, b.word, a.word)
+    terms = _f.run_word(
+        word, {_mask(colored_x) | _mask(colored_y) << top: 1}, theory)
+    return {_colored(mask): coeff for mask, coeff in terms.items()}
 
 
 # one Matching per word, shared by every product

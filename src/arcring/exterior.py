@@ -2,8 +2,12 @@
 tensor-power states of the even theory.
 
 Labels are opaque hashables; their order is carried explicitly as a tuple
-because every sign below depends on it.  An ExteriorElement stores monomials
-as tuples of labels listed in label order, mapped to nonzero integers.
+because every sign below depends on it.  Both element types store a monomial
+as an int bitmask, bit i standing for labels[i], mapped to a nonzero integer.
+An exterior monomial is the wedge of its labels in label order, so moving a
+generator past others costs the popcount parity of the bits it crosses.  The
+constructors take monomials as stored masks or on the labels themselves: a
+tuple of labels in any order (exterior) or a set of labels (tensor).
 """
 
 from operator import attrgetter
@@ -11,47 +15,69 @@ from operator import attrgetter
 from .zlinalg import SparseZ
 
 
-def _sort_with_sign(factors, position):
-    """Sort a tuple of labels by `position`; return (sorted_tuple, sign) or
-    (None, 0) if a label repeats."""
-    items = [(position[l], l) for l in factors]
-    # count inversions of the sorting permutation
-    sign = 1
-    arr = list(items)
-    for i in range(len(arr)):
-        for j in range(i + 1, len(arr)):
-            if arr[i][0] > arr[j][0]:
-                sign = -sign
-            elif arr[i][0] == arr[j][0]:
-                return None, 0
-    arr.sort()
-    return tuple(l for _, l in arr), sign
+def _bit(labels, label):
+    """The bit of `label` in a monomial on `labels`."""
+    try:
+        return 1 << labels.index(label)
+    except ValueError:
+        raise ValueError(f"unknown label {label!r}") from None
 
 
-class ExteriorElement(SparseZ):
-    """Element of Lambda* V(S) for an ordered label set S."""
+def _indices(mask):
+    """Bit indices of a mask, increasing."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    __slots__ = ("_pos",)
+
+class _MaskElement(SparseZ):
+    """Z-combination of bitmask monomials on an ordered tuple of distinct
+    labels.  A stored mask stands for itself; subclasses read a monomial
+    given on the labels in `_label_normal`."""
+
+    __slots__ = ()
     labels = property(attrgetter("space"))
 
-    # SparseZ.__init__ is inlined in both constructors below, since every
-    # wedge, rename and split builds an empty element on new labels
     def __init__(self, labels, terms=None):
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError(f"labels must be distinct: {labels!r}")
-        self.space = labels
-        self._pos = {l: i for i, l in enumerate(labels)}
-        self.terms = {}
-        if terms:
-            self._collect(terms)
+        super().__init__(labels, terms)
 
     def _normal(self, mono):
-        mono = tuple(mono)
-        for l in mono:
-            if l not in self._pos:
-                raise ValueError(f"unknown label {l!r}")
-        return _sort_with_sign(mono, self._pos)
+        if not isinstance(mono, int):
+            return self._label_normal(mono)
+        if not 0 <= mono < 1 << len(self.space):
+            raise ValueError(f"mask {mono} is not a monomial on {self.space!r}")
+        return mono, 1
+
+    def _named_terms(self):
+        """(coeff, labels of the monomial) by degree, then label order."""
+        masks = sorted(self.terms, key=lambda m: (m.bit_count(), _indices(m)))
+        return [(self.terms[m], [str(self.space[i]) for i in _indices(m)])
+                for m in masks]
+
+
+class ExteriorElement(_MaskElement):
+    """Element of Lambda* V(S) for an ordered label set S."""
+
+    __slots__ = ()
+
+    def _label_normal(self, mono):
+        """The mask of a label tuple and the sign of sorting it into label
+        order; sign 0 if a label repeats."""
+        mask, sign = 0, 1
+        for label in mono:
+            bit = _bit(self.space, label)
+            if mask & bit:
+                return 0, 0
+            if (mask & ~(bit - 1)).bit_count() & 1:
+                sign = -sign
+            mask |= bit
+        return mask, sign
 
     @staticmethod
     def one(labels):
@@ -62,14 +88,8 @@ class ExteriorElement(SparseZ):
         return ExteriorElement(labels, {(l,): 1})
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), tuple(self._pos[l] for l in m))):
-            coeff = self.terms[mono]
-            name = "^".join(str(l) for l in mono) if mono else "1"
-            bits.append(f"{coeff}*{name}")
-        return " + ".join(bits)
+        return " + ".join(f"{c}*{'^'.join(names) or 1}"
+                          for c, names in self._named_terms()) or "0"
 
 
 def wedge(x, y):
@@ -77,19 +97,18 @@ def wedge(x, y):
     if x.labels != y.labels:
         raise ValueError("label-set mismatch")
     out = ExteriorElement(x.labels)
-    terms = {}
-    pos = x._pos
     for mx, cx in x.terms.items():
         for my, cy in y.terms.items():
-            srt, sign = _sort_with_sign(mx + my, pos)
-            if sign == 0:
+            if mx & my:
                 continue
-            c = terms.get(srt, 0) + sign * cx * cy
+            # each generator of y moves left past the generators of x above it
+            crossings = sum((mx >> i).bit_count() for i in _indices(my))
+            c = out.terms.get(mx | my, 0) + (
+                -cx * cy if crossings & 1 else cx * cy)
             if c:
-                terms[srt] = c
+                out.terms[mx | my] = c
             else:
-                terms.pop(srt, None)
-    out.terms = terms
+                del out.terms[mx | my]
     return out
 
 
@@ -97,95 +116,31 @@ def contract_dual(label, x):
     """Contraction a^* against the dual of a generator:
     x1^...^xn^a^y1^...^ym -> (-1)^n x^y; monomials without the label die.
     The result lives on the label set with `label` removed."""
-    if label not in x._pos:
-        raise ValueError(f"unknown label {label!r}")
-    new_labels = tuple(l for l in x.labels if l != label)
-    out = ExteriorElement(new_labels)
-    terms = {}
-    for mono, coeff in x.terms.items():
-        if label not in mono:
-            continue
-        k = mono.index(label)
-        new_mono = mono[:k] + mono[k + 1:]
-        c = terms.get(new_mono, 0) + ((-1) ** k) * coeff
-        if c:
-            terms[new_mono] = c
-        else:
-            terms.pop(new_mono, None)
-    out.terms = terms
+    bit = _bit(x.labels, label)
+    low = bit - 1
+    out = ExteriorElement(l for l in x.labels if l != label)
+    out.terms = {(mask & low) | (mask >> 1 & ~low):
+                 -coeff if (mask & low).bit_count() & 1 else coeff
+                 for mask, coeff in x.terms.items() if mask & bit}
     return out
 
 
-def rename(x, mapping, new_labels):
-    """Push x through the algebra map sending generator l to mapping.get(l, l),
-    landing in Lambda* on new_labels (which fixes the new order).  Non-injective
-    mappings implement merges: monomials hitting a repeated target vanish."""
-    out = ExteriorElement(new_labels)
-    terms = {}
-    for mono, coeff in x.terms.items():
-        mapped = tuple(mapping.get(l, l) for l in mono)
-        srt, sign = _sort_with_sign(mapped, out._pos)
-        if sign == 0:
-            continue
-        c = terms.get(srt, 0) + sign * coeff
-        if c:
-            terms[srt] = c
-        else:
-            terms.pop(srt, None)
-    out.terms = terms
-    return out
-
-
-class EvenTensorElement(SparseZ):
-    """Element of A^{tensor m}, A = Z[t]/t^2, one factor per label.  A monomial
-    is the frozenset of labels whose factor carries t."""
+class EvenTensorElement(_MaskElement):
+    """Element of A^{tensor m}, A = Z[t]/t^2, one factor per label.  A
+    monomial's mask has the bits of the labels whose factor carries t."""
 
     __slots__ = ()
-    labels = property(attrgetter("space"))
 
-    def __init__(self, labels, terms=None):
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"labels must be distinct: {labels!r}")
-        self.space = labels
-        self.terms = {}
-        if terms:
-            self._collect(terms)
-
-    def _normal(self, mono):
-        mono = frozenset(mono)
-        if not mono.issubset(self.space):
-            raise ValueError(f"unknown labels in {set(mono)!r}")
-        return mono, 1
+    def _label_normal(self, mono):
+        mask = 0
+        for label in set(mono):
+            mask |= _bit(self.space, label)
+        return mask, 1
 
     @staticmethod
     def one(labels):
         return EvenTensorElement(labels, {frozenset(): 1})
 
-    def rename(self, mapping, new_labels):
-        """Relabel factors; a repeated target with two t's kills the term
-        (this is exactly the multiplication m of A)."""
-        out = EvenTensorElement(new_labels)
-        terms = {}
-        for mono, coeff in self.terms.items():
-            mapped = [mapping.get(l, l) for l in mono]
-            if len(set(mapped)) != len(mapped):
-                continue
-            mono2 = frozenset(mapped)
-            c = terms.get(mono2, 0) + coeff
-            if c:
-                terms[mono2] = c
-            else:
-                terms.pop(mono2, None)
-        out.terms = terms
-        return out
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        order = {l: i for i, l in enumerate(self.labels)}
-        for mono in sorted(self.terms, key=lambda m: (len(m), sorted(order[l] for l in m))):
-            name = "t[" + ",".join(str(l) for l in sorted(mono, key=order.get)) + "]" if mono else "1"
-            bits.append(f"{self.terms[mono]}*{name}")
-        return " + ".join(bits)
+        return " + ".join(f"{c}*t[{','.join(names)}]" if names else f"{c}*1"
+                          for c, names in self._named_terms()) or "0"

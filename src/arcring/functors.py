@@ -12,14 +12,19 @@ one to A^{tensor m} with A = Z[t]/t^2.  Moves are positional:
                   orientation p ~> p+1 if source_first else p+1 ~> p
   permute(p, q)   swap the two circles
 
+A state is a map {mask: coeff}, bit k - 1 of a mask standing for a generator
+(odd) or a t (even) on circle k, as in `exterior`.  Every move is a few bit
+shifts per monomial; an odd move's sign is the popcount parity of the bits a
+generator crosses.  `run_word` applies a word of moves, checked once by
+`check_word`, and is the one engine under `apply_word` and the ring product.
+
 verify_relations instantiates every relation of the relevant presentation on
 all monomials with <= max_labels circles and reports pass/fail per relation.
 """
 
 from dataclasses import dataclass
 
-from .exterior import (ExteriorElement, EvenTensorElement, wedge,
-                       contract_dual, rename)
+from .exterior import ExteriorElement, EvenTensorElement
 
 
 @dataclass(frozen=True)
@@ -70,109 +75,145 @@ def _check_pos(move, m):
         raise ValueError(f"move {move} invalid on {m} circles")
 
 
-def apply_odd(move, x):
-    """Apply an elementary move to an ExteriorElement on labels 1..m."""
+# The move kernels map {mask: coeff} on m circles, bit k - 1 for circle k,
+# to the same on the circles after the move.  `odd` adds the exterior signs:
+# a generator that moves past others picks up the popcount parity of the
+# bits it crosses.  Only merges can send two monomials to one.
+
+def _birth(move, terms, odd):
+    low = (1 << move.pos - 1) - 1
+    return {(k & low) | (k & ~low) << 1: c for k, c in terms.items()}
+
+
+def _death(move, terms, odd):
+    # odd: contraction against the dual of generator p; even: the trace
+    p = move.pos
+    bit = 1 << p - 1
+    low = bit - 1
+    return {(k & low) | (k >> p) << p - 1:
+            -c if odd and (k & low).bit_count() & 1 else c
+            for k, c in terms.items() if k & bit}
+
+
+def _merge(move, terms, odd):
+    # generators p and q both go to min(p, q): two of them multiply to zero,
+    # and one at max(p, q) moves down past the bits in between
+    lo, hi = sorted((move.p, move.q))
+    lo_bit, hi_bit = 1 << lo - 1, 1 << hi - 1
+    between = hi_bit - (lo_bit << 1)
+    out = {}
+    for k, c in terms.items():
+        if k & hi_bit:
+            if k & lo_bit:
+                continue
+            if odd and (k & between).bit_count() & 1:
+                c = -c
+            k |= lo_bit
+        k = (k & hi_bit - 1) | (k >> hi) << hi - 1
+        c += out.get(k, 0)
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return out
+
+
+def _split(move, terms, odd):
+    # circle p becomes circles p and p + 1.  Odd: (a1 - a2) ^ x with x's
+    # generator on p moved to the orientation source a1 (circle p if
+    # source_first), so 1 -> a1 - a2 and a_p -> a1 ^ a2; the new generator
+    # enters in front, past the bits below p.  Even: 1 -> 1 (x) t + t (x) 1
+    # and t -> t (x) t.
+    p = move.p
+    first, second = 1 << p - 1, 1 << p
+    low = first - 1
+    u = 1 if move.source_first or not odd else -1
+    v = -u if odd else u
+    out = {}
+    for k, c in terms.items():
+        base = (k & low) | (k >> p) << p + 1
+        if odd and (k & low).bit_count() & 1:
+            c = -c
+        if k & first:
+            out[base | first | second] = u * c
+        else:
+            out[base | first] = u * c
+            out[base | second] = v * c
+    return out
+
+
+def _permute(move, terms, odd):
+    # swapping two generators costs -1; moving one costs the parity of the
+    # bits it crosses
+    lo, hi = sorted((move.p, move.q))
+    both = 1 << lo - 1 | 1 << hi - 1
+    between = (1 << hi - 1) - (1 << lo)
+    out = {}
+    for k, c in terms.items():
+        ends = k & both
+        if ends and ends != both:
+            k ^= both
+            if odd and (k & between).bit_count() & 1:
+                c = -c
+        elif ends and odd:
+            c = -c
+        out[k] = c
+    return out
+
+
+_KERNELS = {Birth: _birth, Death: _death, Merge: _merge, Split: _split,
+            Permute: _permute}
+_CIRCLES = {Birth: 1, Death: -1, Merge: -1, Split: 1, Permute: 0}
+_STATES = {"odd": ExteriorElement, "even": EvenTensorElement}
+
+
+def check_word(word, m):
+    """Raise ValueError unless every move of `word` is valid on the circles
+    it meets, starting from m; returns the final circle count."""
+    for move in word:
+        _check_pos(move, m)
+        m += _CIRCLES[type(move)]
+    return m
+
+
+def run_word(word, terms, theory):
+    """The functor of `theory` on a word that check_word accepted, applied
+    to {mask: coeff} on its starting circles, first move first; returns the
+    map on the final circles, a new dict unless `word` is empty.  The one
+    engine under apply_word and the ring product."""
+    if theory not in _STATES:
+        raise ValueError(f"unknown theory {theory!r}")
+    odd = theory == "odd"
+    for move in word:
+        terms = _KERNELS[type(move)](move, terms, odd)
+    return terms
+
+
+def apply_word(word, x, theory):
+    """Apply a sequence of moves, first element of `word` first, to a state
+    of `theory` on circles 1..m: an ExteriorElement (odd) or an
+    EvenTensorElement (even, orientations ignored)."""
+    if type(x) is not _STATES.get(theory):
+        raise ValueError(f"{type(x).__name__} is not a state of the "
+                         f"{theory!r} theory")
     m = len(x.labels)
     if x.labels != _labels(m):
         raise ValueError(f"labels {x.labels} are not 1..{m}")
-    _check_pos(move, m)
-    if isinstance(move, Birth):
-        p = move.pos
-        shift = {i: i + 1 for i in range(p, m + 1)}
-        return rename(x, shift, _labels(m + 1))
-    if isinstance(move, Death):
-        p = move.pos
-        y = contract_dual(p, x)
-        shift = {i: i - 1 for i in range(p + 1, m + 1)}
-        return rename(y, shift, _labels(m - 1))
-    if isinstance(move, Merge):
-        lo, hi = min(move.p, move.q), max(move.p, move.q)
-        mapping = {move.p: lo, move.q: lo}
-        for i in range(hi + 1, m + 1):
-            mapping[i] = i - 1
-        return rename(x, mapping, _labels(m - 1))
-    if isinstance(move, Split):
-        p = move.p
-        mapping = {i: i + 1 for i in range(p + 1, m + 1)}
-        if move.source_first:
-            a1, a2 = p, p + 1
-        else:
-            a1, a2 = p + 1, p
-        mapping[p] = a1
-        xbar = rename(x, mapping, _labels(m + 1))
-        factor = ExteriorElement(_labels(m + 1), {(a1,): 1, (a2,): -1})
-        return wedge(factor, xbar)
-    if isinstance(move, Permute):
-        return rename(x, {move.p: move.q, move.q: move.p}, _labels(m))
-    raise TypeError(f"unknown move {move!r}")
+    word = tuple(word)
+    out = type(x)(_labels(check_word(word, m)))
+    out.terms = run_word(word, x.terms, theory) if word else dict(x.terms)
+    return out
+
+
+def apply_odd(move, x):
+    """Apply an elementary move to an ExteriorElement on labels 1..m."""
+    return apply_word((move,), x, "odd")
 
 
 def apply_even(move, x):
     """Apply an elementary move to an EvenTensorElement on labels 1..m.
     Orientations are ignored."""
-    m = len(x.labels)
-    if x.labels != _labels(m):
-        raise ValueError(f"labels {x.labels} are not 1..{m}")
-    _check_pos(move, m)
-    if isinstance(move, Birth):
-        p = move.pos
-        shift = {i: i + 1 for i in range(p, m + 1)}
-        return x.rename(shift, _labels(m + 1))
-    if isinstance(move, Death):
-        p = move.pos
-        # trace: factor must carry t, which then disappears
-        out = EvenTensorElement(_labels(m - 1))
-        shift = {i: i - 1 for i in range(p + 1, m + 1)}
-        terms = {}
-        for mono, coeff in x.terms.items():
-            if p not in mono:
-                continue
-            mono2 = frozenset(shift.get(i, i) for i in mono if i != p)
-            c = terms.get(mono2, 0) + coeff
-            if c:
-                terms[mono2] = c
-            else:
-                terms.pop(mono2, None)
-        out.terms = terms
-        return out
-    if isinstance(move, Merge):
-        lo, hi = min(move.p, move.q), max(move.p, move.q)
-        mapping = {move.p: lo, move.q: lo}
-        for i in range(hi + 1, m + 1):
-            mapping[i] = i - 1
-        return x.rename(mapping, _labels(m - 1))
-    if isinstance(move, Split):
-        p = move.p
-        shift = {i: i + 1 for i in range(p + 1, m + 1)}
-        out = EvenTensorElement(_labels(m + 1))
-        terms = {}
-        for mono, coeff in x.terms.items():
-            base = frozenset(shift.get(i, i) for i in mono if i != p)
-            if p in mono:
-                # t -> t (x) t
-                images = [base | {p, p + 1}]
-            else:
-                # 1 -> 1 (x) t + t (x) 1
-                images = [base | {p}, base | {p + 1}]
-            for mono2 in images:
-                c = terms.get(mono2, 0) + coeff
-                if c:
-                    terms[mono2] = c
-                else:
-                    terms.pop(mono2, None)
-        out.terms = terms
-        return out
-    if isinstance(move, Permute):
-        return x.rename({move.p: move.q, move.q: move.p}, _labels(m))
-    raise TypeError(f"unknown move {move!r}")
-
-
-def apply_word(word, x, theory):
-    """Apply a sequence of moves, first element of `word` first."""
-    step = apply_odd if theory == "odd" else apply_even
-    for move in word:
-        x = step(move, x)
-    return x
+    return apply_word((move,), x, "even")
 
 
 def euler_characteristic(move):
@@ -185,21 +226,9 @@ def euler_characteristic(move):
     raise TypeError(f"unknown move {move!r}")
 
 
-def basis_state(m, subset, theory):
-    """The basis state on m circles that carries a generator on each circle
-    of `subset`, a sorted sequence of positions."""
-    if theory == "odd":
-        return ExteriorElement(_labels(m), {tuple(subset): 1})
-    if theory == "even":
-        return EvenTensorElement(_labels(m), {frozenset(subset): 1})
-    raise ValueError(f"unknown theory {theory!r}")
-
-
 def _monomials(m, theory):
     """All basis states on m circles, as elements."""
-    return [basis_state(m, [i for i in _labels(m) if mask >> (i - 1) & 1],
-                        theory)
-            for mask in range(2 ** m)]
+    return [_STATES[theory](_labels(m), {mask: 1}) for mask in range(2 ** m)]
 
 
 def _maps_equal(word1, word2, m, theory, sign=1):
@@ -372,4 +401,4 @@ def verify_relations(max_labels, theory):
 def _degrees(x):
     """Post-shift degrees 2k - m of the monomials of a state (deduplicated)."""
     m = len(x.labels)
-    return sorted({2 * len(mono) - m for mono in x.terms}) or [None]
+    return sorted({2 * mask.bit_count() - m for mask in x.terms}) or [None]

@@ -16,10 +16,9 @@ MAX_N = 12
 # CLI's bn and mul), the centers, the odd Springer quotient, and the phi0
 # associator table with everything built on it (6.7M triple products at
 # n = 4); and the largest m of the quantum binomial [m choose k] (about
-# 0.6 s at m = 64, 9 s at m = 120).  Entry points call check_size before any
-# work.
+# 0.2 s at m = 256, k = 128).  Entry points call check_size before any work.
 SIZE_LIMITS = {"basis": 5, "center": 4, "springer": 4, "assoc": 3,
-               "qbinom": 64}
+               "qbinom": 256}
 
 
 def check_size(what, n):

@@ -376,17 +376,20 @@ def even_presentation_check(n):
     cert["stages"]["squares_vanish"] = all(
         multiply(rule, X[i], X[i], "even").is_zero() for i in X)
 
-    def x_product(I):
-        out = None
-        for i in I:
-            out = X[i] if out is None else multiply(rule, out, X[i], "even")
-        return out
+    # X_I for every subset I, each from the one without its largest index:
+    # the same left-to-right product chain for every I, computed once
+    subsets = [I for k in range(nvars + 1)
+               for I in combinations(range(1, nvars + 1), k)]
+    x_product = {(): unit(n)}
+    for I in subsets[1:]:
+        x_product[I] = X[I[0]] if len(I) == 1 else multiply(
+            rule, x_product[I[:-1]], X[I[-1]], "even")
 
     ok = True
     for k in range(1, nvars + 1):
         total = {}
         for I in combinations(range(1, nvars + 1), k):
-            for mono, coeff in x_product(I).terms.items():
+            for mono, coeff in x_product[I].terms.items():
                 total[mono] = total.get(mono, 0) + coeff
         if any(total.values()):
             ok = False
@@ -399,9 +402,7 @@ def even_presentation_check(n):
         return hnf_columns({row_of[m]: c for m, c in e.terms.items()}
                            for e in elems)
 
-    span = lattice(unit(n) if not I else x_product(I)
-                   for k in range(0, nvars + 1)
-                   for I in combinations(range(1, nvars + 1), k))
+    span = lattice(x_product[I] for I in subsets)
     cert["span_rank"] = len(span)
     cert["stages"]["spans_center"] = span == lattice(ec.generators)
 
@@ -421,48 +422,42 @@ def qint(m):
     return {e: 1 for e in range(m - 1, -m, -2)}
 
 
-def _laurent_mul(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _laurent_divexact(p, q):
-    """Exact division of Laurent polynomials; raises AssertionError on a
-    zero divisor or a nonzero remainder."""
-    p = dict(p)
-    if not q:
-        raise AssertionError("division by the zero Laurent polynomial")
-    qtop = max(q)
-    out = {}
-    while p:
-        ptop = max(p)
-        if p[ptop] % q[qtop]:
-            raise AssertionError("inexact division")
-        c = p[ptop] // q[qtop]
-        e = ptop - qtop
-        out[e] = c
-        for qe, qc in q.items():
-            pe = qe + e
-            v = p.get(pe, 0) - c * qc
-            if v:
-                p[pe] = v
-            else:
-                p.pop(pe, None)
+def _times_one_minus(c, e):
+    """The coefficient list c (c[i] of q^i) times 1 - q^e."""
+    out = c + [0] * e
+    for i, v in enumerate(c):
+        out[i + e] -= v
     return out
 
 
+def _div_one_minus(c, j):
+    """Exact quotient of the coefficient list c by 1 - q^j, by the prefix
+    recurrence d[i] = c[i] + d[i - j]; raises AssertionError on a zero
+    divisor or a nonzero remainder."""
+    if j < 1:
+        raise AssertionError(f"division by 1 - q^{j}")
+    d = list(c)
+    for i in range(j, len(d)):
+        d[i] += d[i - j]
+    cut = max(len(d) - j, 0)
+    if any(d[cut:]):
+        raise AssertionError(f"inexact division by 1 - q^{j}")
+    return d[:cut]
+
+
 def qbinom(m, k):
+    """[m choose k] = q^(-k(m-k)) G(q^2) for the Gaussian binomial
+    G(q) = prod_{j=1..k} (1 - q^(m-k+j)) / (1 - q^j), built one exact factor
+    at a time on coefficient lists."""
     if not 0 <= k <= m:
         raise ValueError("need 0 <= k <= m")
     if m:  # check_size starts at 1; [0 choose 0] = 1 needs no limit
         _m.check_size("qbinom", m)
-    out = {0: 1}
+    c = [1]
     for j in range(1, k + 1):
-        out = _laurent_divexact(_laurent_mul(out, qint(m - k + j)), qint(j))
-    return out
+        c = _div_one_minus(_times_one_minus(c, m - k + j), j)
+    shift = k * (m - k)
+    return {2 * i - shift: v for i, v in enumerate(c) if v}
 
 
 def format_laurent(p):

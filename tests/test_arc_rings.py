@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import comb
 
@@ -123,6 +124,37 @@ def test_even_product_associative(n, count, sample):
         left = multiply(DEFAULT, multiply(DEFAULT, ex, ey, "even"), ez, "even")
         right = multiply(DEFAULT, ex, multiply(DEFAULT, ey, ez, "even"), "even")
         assert left == right, (x, y, z)
+
+
+# sha256 prefixes of every product line, per variant in VARIANTS order
+GOLDEN_DIGESTS = {
+    1: ("4c1bf6348d844b45",) * 4,
+    2: ("6cf67f19fb3413ee", "0ae6b447483ed2f1", "bebe19ffd4ee951c",
+        "804d9c15851089aa"),
+    3: ("3334f9432983d30c", "9db3d1d09eec85b4", "20c94b7037d0daff",
+        "9f683f77522e7c52"),
+    4: ("df4e28e13411693e", "7c027fc3d8bfb233", "d28e1b05f1a5c70b",
+        "88a98474843e5682"),
+}
+VARIANTS = [(DEFAULT, "odd"), (ORD, "odd"), (FlippedRule(DEFAULT), "odd"),
+            (DEFAULT, "even")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_golden_product_digests(n):
+    # every composable basis pair for n <= 3, a seeded sample of 3000 at n = 4
+    basis = [bm for bm, _ in ring_basis(n)]
+    pairs = [(x, y) for x in basis for y in basis if x.bottom == y.top]
+    if n == 4:
+        pairs = random.Random(0).sample(pairs, 3000)
+    digests = []
+    for rule, theory in VARIANTS:
+        lines = [f"{x!r} {y!r} " + format_element(multiply(
+            rule, RingElement.monomial(x), RingElement.monomial(y), theory))
+            for x, y in pairs]
+        digests.append(
+            hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16])
+    assert tuple(digests) == GOLDEN_DIGESTS[n]
 
 
 def test_flipped_rule_flips_split_sign():

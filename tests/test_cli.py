@@ -105,7 +105,7 @@ def test_qbinom(capsys):
 def test_qbinom_size_limit(capsys):
     code, out, _ = run(capsys, "qbinom", "--m", "0", "--k", "0")
     assert (code, out.strip()) == (0, "1")
-    # m = 240 ran for minutes before the limit
+    # far above SIZE_LIMITS["qbinom"]
     code, _, err = run(capsys, "qbinom", "--m", "1000", "--k", "500")
     assert code == 2
     assert "out of range for qbinom" in err
@@ -184,7 +184,7 @@ def test_bad_input_raises_under_optimize():
     proc = _run_optimized("-c", """
 from arcring.arc_rings import BasisMonomial
 from arcring.springer import (OddPolynomial, QuotientPresentation,
-                              _laurent_divexact, epsilon_generator, map_s,
+                              _div_one_minus, epsilon_generator, map_s,
                               parse_poly, qint, quotient_presentation)
 
 class Outside:
@@ -236,8 +236,8 @@ for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
             lambda: map_s(x1, 3),
             lambda: map_s(x1, 2, center=Outside()),
             lambda: qint(-1),
-            lambda: _laurent_divexact({0: 1}, {}),
-            lambda: _laurent_divexact({0: 1}, {1: 2}),
+            lambda: _div_one_minus([1], 0),
+            lambda: _div_one_minus([1, 0, 1], 1),
             squares_not_in_ideal,
             lambda: apply_odd(Birth(1), ExteriorElement((0, 1))),
             lambda: apply_even(Birth(1), EvenTensorElement((0, 1))),

@@ -12,7 +12,7 @@ def test_even_sphere_and_torus():
     sphere = apply_word([Birth(1), Death(1)], one, "even")
     assert sphere.is_zero()
     torus = apply_word([Birth(1), Split(1), Merge(1, 2), Death(1)], one, "even")
-    assert torus.terms == {frozenset(): 2}
+    assert torus == EvenTensorElement((), {frozenset(): 2})
 
 
 def test_odd_closed_surfaces_vanish():
@@ -26,22 +26,22 @@ def test_odd_split_formula():
     # split of the single circle: 1 -> a1 - a2, a -> a1 ^ a2 (1-based labels)
     x = ExteriorElement((1,), {(): 1})
     out = apply_odd(Split(1), x)
-    assert out.terms == {(1,): 1, (2,): -1}
+    assert out == ExteriorElement((1, 2), {(1,): 1, (2,): -1})
     xa = ExteriorElement((1,), {(1,): 1})
     out2 = apply_odd(Split(1), xa)
-    assert out2.terms == {(1, 2): 1}
+    assert out2 == ExteriorElement((1, 2), {(1, 2): 1})
 
 
 def test_odd_split_orientation_reversal():
     x = ExteriorElement((1,), {(): 1})
     out = apply_odd(Split(1, source_first=False), x)
-    assert out.terms == {(1,): -1, (2,): 1}
+    assert out == ExteriorElement((1, 2), {(1,): -1, (2,): 1})
 
 
 def test_odd_merge_orientation_free():
     x = ExteriorElement((1, 2), {(1,): 1, (2,): 1})
     out = apply_odd(Merge(1, 2), x)
-    assert out.terms == {(1,): 2}
+    assert out == ExteriorElement((1,), {(1,): 2})
     assert apply_odd(Merge(1, 2),
                      ExteriorElement((1, 2), {(1, 2): 1})).is_zero()
 
@@ -49,13 +49,13 @@ def test_odd_merge_orientation_free():
 def test_odd_death_contraction_sign():
     x = ExteriorElement((1, 2, 3), {(1, 2): 1})
     out = apply_odd(Death(2), x)
-    assert out.terms == {(1,): -1}
+    assert out == ExteriorElement((1, 2), {(1,): -1})
     assert apply_odd(Death(3), x).is_zero()
 
 
 def test_permute_swaps_generators():
     x = ExteriorElement((1, 2), {(1,): 1})
-    assert apply_odd(Permute(1, 2), x).terms == {(2,): 1}
+    assert apply_odd(Permute(1, 2), x) == ExteriorElement((1, 2), {(2,): 1})
 
 
 def test_euler_characteristic():
@@ -79,3 +79,14 @@ def test_chronology_change_sign():
     w1 = apply_word([Split(1), Split(3)], x, "odd")
     w2 = apply_word([Split(2), Split(1)], x, "odd")
     assert w1 == -w2 or w1 == w2.scale(-1)
+
+
+def test_apply_word_rejects_bad_states_and_moves():
+    odd, even = ExteriorElement((1, 2), {(1,): 1}), EvenTensorElement((1, 2))
+    for word, x, theory in (([Permute(1, 2)], even, "odd"),
+                            ([Permute(1, 2)], odd, "even"),
+                            ([Permute(1, 2)], odd, "exterior"),
+                            ([Merge(1, 2), Merge(1, 2)], odd, "odd"),
+                            ([Split(1), Death(4)], even, "even")):
+        with pytest.raises(ValueError):
+            apply_word(word, x, theory)

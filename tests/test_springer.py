@@ -294,9 +294,10 @@ def test_even_presentation_span_is_the_center_lattice(monkeypatch):
 
 def test_qbinom_size_limit():
     assert qbinom(0, 0) == {0: 1}
-    assert sum(qbinom(64, 1).values()) == 64
+    assert sum(qbinom(256, 1).values()) == 256
+    assert sum(qbinom(256, 128).values()) == comb(256, 128)
     with pytest.raises(ValueError, match="out of range"):
-        qbinom(65, 1)
+        qbinom(257, 1)
 
 
 def test_qint_qbinom():
