@@ -361,15 +361,18 @@ def _resolve_monomials(rule, c, b, a, colored_x, colored_y, theory):
 _matching = lru_cache(maxsize=None)(_m.Matching)
 
 
-def _block_product(resolve, x, y):
+def _block_product(resolve, x, y, cache=None):
     """Bilinear extension of resolve(c, b, a, colored_x, colored_y), the
     product of two basis monomials as {colored set: coeff}; each distinct
-    monomial pair is resolved once.  Zero across non-matching blocks."""
+    monomial pair is resolved once per `cache`, a dict that is fresh for
+    every call unless the caller passes one.  Zero across non-matching
+    blocks."""
     if x.n != y.n:
         raise ValueError(f"cannot multiply elements for n={x.n} and n={y.n}")
     out = RingElement(x.n)
     terms = out.terms
-    cache = {}
+    if cache is None:
+        cache = {}
     for mx, cx in x.terms.items():
         for my, cy in y.terms.items():
             if mx.bottom != my.top:
@@ -389,15 +392,21 @@ def _block_product(resolve, x, y):
     return out
 
 
-def multiply(rule, x, y, theory="odd"):
+def multiply(rule, x, y, theory="odd", *, memo=None):
     """Bilinear product; zero across non-matching blocks.  For the even
     theory the rule is ignored (the product is order-independent and carries
-    no orientations); the usual left-to-right scan is used."""
+    no orientations); the usual left-to-right scan is used.
+
+    `memo` is an optional dict owned by the caller: products resolve each
+    monomial pair once per memo instead of once per call.  One memo may
+    serve several rules and both theories, since it keeps one table per
+    (rule, theory); the caller drops it when done, so nothing outlives it."""
     if theory == "even":
         rule = BUILTIN_RULES["default"]
     return _block_product(
         lambda c, b, a, colored_x, colored_y: _resolve_monomials(
-            rule, c, b, a, colored_x, colored_y, theory), x, y)
+            rule, c, b, a, colored_x, colored_y, theory), x, y,
+        None if memo is None else memo.setdefault((rule, theory), {}))
 
 
 # ---------------------------------------------------------------------------

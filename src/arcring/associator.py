@@ -45,30 +45,36 @@ def _proportionality(pairs):
     return sign
 
 
+def _block_elements(top, bottom):
+    """(monomial, element) for every basis monomial of one block."""
+    return [(mono, RingElement.monomial(mono))
+            for mono in block_monomials(top, bottom)]
+
+
 class UndefinedSign(Exception):
     """Both composite maps of a quadruple vanish identically, so no sign can
     be read off.  This does happen (e.g. twice at n=2); tables mark such
     cells with None and downstream checks skip them."""
 
 
-def phi0(rule, d, c, b, a):
+def phi0(rule, d, c, b, a, *, memo=None):
     """Chronology sign: (xy)z = (-1)^(p(x)*S(c,b,a)) * phi0 * x(yz) on the
     whole block, as a proportionality of linear maps.  Raises UndefinedSign
-    if both maps are identically zero."""
+    if both maps are identically zero.  `memo` is the product memo of
+    `multiply`."""
     S = scission_count(c, b, a)
+    xs, ys, zs = _block_elements(d, c), _block_elements(c, b), \
+        _block_elements(b, a)
 
     def pairs():
-        ys, zs = block_monomials(c, b), block_monomials(b, a)
-        for mx in block_monomials(d, c):
-            x = RingElement.monomial(mx)
+        for mx, x in xs:
             phi1 = (-1) ** (len(mx.colored) * S)
-            for my in ys:
-                y = RingElement.monomial(my)
-                xy = multiply(rule, x, y)
-                for mz in zs:
-                    z = RingElement.monomial(mz)
-                    left = multiply(rule, xy, z)
-                    right = multiply(rule, x, multiply(rule, y, z))
+            for _, y in ys:
+                xy = multiply(rule, x, y, memo=memo)
+                for _, z in zs:
+                    left = multiply(rule, xy, z, memo=memo)
+                    right = multiply(rule, x, multiply(rule, y, z, memo=memo),
+                                     memo=memo)
                     yield left, right.scale(phi1)
 
     sign = _proportionality(pairs())
@@ -80,14 +86,16 @@ def phi0(rule, d, c, b, a):
 
 def phi0_table(rule, n):
     """{(d,c,b,a) words: bit or None}, bit = 1 iff phi0 = -1; None marks
-    the cells where the sign is undefined."""
+    the cells where the sign is undefined.  The cells share one product
+    memo, dropped on return."""
     _m.check_size("assoc", n)
     mats = _m.enumerate_matchings(n)
     table = {}
+    memo = {}
     for d, c, b, a in _product(mats, repeat=4):
         try:
             table[d.word, c.word, b.word, a.word] = \
-                (1 - phi0(rule, d, c, b, a)) // 2
+                (1 - phi0(rule, d, c, b, a, memo=memo)) // 2
         except UndefinedSign:
             table[d.word, c.word, b.word, a.word] = None
     return table
@@ -154,32 +162,34 @@ def solve_coboundary(table, n):
     return sol
 
 
-def rule_sign_ratio(rule1, rule2, c, b, a):
+def rule_sign_ratio(rule1, rule2, c, b, a, *, memo=None):
     """Proportionality sign between the block multiplication maps of the two
-    rules on (c,b,a)."""
+    rules on (c,b,a), or None if both maps vanish identically (this happens
+    in the odd theory, e.g. on ((()))|(())()|()(()) at n = 3).  `memo` is
+    the product memo of `multiply`."""
+    ys, zs = _block_elements(c, b), _block_elements(b, a)
 
     def pairs():
-        zs = block_monomials(b, a)
-        for my in block_monomials(c, b):
-            y = RingElement.monomial(my)
-            for mz in zs:
-                z = RingElement.monomial(mz)
-                yield multiply(rule1, y, z), multiply(rule2, y, z)
+        for _, y in ys:
+            for _, z in zs:
+                yield (multiply(rule1, y, z, memo=memo),
+                       multiply(rule2, y, z, memo=memo))
 
-    sign = _proportionality(pairs())
-    if sign is None:
-        raise AssertionError("block multiplication map is identically zero")
-    return sign
+    return _proportionality(pairs())
 
 
-def eta_table(rule1, rule2, n):
-    """{(c,b,a) words: bit}, bit = 1 iff the two rules' block maps differ
-    by -1."""
+def eta_table(rule1, rule2, n, *, memo=None):
+    """{(c,b,a) words: bit or None}, bit = 1 iff the two rules' block maps
+    differ by -1; None where both maps vanish, so any sign relates them.
+    The cells share `memo`, or one product memo of their own."""
+    _m.check_size("assoc", n)
+    if memo is None:
+        memo = {}
     mats = _m.enumerate_matchings(n)
     out = {}
     for c, b, a in _product(mats, repeat=3):
-        out[c.word, b.word, a.word] = \
-            (1 - rule_sign_ratio(rule1, rule2, c, b, a)) // 2
+        sign = rule_sign_ratio(rule1, rule2, c, b, a, memo=memo)
+        out[c.word, b.word, a.word] = None if sign is None else (1 - sign) // 2
     return out
 
 
@@ -197,21 +207,30 @@ def first_phi0_difference(rule1, rule2, n):
 def build_rule_isomorphism(rule1, rule2, n):
     """If the two rules have the same chronology associator: a per-pair sign
     table eps such that x -> (-1)^eps(block of x) * x is a ring isomorphism,
-    verified on every structure constant; None if the associators differ."""
+    verified on every structure constant; None if the associators differ.
+    Triples where eta is undefined (None) impose nothing on eps: both block
+    maps vanish there.  The eta table and the verification share one
+    product memo."""
     if first_phi0_difference(rule1, rule2, n) is not None:
         return None
-    eta = eta_table(rule1, rule2, n)
+    memo = {}
+    eta = eta_table(rule1, rule2, n, memo=memo)
     words = [m.word for m in _m.enumerate_matchings(n)]
-    # eta must be a 2-cocycle: its defect on quadruples vanishes
+    # eta must be a 2-cocycle: its defect vanishes on every quadruple whose
+    # four faces are defined
     for d, c, b, a in _product(words, repeat=4):
-        defect = (eta[c, b, a] ^ eta[d, b, a] ^ eta[d, c, a] ^ eta[d, c, b])
-        if defect:
+        faces = (eta[c, b, a], eta[d, b, a], eta[d, c, a], eta[d, c, b])
+        if None in faces:
+            continue
+        if faces[0] ^ faces[1] ^ faces[2] ^ faces[3]:
             raise AssertionError("eta is not a 2-cocycle despite equal "
                                  "associators")
     pairs = list(_product(words, repeat=2))
     col_of = {p: j for j, p in enumerate(pairs)}
     rows, rhs = [], []
     for c, b, a in _product(words, repeat=3):
+        if eta[c, b, a] is None:
+            continue
         row = [0] * len(pairs)
         for p in ((c, b), (b, a), (c, a)):
             row[col_of[p]] ^= 1
@@ -236,8 +255,8 @@ def build_rule_isomorphism(rule1, rule2, n):
             if mx.bottom != my.top:
                 continue
             y1 = RingElement.monomial(my)
-            lhs = theta(multiply(rule1, x1, y1))
-            rhs1 = multiply(rule2, theta(x1), theta(y1))
+            lhs = theta(multiply(rule1, x1, y1, memo=memo))
+            rhs1 = multiply(rule2, theta(x1), theta(y1), memo=memo)
             if lhs != rhs1:
                 raise AssertionError("sign map is not a ring homomorphism")
     return eps

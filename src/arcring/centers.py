@@ -187,13 +187,15 @@ def even_center(n):
 
 def center_structure_constants(basis, rule):
     """Products of all generator pairs re-expressed in the basis; closure and
-    associativity are mandatory (their failure signals a bug)."""
+    associativity are mandatory (their failure signals a bug).  All products
+    share one product memo, dropped on return."""
     theory = "even" if basis.flavor == "even-center" else "odd"
     table = {}
     prods = {}
+    memo = {}
     for i, gi in enumerate(basis.generators):
         for j, gj in enumerate(basis.generators):
-            prods[i, j] = multiply(rule, gi, gj, theory)
+            prods[i, j] = multiply(rule, gi, gj, theory, memo=memo)
             table[i, j] = basis.coordinates(prods[i, j])
             if table[i, j] is None:
                 raise AssertionError("center not closed under multiplication")
@@ -201,8 +203,8 @@ def center_structure_constants(basis, rule):
     for i, gi in enumerate(basis.generators):
         for j in range(len(basis.generators)):
             for k, gk in enumerate(basis.generators):
-                left = multiply(rule, prods[i, j], gk, theory)
-                right = multiply(rule, gi, prods[j, k], theory)
+                left = multiply(rule, prods[i, j], gk, theory, memo=memo)
+                right = multiply(rule, gi, prods[j, k], theory, memo=memo)
                 if left != right:
                     raise AssertionError("center product not associative")
     return table

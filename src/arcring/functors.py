@@ -357,20 +357,14 @@ def verify_relations(max_labels, theory):
                      for (w1, w2, sign) in instances if w2 is not None)
             report[name] = report.get(name, True) and ok
 
-    # degree law: every move shifts the (post-shift) degree by -chi
-    ok = True
-    for m in range(1, max_labels + 1):
-        moves = [Birth(1), Death(1), Split(1)]
-        if m >= 2:
-            moves += [Merge(1, 2), Permute(1, 2)]
-        for move in moves:
-            for x in _monomials(m, "odd"):
-                y = apply_odd(move, x)
-                dx = _degrees(x)[0]
-                for d in _degrees(y):
-                    if d is not None and d != dx - euler_characteristic(move):
-                        ok = False
-    report["degree law"] = ok
+    # degree law: every move of `theory`, at every position, shifts the
+    # (post-shift) degree by -chi
+    report["degree law"] = all(
+        2 * out.bit_count() - check_word((move,), m)
+        == 2 * mask.bit_count() - m - euler_characteristic(move)
+        for m in range(1, max_labels + 1) for move in _all_moves(m)
+        for mask in range(2 ** m)
+        for out in run_word((move,), {mask: 1}, theory))
 
     if theory == "odd":
         # two chronologies splitting one circle into three differ by -1
@@ -398,7 +392,12 @@ def verify_relations(max_labels, theory):
     return report
 
 
-def _degrees(x):
-    """Post-shift degrees 2k - m of the monomials of a state (deduplicated)."""
-    m = len(x.labels)
-    return sorted({2 * mask.bit_count() - m for mask in x.terms}) or [None]
+def _all_moves(m):
+    """Every elementary move on m circles: births at 1..m+1, deaths and
+    splits at 1..m, merges of every ordered pair, adjacent permutations."""
+    return ([Birth(p) for p in range(1, m + 2)]
+            + [Death(p) for p in range(1, m + 1)]
+            + [Split(p) for p in range(1, m + 1)]
+            + [Merge(p, q) for p in range(1, m + 1)
+               for q in range(1, m + 1) if p != q]
+            + [Permute(p, p + 1) for p in range(1, m)])

@@ -325,15 +325,17 @@ def verify_springer_iso(n, rule):
                      for d in range(n + 2))):
         return cert
 
-    # (iv) structure constants match on the basis
+    # (iv) structure constants match on the basis; the products share one
+    # product memo
     ok = True
+    memo = {}
     for i, bi in enumerate(basis_polys):
         for j, bj in enumerate(basis_polys):
             coords = q.basis_coordinates(bi * bj)
             if coords is None:
                 ok = False
                 break
-            prod = multiply(rule, images[i], images[j])
+            prod = multiply(rule, images[i], images[j], memo=memo)
             expect = {}
             for c, img in zip(coords, images):
                 if c:

@@ -6,12 +6,6 @@ from arcring.arc_rings import BUILTIN_RULES
 
 
 @functools.lru_cache(maxsize=None)
-def phi0_table_cached(rule_name, n):
-    from arcring.associator import phi0_table
-    return phi0_table(BUILTIN_RULES[rule_name], n)
-
-
-@functools.lru_cache(maxsize=None)
 def odd_center_cached(rule_name, n):
     from arcring.centers import odd_center
     return odd_center(n, BUILTIN_RULES[rule_name])

@@ -1,6 +1,6 @@
 """Acceptance suite: the headline claims, one test and one printed pass/fail
-line per criterion.  Each test is self-contained up to the shared caches in
-conftest (the n=3 sign tables are expensive and reused across criteria)."""
+line per criterion.  Each test is self-contained up to the shared center
+cache in conftest."""
 
 from itertools import combinations, product
 from math import comb
@@ -11,7 +11,8 @@ from arcring import matchings as m
 from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
                                multiply, multiply_diagrammatic,
                                BUILTIN_RULES, FlippedRule, _plan)
-from conftest import phi0_table_cached, odd_center_cached
+from arcring.associator import phi0_table
+from conftest import odd_center_cached
 
 DEFAULT = BUILTIN_RULES["default"]
 ORD = BUILTIN_RULES["ord"]
@@ -80,7 +81,7 @@ def test_06_non_associativity():
         left = multiply(rule, multiply(rule, g, u), v)
         right = multiply(rule, g, multiply(rule, u, v))
         ok = ok and not left.is_zero() and left == -right
-    table = phi0_table_cached("default", 3)
+    table = phi0_table(DEFAULT, 3)
     ok = ok and any(v == 1 for v in table.values())
     _report(6, "non-associativity witness n=2 + phi0=-1 cell n=3", ok)
 
@@ -166,11 +167,11 @@ def test_12_associator():
     # chronology cocycle identity (twisted by the cup square of S), n <= 3
     for rule_name in ("default", "ord"):
         for n in (1, 2, 3):
-            table = phi0_table_cached(rule_name, n)
+            table = phi0_table(BUILTIN_RULES[rule_name], n)
             if cocycle_defect(BUILTIN_RULES[rule_name], n, table):
                 ok = False
     # coboundary solution where the twist vanishes (n = 2)
-    lam = solve_coboundary(phi0_table_cached("default", 2), 2)
+    lam = solve_coboundary(phi0_table(DEFAULT, 2), 2)
     ok = ok and lam is not None
     # verified isomorphism for a nontrivial same-associator pair
     eps = build_rule_isomorphism(DEFAULT, FlippedRule(DEFAULT), 2)

@@ -157,6 +157,33 @@ def test_golden_product_digests(n):
     assert tuple(digests) == GOLDEN_DIGESTS[n]
 
 
+def test_shared_memo_matches_memo_less_products():
+    # one memo across three odd rules and the even theory: every product
+    # equals the memo-less one, on a cold memo and again on a warm one
+    flip = FlippedRule(DEFAULT)
+    cases = [(DEFAULT, "odd"), (ORD, "odd"), (flip, "odd"), (ORD, "even")]
+    memo = {}
+    for n in (1, 2, 3):
+        basis = [bm for bm, _ in ring_basis(n)]
+        pairs = [(RingElement.monomial(x), RingElement.monomial(y))
+                 for x in basis for y in basis if x.bottom == y.top]
+        rng = random.Random(n)
+        size = min(6, len(basis))
+        for _ in range(5):
+            x, y = (RingElement(n, {bm: rng.randint(-3, 3)
+                                    for bm in rng.sample(basis, size)})
+                    for _ in range(2))
+            pairs.append((x, y))
+        for _ in range(2):
+            for rule, theory in cases:
+                for x, y in pairs:
+                    assert multiply(rule, x, y, theory, memo=memo) == \
+                        multiply(rule, x, y, theory)
+    # the even products are kept under the rule they actually use
+    assert set(memo) == {(DEFAULT, "odd"), (ORD, "odd"), (flip, "odd"),
+                         (DEFAULT, "even")}
+
+
 def test_flipped_rule_flips_split_sign():
     x = mono("(())", "()()")
     y = mono("()()", "(())")

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -5,16 +6,29 @@ import pytest
 from arcring import matchings as m
 from arcring.arc_rings import (RingElement, ring_basis, multiply,
                                BUILTIN_RULES, FlippedRule, _plan)
-from arcring.associator import (scission_count, phi0, UndefinedSign,
+from arcring.associator import (scission_count, phi0, phi0_table,
+                                UndefinedSign,
                                 cocycle_defect, solve_coboundary,
                                 rule_sign_ratio, eta_table,
                                 first_phi0_difference, build_rule_isomorphism)
-from conftest import phi0_table_cached
+from arcring.centers import (odd_center, even_center,
+                             center_structure_constants)
 
 DEFAULT = BUILTIN_RULES["default"]
 ORD = BUILTIN_RULES["ord"]
 A2 = m.Matching("(())")
 B2 = m.Matching("()()")
+FLIP = FlippedRule(DEFAULT)
+RULES = {"default": DEFAULT, "ord": ORD, "flip": FLIP}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def table_digest(table):
+    return _digest("\n".join(f"{'|'.join(q)} {v}"
+                              for q, v in sorted(table.items())))
 
 
 def test_scission_formula_values():
@@ -40,19 +54,19 @@ def test_phi0_diagonal_trivial():
 def test_phi0_undefined_cells_n2():
     with pytest.raises(UndefinedSign):
         phi0(DEFAULT, A2, B2, A2, B2)
-    table = phi0_table_cached("default", 2)
+    table = phi0_table(DEFAULT, 2)
     undefined = [q for q, v in table.items() if v is None]
     assert len(undefined) == 2
 
 
 def test_phi0_nontrivial_cell_exists_n3():
-    table = phi0_table_cached("default", 3)
+    table = phi0_table(DEFAULT, 3)
     assert any(v == 1 for v in table.values())
 
 
 def test_full_associator_identity_n2():
     # (xy)z = (-1)^(p(x) S) phi0 x(yz) on every homogeneous basis triple
-    table = phi0_table_cached("default", 2)
+    table = phi0_table(DEFAULT, 2)
     basis = [bm for bm, _ in ring_basis(2)]
     for mx in basis:
         x = RingElement.monomial(mx)
@@ -81,20 +95,20 @@ def test_full_associator_identity_n2():
 @pytest.mark.parametrize("rule_name", ["default", "ord"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_twisted_cocycle(rule_name, n):
-    table = phi0_table_cached(rule_name, n)
+    table = phi0_table(BUILTIN_RULES[rule_name], n)
     assert not cocycle_defect(BUILTIN_RULES[rule_name], n, table)
 
 
 def test_plain_cocycle_holds_at_n2():
     # the cup-square twist vanishes on all defined cells for n <= 2
     for rule_name in ("default", "ord"):
-        table = phi0_table_cached(rule_name, 2)
+        table = phi0_table(BUILTIN_RULES[rule_name], 2)
         assert not cocycle_defect(BUILTIN_RULES[rule_name], 2, table,
                                   twisted=False)
 
 
 def test_coboundary_solution_n2():
-    table = phi0_table_cached("default", 2)
+    table = phi0_table(DEFAULT, 2)
     lam = solve_coboundary(table, 2)
     assert lam is not None
     # re-check d^2(lam) = table entrywise on defined cells
@@ -120,6 +134,11 @@ def test_rule_sign_ratio():
     assert rule_sign_ratio(DEFAULT, FlippedRule(DEFAULT), A2, A2, B2) == 1
 
 
+def test_eta_table_size_limit():
+    with pytest.raises(ValueError, match="out of range"):
+        eta_table(DEFAULT, DEFAULT, 4)
+
+
 def test_eta_table_self_is_zero():
     eta = eta_table(DEFAULT, DEFAULT, 2)
     assert all(v == 0 for v in eta.values())
@@ -136,3 +155,67 @@ def test_isomorphism_for_global_flip():
 def test_identity_isomorphism():
     eps = build_rule_isomorphism(DEFAULT, DEFAULT, 2)
     assert eps is not None and all(v == 0 for v in eps.values())
+
+
+# sha256 prefixes of the sorted tables, pinned on the code before the
+# caller-scoped product memo
+PHI0_DIGESTS = {
+    (2, "default"): "5d6a754e7fca39f0",
+    (2, "ord"): "5d6a754e7fca39f0",
+    (2, "flip"): "5d6a754e7fca39f0",
+    (3, "default"): "737006c75ea077fa",
+    (3, "ord"): "8cfa6e19b2840b21",
+    (3, "flip"): "737006c75ea077fa",
+}
+
+
+@pytest.mark.parametrize("n, rule_name", sorted(PHI0_DIGESTS))
+def test_golden_phi0_digests(n, rule_name):
+    table = phi0_table(RULES[rule_name], n)
+    assert table_digest(table) == PHI0_DIGESTS[n, rule_name]
+
+
+def test_golden_eta_digest():
+    assert table_digest(eta_table(DEFAULT, FLIP, 2)) == "c5b364003ffca527"
+
+
+@pytest.mark.parametrize("n, flavor, want", [
+    (2, "odd", "a884adb6a903c909"), (2, "even", "4d3ee29717adbf5e"),
+    (3, "odd", "0906e26c9eebd9b5"), (3, "even", "08552cf0329d05aa")])
+def test_golden_structure_constant_digests(n, flavor, want):
+    basis = odd_center(n, DEFAULT) if flavor == "odd" else even_center(n)
+    table = center_structure_constants(basis, DEFAULT)
+    assert _digest(repr(sorted(table.items()))) == want
+
+
+def test_phi0_table_resolves_each_pair_once_per_call(monkeypatch):
+    # counted as perfbench's tracer counts resolutions: the memo lives for
+    # one phi0_table call, so a second call resolves every pair again
+    from arcring import arc_rings
+    calls = []
+    real = arc_rings._resolve_monomials
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(arc_rings, "_resolve_monomials", counting)
+    for _ in range(2):
+        calls.clear()
+        phi0_table(DEFAULT, 3)
+        assert len(calls) == 2168
+        assert len(set(calls)) == 2168
+
+
+def test_eta_undefined_where_block_maps_vanish_n3():
+    # six odd block maps vanish identically at n = 3; their eta cells are
+    # None and the rule isomorphism is still built and verified
+    eta = eta_table(DEFAULT, FLIP, 3)
+    undefined = sorted(t for t, v in eta.items() if v is None)
+    assert len(undefined) == 6
+    assert ("((()))", "(())()", "()(())") in undefined
+    assert rule_sign_ratio(DEFAULT, FLIP, *map(m.Matching, undefined[0])) \
+        is None
+    # (the flip-default isomorphism at n = 3 is checked through the CLI)
+    eps = build_rule_isomorphism(DEFAULT, DEFAULT, 3)
+    assert eps is not None and not any(eps.values())

@@ -117,6 +117,18 @@ def test_verify_all_n2(capsys):
     assert out.count("pass") == 6
 
 
+def test_assoc_compare_n3_skips_vanishing_blocks(capsys):
+    # six odd block maps vanish at n = 3; their eta cells impose nothing
+    code, out, err = run(capsys, "assoc", "--n", "3", "--compare",
+                         "flip-default")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "associators equal; verified isomorphism with eps:"
+    assert len(lines) == 26
+    assert sum(line.endswith("-> -1") for line in lines) == 12
+    assert "((()))|((())) -> +1" in lines
+
+
 def test_verify_relations_follows_n(capsys, monkeypatch):
     from arcring import functors
     asked = []
@@ -216,7 +228,7 @@ def patched(module, name, value, call):
     return run
 
 
-def non_cocycle_eta(rule1, rule2, n):
+def non_cocycle_eta(rule1, rule2, n, memo=None):
     eta = {t: 0 for t in A._product(W2, repeat=3)}
     eta[W2[0], W2[0], W2[1]] = 1
     return eta

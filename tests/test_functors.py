@@ -1,5 +1,6 @@
 import pytest
 
+from arcring import functors
 from arcring.exterior import ExteriorElement, EvenTensorElement
 from arcring.functors import (Birth, Death, Merge, Split, Permute,
                               apply_odd, apply_even, apply_word,
@@ -71,6 +72,34 @@ def test_all_relations_hold(theory):
     results = verify_relations(4, theory)
     failures = [name for name, ok in results.items() if not ok]
     assert not failures, failures
+
+
+def test_degree_law_checks_every_position(monkeypatch):
+    # a wrong Euler characteristic for the one merge other than Merge(1, 2)
+    # on two circles
+    real = functors.euler_characteristic
+
+    def wrong(move):
+        return 0 if move == Merge(2, 1) else real(move)
+
+    monkeypatch.setattr(functors, "euler_characteristic", wrong)
+    for theory in ("even", "odd"):
+        assert not verify_relations(2, theory)["degree law"]
+        assert not verify_relations(3, theory)["degree law"]
+
+
+def test_degree_law_checks_the_theory_asked_for(monkeypatch):
+    # an even merge that puts a t on circle 1 raises the degree; the odd
+    # merge is untouched
+    real = functors._KERNELS[Merge]
+
+    def even_merge_adds_t(move, terms, odd):
+        out = real(move, terms, odd)
+        return out if odd else {k | 1: c for k, c in out.items()}
+
+    monkeypatch.setitem(functors._KERNELS, Merge, even_merge_adds_t)
+    assert not verify_relations(3, "even")["degree law"]
+    assert verify_relations(3, "odd")["degree law"]
 
 
 def test_chronology_change_sign():
