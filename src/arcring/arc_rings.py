@@ -94,12 +94,9 @@ def block_monomials(top, bottom):
             for p in range(k + 1) for s in combinations(range(1, k + 1), p)]
 
 
-def ring_basis(n, theory="odd"):
-    """All (BasisMonomial, degree) over all blocks, in canonical order.
-    The basis set does not depend on the theory; the argument is kept for
-    symmetry of the API."""
-    if theory not in ("odd", "even"):
-        raise ValueError(f"unknown theory {theory!r}")
+def ring_basis(n):
+    """All (BasisMonomial, degree) over all blocks, in canonical order; the
+    even and odd rings share it."""
     _m.check_size("basis", n)
     mats = _m.enumerate_matchings(n)
     return [(mono, mono.degree())

@@ -4,9 +4,12 @@ cocycle/coboundary structure, and sign isomorphisms between rules.
 Degrees of homogeneous elements live in the groupoid with one arrow per
 ordered pair of matchings, so the associator data are tables indexed by
 quadruples of matchings (triples of composable arrows), and the comparison
-data between two rules by triples (pairs of arrows).
+data between two rules by triples (pairs of arrows).  These tables are F2
+cochains on the nerve of the groupoid, {k-tuple of words: bit or None} with
+None on an undefined cell; the faces of a cell leave out one matching each.
 """
 
+from functools import partial
 from itertools import product as _product
 
 from . import matchings as _m
@@ -51,16 +54,10 @@ def _block_elements(top, bottom):
             for mono in block_monomials(top, bottom)]
 
 
-class UndefinedSign(Exception):
-    """Both composite maps of a quadruple vanish identically, so no sign can
-    be read off.  This does happen (e.g. twice at n=2); tables mark such
-    cells with None and downstream checks skip them."""
-
-
 def phi0(rule, d, c, b, a, *, memo=None):
     """Chronology sign: (xy)z = (-1)^(p(x)*S(c,b,a)) * phi0 * x(yz) on the
-    whole block, as a proportionality of linear maps.  Raises UndefinedSign
-    if both maps are identically zero.  `memo` is the product memo of
+    whole block, as a proportionality of linear maps, or None if both maps
+    vanish identically (twice at n = 2).  `memo` is the product memo of
     `multiply`."""
     S = scission_count(c, b, a)
     xs, ys, zs = _block_elements(d, c), _block_elements(c, b), \
@@ -77,28 +74,71 @@ def phi0(rule, d, c, b, a, *, memo=None):
                                      memo=memo)
                     yield left, right.scale(phi1)
 
-    sign = _proportionality(pairs())
-    if sign is None:
-        raise UndefinedSign(f"both composite maps vanish on "
-                            f"{d.word}|{c.word}|{b.word}|{a.word}")
-    return sign
+    return _proportionality(pairs())
+
+
+def _sign_table(sign, n, k, memo):
+    """{k-cell of words: bit or None} over all k-tuples of matchings, bit = 1
+    iff sign(*cell, memo=memo) = -1, None where it is undefined.  The cells
+    share the product memo `memo`."""
+    _m.check_size("assoc", n)
+    table = {}
+    for cell in _product(_m.enumerate_matchings(n), repeat=k):
+        s = sign(*cell, memo=memo)
+        table[tuple(m.word for m in cell)] = \
+            None if s is None else (1 - s) // 2
+    return table
 
 
 def phi0_table(rule, n):
     """{(d,c,b,a) words: bit or None}, bit = 1 iff phi0 = -1; None marks
     the cells where the sign is undefined.  The cells share one product
     memo, dropped on return."""
-    _m.check_size("assoc", n)
-    mats = _m.enumerate_matchings(n)
-    table = {}
-    memo = {}
-    for d, c, b, a in _product(mats, repeat=4):
-        try:
-            table[d.word, c.word, b.word, a.word] = \
-                (1 - phi0(rule, d, c, b, a, memo=memo)) // 2
-        except UndefinedSign:
-            table[d.word, c.word, b.word, a.word] = None
-    return table
+    return _sign_table(partial(phi0, rule), n, 4, {})
+
+
+def _faces(cell):
+    return [cell[:i] + cell[i + 1:] for i in range(len(cell))]
+
+
+def _coboundary(cochain, words, k):
+    """{k-cell: XOR of the cochain on its faces} on every k-cell whose faces
+    are all defined."""
+    out = {}
+    for cell in _product(words, repeat=k):
+        v = 0
+        for face in _faces(cell):
+            bit = cochain[face]
+            if bit is None:
+                break
+            v ^= bit
+        else:
+            out[cell] = v
+    return out
+
+
+def _primitive(cochain, words, k):
+    """Canonical lambda on the (k-1)-cells (free variables zero) with
+    d(lambda) = cochain on every defined k-cell, or None.  A row XORs its
+    faces' bits, as faces repeat where a cell repeats a matching."""
+    col_of = {face: j for j, face in enumerate(_product(words, repeat=k - 1))}
+    rows, rhs = [], []
+    for cell in _product(words, repeat=k):
+        if cochain[cell] is None:
+            continue
+        row = 0
+        for face in _faces(cell):
+            row ^= 1 << col_of[face]
+        rows.append(row)
+        rhs.append(cochain[cell])
+    x = solve_f2(rows, rhs, len(col_of))
+    if x is None:
+        return None
+    lam = dict(zip(col_of, x))
+    for cell, v in _coboundary(lam, words, k).items():
+        if cochain[cell] is not None and cochain[cell] != v:
+            raise AssertionError(f"d(lambda) != cochain at {cell}")
+    return lam
 
 
 def cocycle_defect(rule, n, table=None, twisted=True):
@@ -116,21 +156,14 @@ def cocycle_defect(rule, n, table=None, twisted=True):
     _m.check_size("assoc", n)
     if table is None:
         table = phi0_table(rule, n)
-    mats = _m.enumerate_matchings(n)
-    words = [m.word for m in mats]
-    of = {m.word: m for m in mats}
+    of = {m.word: m for m in _m.enumerate_matchings(n)}
     defects = {}
-    for e, d, c, b, a in _product(words, repeat=5):
-        faces = (table[d, c, b, a], table[e, c, b, a], table[e, d, b, a],
-                 table[e, d, c, a], table[e, d, c, b])
-        if None in faces:
-            continue
-        v = faces[0] ^ faces[1] ^ faces[2] ^ faces[3] ^ faces[4]
+    for cell, v in _coboundary(table, list(of), 5).items():
         if twisted:
-            v ^= (scission_count(of[e], of[d], of[c])
-                  * scission_count(of[c], of[b], of[a])) & 1
+            e, d, c, b, a = (of[w] for w in cell)
+            v ^= (scission_count(e, d, c) * scission_count(c, b, a)) & 1
         if v:
-            defects[e, d, c, b, a] = v
+            defects[cell] = v
     return defects
 
 
@@ -138,28 +171,7 @@ def solve_coboundary(table, n):
     """lambda0 over matching triples with d^2(lambda0) = table over F2 on
     every defined cell, or None.  Canonical solution: free variables zero."""
     _m.check_size("assoc", n)
-    words = [m.word for m in _m.enumerate_matchings(n)]
-    triples = list(_product(words, repeat=3))
-    col_of = {t: j for j, t in enumerate(triples)}
-    rows, rhs = [], []
-    for d, c, b, a in _product(words, repeat=4):
-        if table[d, c, b, a] is None:
-            continue
-        row = [0] * len(triples)
-        for t in ((c, b, a), (d, b, a), (d, c, a), (d, c, b)):
-            row[col_of[t]] ^= 1
-        rows.append(row)
-        rhs.append(table[d, c, b, a])
-    x = solve_f2(rows, rhs)
-    if x is None:
-        return None
-    sol = {t: x[j] for t, j in col_of.items()}
-    for (d, c, b, a), v in table.items():
-        if v is not None and (sol[c, b, a] ^ sol[d, b, a] ^ sol[d, c, a]
-                              ^ sol[d, c, b]) != v:
-            raise AssertionError(f"d(lambda0) differs from the table at "
-                                 f"{(d, c, b, a)}")
-    return sol
+    return _primitive(table, [m.word for m in _m.enumerate_matchings(n)], 4)
 
 
 def rule_sign_ratio(rule1, rule2, c, b, a, *, memo=None):
@@ -182,22 +194,15 @@ def eta_table(rule1, rule2, n, *, memo=None):
     """{(c,b,a) words: bit or None}, bit = 1 iff the two rules' block maps
     differ by -1; None where both maps vanish, so any sign relates them.
     The cells share `memo`, or one product memo of their own."""
-    _m.check_size("assoc", n)
-    if memo is None:
-        memo = {}
-    mats = _m.enumerate_matchings(n)
-    out = {}
-    for c, b, a in _product(mats, repeat=3):
-        sign = rule_sign_ratio(rule1, rule2, c, b, a, memo=memo)
-        out[c.word, b.word, a.word] = None if sign is None else (1 - sign) // 2
-    return out
+    return _sign_table(partial(rule_sign_ratio, rule1, rule2), n, 3,
+                       {} if memo is None else memo)
 
 
 def first_phi0_difference(rule1, rule2, n):
     """First quadruple (in enumeration order) where the phi0 tables differ,
-    or None."""
+    or None.  Equal rules share one table."""
     t1 = phi0_table(rule1, n)
-    t2 = phi0_table(rule2, n)
+    t2 = t1 if rule2 is rule1 else phi0_table(rule2, n)
     for quad in sorted(t1):
         if t1[quad] != t2[quad]:
             return quad
@@ -207,40 +212,26 @@ def first_phi0_difference(rule1, rule2, n):
 def build_rule_isomorphism(rule1, rule2, n):
     """If the two rules have the same chronology associator: a per-pair sign
     table eps such that x -> (-1)^eps(block of x) * x is a ring isomorphism,
-    verified on every structure constant; None if the associators differ.
-    Triples where eta is undefined (None) impose nothing on eps: both block
-    maps vanish there.  The eta table and the verification share one
-    product memo."""
+    verified on every structure constant; None if the associators differ."""
     if first_phi0_difference(rule1, rule2, n) is not None:
         return None
+    return _rule_isomorphism(rule1, rule2, n)
+
+
+def _rule_isomorphism(rule1, rule2, n):
+    """build_rule_isomorphism for rules with equal associators.  Triples
+    where eta is undefined impose nothing on eps: both block maps vanish
+    there.  The eta table and the verification share one product memo."""
     memo = {}
     eta = eta_table(rule1, rule2, n, memo=memo)
     words = [m.word for m in _m.enumerate_matchings(n)]
-    # eta must be a 2-cocycle: its defect vanishes on every quadruple whose
-    # four faces are defined
-    for d, c, b, a in _product(words, repeat=4):
-        faces = (eta[c, b, a], eta[d, b, a], eta[d, c, a], eta[d, c, b])
-        if None in faces:
-            continue
-        if faces[0] ^ faces[1] ^ faces[2] ^ faces[3]:
-            raise AssertionError("eta is not a 2-cocycle despite equal "
-                                 "associators")
-    pairs = list(_product(words, repeat=2))
-    col_of = {p: j for j, p in enumerate(pairs)}
-    rows, rhs = [], []
-    for c, b, a in _product(words, repeat=3):
-        if eta[c, b, a] is None:
-            continue
-        row = [0] * len(pairs)
-        for p in ((c, b), (b, a), (c, a)):
-            row[col_of[p]] ^= 1
-        rows.append(row)
-        rhs.append(eta[c, b, a])
-    x = solve_f2(rows, rhs)
-    if x is None:
+    if any(_coboundary(eta, words, 4).values()):
+        raise AssertionError("eta is not a 2-cocycle despite equal "
+                             "associators")
+    eps = _primitive(eta, words, 3)
+    if eps is None:
         raise AssertionError("delta eps = eta unsolvable despite 2-cocycle "
                              "eta")
-    eps = {p: x[j] for p, j in col_of.items()}
 
     # full structure-constant verification of x -> (-1)^eps * x
     def theta(elem):

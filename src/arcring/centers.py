@@ -41,13 +41,6 @@ class CenterBasis:
             f"{p}:{r}" for p, r in sorted(self.graded_rank.items()))
         return "\n".join([header] + [format_element(g) for g in self.generators])
 
-    def coordinate_matrix(self, p):
-        """Degree-p generators as columns over diagonal_monomials(n, p)."""
-        monos = diagonal_monomials(self.n, p)
-        gens = [g for g in self.generators
-                if any(len(m.colored) == p for m in g.terms)]
-        return [[g.terms.get(m, 0) for g in gens] for m in monos], gens
-
     @cached_property
     def _echelon(self):
         """({diagonal monomial: row}, echelon of the generators): generator

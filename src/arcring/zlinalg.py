@@ -6,10 +6,10 @@ membership, coordinates, rank).  `hnf_columns` brings sparse integer columns
 vector modulo the lattice of such an echelon, which decides membership and,
 when every column carries a tag row of its own, leaves the coordinates in
 the tag rows; `kernel_basis_Z` reads a saturated kernel off the echelon of a
-matrix stacked on the identity.  `column_hnf` and `lattices_equal` wrap it
-for dense matrices.  Besides it: `smith_normal_form` (invariant factors, for
-torsion) and plain GF(2) elimination (`solve_f2`).  Matrices are lists of
-row lists of Python ints.
+matrix stacked on the identity.  `column_hnf` wraps it for dense matrices.
+Besides it: `smith_normal_form` (invariant factors, for torsion) and GF(2)
+elimination on bitset rows (`solve_f2`).  Matrices are lists of row lists of
+Python ints.
 
 SparseZ is the common base of the sparse integer combinations (ring
 elements, exterior and tensor states, odd polynomials).
@@ -315,37 +315,32 @@ def kernel_basis_Z(M):
     return [[vec.get(j, 0) for vec in kernel] for j in range(cols)]
 
 
-def solve_f2(A, b):
-    """Canonical solution (free variables = 0) of A x = b over F2, or None."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    aug = [[v & 1 for v in row] + [bv & 1] for row, bv in zip(A, b)]
-    pivots = []
-    rr = 0
-    for c in range(cols):
-        piv = next((i for i in range(rr, rows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[rr], aug[piv] = aug[piv], aug[rr]
-        for i in range(rows):
-            if i != rr and aug[i][c]:
-                aug[i] = [(x ^ y) for x, y in zip(aug[i], aug[rr])]
-        pivots.append(c)
-        rr += 1
-        if rr == rows:
-            break
-    for i in range(rr, rows):
-        if aug[i][cols]:
-            return None
-    x = [0] * cols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][cols]
-    for row, bv in zip(A, b):
-        if (sum(a * v for a, v in zip(row, x)) - bv) % 2:
+def solve_f2(rows, rhs, ncols):
+    """Canonical solution (free variables = 0) of A x = b over F2, as a list
+    of ncols bits, or None.  Row i of A is the int rows[i], bit j standing
+    for unknown j; b_i = rhs[i] & 1.  Rows are combined by XOR and each
+    pivots on its lowest set bit, so the pivot columns, and the solution,
+    are those of column-by-column elimination."""
+    top = 1 << ncols
+    pivots = {}  # lowest set bit -> row with b_i in bit ncols
+    for row, bv in zip(rows, rhs):
+        if row < 0 or row >= top:
+            raise ValueError(f"row {row:#x} has bits outside {ncols} columns")
+        row |= (bv & 1) << ncols
+        while row:
+            low = row & -row
+            if low == top:
+                return None
+            if low not in pivots:
+                pivots[low] = row
+                break
+            row ^= pivots[low]
+    x = 0
+    for low in sorted(pivots, reverse=True):
+        row = pivots[low]
+        if ((row & x).bit_count() ^ row >> ncols) & 1:
+            x |= low
+    for row, bv in zip(rows, rhs):
+        if ((row & x).bit_count() ^ bv) & 1:
             raise AssertionError("F2 solution does not solve A x = b")
-    return x
-
-
-def lattices_equal(M1, M2):
-    """Do the columns of M1 and M2 span the same sublattice of Z^rows?"""
-    return column_hnf(M1) == column_hnf(M2)
+    return [x >> j & 1 for j in range(ncols)]

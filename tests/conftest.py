@@ -11,6 +11,13 @@ def odd_center_cached(rule_name, n):
     return odd_center(n, BUILTIN_RULES[rule_name])
 
 
+def same_lattice(a, b):
+    """Do two CenterBasis objects span the same lattice (each contains the
+    other's generators)?"""
+    return (all(b.contains(g) for g in a.generators)
+            and all(a.contains(g) for g in b.generators))
+
+
 @pytest.fixture(scope="session")
 def default_rule():
     return BUILTIN_RULES["default"]

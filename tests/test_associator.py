@@ -1,4 +1,6 @@
 import hashlib
+import random
+import time
 from itertools import product
 
 import pytest
@@ -6,11 +8,13 @@ import pytest
 from arcring import matchings as m
 from arcring.arc_rings import (RingElement, ring_basis, multiply,
                                BUILTIN_RULES, FlippedRule, _plan)
+from arcring import associator
 from arcring.associator import (scission_count, phi0, phi0_table,
-                                UndefinedSign,
                                 cocycle_defect, solve_coboundary,
                                 rule_sign_ratio, eta_table,
-                                first_phi0_difference, build_rule_isomorphism)
+                                first_phi0_difference, build_rule_isomorphism,
+                                _coboundary, _primitive)
+from arcring.cli import main
 from arcring.centers import (odd_center, even_center,
                              center_structure_constants)
 
@@ -52,8 +56,7 @@ def test_phi0_diagonal_trivial():
 
 
 def test_phi0_undefined_cells_n2():
-    with pytest.raises(UndefinedSign):
-        phi0(DEFAULT, A2, B2, A2, B2)
+    assert phi0(DEFAULT, A2, B2, A2, B2) is None
     table = phi0_table(DEFAULT, 2)
     undefined = [q for q, v in table.items() if v is None]
     assert len(undefined) == 2
@@ -219,3 +222,70 @@ def test_eta_undefined_where_block_maps_vanish_n3():
     # (the flip-default isomorphism at n = 3 is checked through the CLI)
     eps = build_rule_isomorphism(DEFAULT, DEFAULT, 3)
     assert eps is not None and not any(eps.values())
+
+
+def words_of(n):
+    return [x.word for x in m.enumerate_matchings(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coboundary_squares_to_zero(n):
+    # d(d(lambda)) = 0 for a random fully defined 3-cochain
+    rng = random.Random(n)
+    words = words_of(n)
+    lam = {t: rng.randint(0, 1) for t in product(words, repeat=3)}
+    dlam = _coboundary(lam, words, 4)
+    assert len(dlam) == len(words) ** 4 and any(dlam.values())
+    ddlam = _coboundary(dlam, words, 5)
+    assert len(ddlam) == len(words) ** 5 and not any(ddlam.values())
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (2, 4), (3, 4)])
+def test_primitive_of_a_coboundary(n, k):
+    # _primitive(d(lambda)) is a canonical primitive: its coboundary is
+    # d(lambda), and with some cells undefined it still matches the rest
+    rng = random.Random(10 * n + k)
+    words = words_of(n)
+    lam = {t: rng.randint(0, 1) for t in product(words, repeat=k - 1)}
+    dlam = _coboundary(lam, words, k)
+    prim = _primitive(dlam, words, k)
+    assert _coboundary(prim, words, k) == dlam
+    holes = dict(dlam)
+    for cell in rng.sample(sorted(holes), len(holes) // 10):
+        holes[cell] = None
+    dprim = _coboundary(_primitive(holes, words, k), words, k)
+    assert all(v is None or v == dprim[cell] for cell, v in holes.items())
+    # a single flipped bit on a fully defined cochain is no coboundary
+    flipped = dict(dlam)
+    flipped[(words[0],) * k] ^= 1
+    assert _primitive(flipped, words, k) is None
+
+
+def test_primitive_solves_the_n4_nerve_system():
+    # 14 matchings: 38,416 rows in 2,744 unknowns
+    rng = random.Random(4)
+    words = words_of(4)
+    lam = {t: rng.randint(0, 1) for t in product(words, repeat=3)}
+    dlam = _coboundary(lam, words, 4)
+    start = time.perf_counter()
+    prim = _primitive(dlam, words, 4)
+    assert time.perf_counter() - start < 20
+    assert prim is not None and len(prim) == 2744
+    assert _coboundary(prim, words, 4) == dlam
+
+
+@pytest.mark.parametrize("other, tables", [("flip-default", 2),
+                                           ("default", 1)])
+def test_compare_builds_each_phi0_table_once(monkeypatch, capsys, other,
+                                             tables):
+    calls = []
+    real = associator.phi0_table
+
+    def counting(rule, n):
+        calls.append(rule)
+        return real(rule, n)
+
+    monkeypatch.setattr(associator, "phi0_table", counting)
+    assert main(["assoc", "--n", "2", "--compare", other]) == 0
+    assert "verified isomorphism" in capsys.readouterr().out
+    assert len(calls) == tables

@@ -4,10 +4,9 @@ from math import comb
 from arcring import matchings as m
 from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
                                multiply, BUILTIN_RULES)
-from arcring.centers import (odd_center, ring_center, even_center,
-                             center_structure_constants, diagonal_monomials)
-from arcring.zlinalg import lattices_equal
-from conftest import odd_center_cached
+from arcring.centers import (CenterBasis, odd_center, ring_center,
+                             even_center, center_structure_constants)
+from conftest import odd_center_cached, same_lattice
 
 DEFAULT = BUILTIN_RULES["default"]
 
@@ -45,30 +44,26 @@ def test_ring_center_generators_n2():
 def test_degree1_lattice_matches_presentation():
     # span{a1+b1, a2+b1, a2+b2} in the degree-1 slice
     oz = odd_center_cached("default", 2)
-    monos = diagonal_monomials(2, 1)
 
-    def vec(pairs):
-        v = [0] * len(monos)
-        for w, i in pairs:
-            v[monos.index(BasisMonomial(w, w, frozenset({i})))] += 1
-        return v
+    def gen(pairs):
+        return RingElement(2, {BasisMonomial(w, w, frozenset({i})): 1
+                               for w, i in pairs})
 
-    expected = [vec([("(())", 1), ("()()", 1)]),
-                vec([("(())", 2), ("()()", 1)]),
-                vec([("(())", 2), ("()()", 2)])]
-    M_exp = [[col[i] for col in expected] for i in range(len(monos))]
-    M_oz, _ = oz.coordinate_matrix(1)
-    assert lattices_equal(M_exp, M_oz)
+    expected = CenterBasis(2, "odd-center", [
+        gen([("(())", 1), ("()()", 1)]),
+        gen([("(())", 2), ("()()", 1)]),
+        gen([("(())", 2), ("()()", 2)])])
+    degree1 = CenterBasis(2, "odd-center", [
+        g for g in oz.generators
+        if all(len(mono.colored) == 1 for mono in g.terms)])
+    assert len(degree1.generators) == 3
+    assert same_lattice(expected, degree1)
 
 
 def test_rule_independence_of_lattice():
     for n in (1, 2, 3):
-        a = odd_center_cached("default", n)
-        b = odd_center_cached("ord", n)
-        for p in range(n + 1):
-            Ma, _ = a.coordinate_matrix(p)
-            Mb, _ = b.coordinate_matrix(p)
-            assert lattices_equal(Ma, Mb)
+        assert same_lattice(odd_center_cached("default", n),
+                            odd_center_cached("ord", n))
 
 
 def test_coordinates_round_trip():

@@ -145,6 +145,26 @@ def test_verify_relations_follows_n(capsys, monkeypatch):
     assert asked == [2, 2, 5, 5]
 
 
+@pytest.mark.parametrize("doubled", ["default", "ord"])
+def test_verify_centers_rejects_a_sublattice(monkeypatch, doubled):
+    # doubling one degree-1 generator of either center keeps every graded
+    # rank but leaves an index-2 sublattice of the other center
+    from arcring import centers
+    from arcring.arc_rings import BUILTIN_RULES
+    from arcring.cli import _verify_centers
+    real = centers.odd_center
+
+    def fake(n, rule):
+        basis = real(n, rule)
+        if rule is BUILTIN_RULES[doubled]:
+            basis.generators[1] = basis.generators[1].scale(2)
+        return basis
+
+    monkeypatch.setattr(centers, "odd_center", fake)
+    assert _verify_centers(2, BUILTIN_RULES["default"]) == \
+        "odd center lattice rule-dependent in degree 1"
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "center", "--n", "2", "--flavor", "odd")
     _, out2, _ = run(capsys, "center", "--n", "2", "--flavor", "odd")
@@ -255,11 +275,12 @@ for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
             lambda: apply_even(Birth(1), EvenTensorElement((0, 1))),
             patched(M, "distance", lambda a, b: 1,
                     lambda: A.scission_count(*[M.Matching("()")] * 3)),
-            patched(A, "solve_f2", lambda rows, rhs: [0] * len(rows[0]),
+            patched(A, "solve_f2", lambda rows, rhs, ncols: [0] * ncols,
                     lambda: A.solve_coboundary({("()",) * 4: 1}, 1)),
-            patched(A, "solve_f2", lambda rows, rhs: None,
+            patched(A, "solve_f2", lambda rows, rhs, ncols: None,
                     lambda: A.build_rule_isomorphism(DEFAULT, DEFAULT, 1)),
-            patched(A, "solve_f2", lambda rows, rhs: [1] + [0] * 15,
+            patched(A, "solve_f2",
+                    lambda rows, rhs, ncols: [1] + [0] * (ncols - 1),
                     lambda: A.build_rule_isomorphism(DEFAULT, DEFAULT, 2)),
             eta_not_a_cocycle):
     try:

@@ -119,3 +119,12 @@ def test_apply_word_rejects_bad_states_and_moves():
                             ([Split(1), Death(4)], even, "even")):
         with pytest.raises(ValueError):
             apply_word(word, x, theory)
+
+
+@pytest.mark.parametrize("theory", ["even", "odd"])
+def test_maps_equal_compares_circle_counts_and_signs(theory):
+    # Birth(2) adds an empty circle after circle 1: every basis state keeps
+    # its mask, but on two circles, not one
+    assert not functors._maps_equal([Birth(2)], [], 1, theory)
+    assert functors._maps_equal([Permute(1, 2), Permute(1, 2)], [], 2, theory)
+    assert not functors._maps_equal([Permute(1, 2)], [], 2, theory, -1)

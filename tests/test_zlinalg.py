@@ -13,8 +13,7 @@ from arcring.arc_rings import BUILTIN_RULES, BasisMonomial, RingElement
 from arcring.exterior import EvenTensorElement, ExteriorElement
 from arcring.springer import OddPolynomial, _degree_monomials, ideal_slice
 from arcring.zlinalg import (column_hnf, hnf_columns, hnf_reduce,
-                             smith_normal_form, kernel_basis_Z, solve_f2,
-                             lattices_equal)
+                             smith_normal_form, kernel_basis_Z, solve_f2)
 
 # Invariant factors 1, 1, 1, 1, 1, 1, 351484.  Clearing against a fixed pivot
 # grew the entries of its Smith normal form to 2,036 bits after 100 row
@@ -232,15 +231,49 @@ def test_hnf_canonical_for_lattice():
     M = [[2, 4, 1], [0, 3, 1]]
     M2 = [[4, 2, 1 + 4], [3, 0, 1 + 3]]  # swapped + added columns
     assert column_hnf(M) == column_hnf(M2)
-    assert lattices_equal(M, M2)
+
+
+def bits(row):
+    return sum(v << j for j, v in enumerate(row))
+
+
+def dense_solve_f2(A, b):
+    """Column-by-column Gauss-Jordan elimination over F2 on dense 0/1 rows,
+    free variables zero: the reference for the bitset solve_f2."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    aug = [[v & 1 for v in row] + [bv & 1] for row, bv in zip(A, b)]
+    pivots = []
+    rr = 0
+    for c in range(cols):
+        piv = next((i for i in range(rr, rows) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[rr], aug[piv] = aug[piv], aug[rr]
+        for i in range(rows):
+            if i != rr and aug[i][c]:
+                aug[i] = [(x ^ y) for x, y in zip(aug[i], aug[rr])]
+        pivots.append(c)
+        rr += 1
+        if rr == rows:
+            break
+    if any(aug[i][cols] for i in range(rr, rows)):
+        return None
+    x = [0] * cols
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][cols]
+    return x
 
 
 def test_solve_f2():
-    assert solve_f2([[1, 0], [0, 1]], [1, 0]) == [1, 0]
-    assert solve_f2([[0, 0]], [1]) is None
-    x = solve_f2([[1, 1, 0], [0, 1, 1]], [1, 1])
+    assert solve_f2([0b01, 0b10], [1, 0], 2) == [1, 0]
+    assert solve_f2([0b00], [1], 2) is None
+    assert solve_f2([], [], 3) == [0, 0, 0]
+    x = solve_f2([0b011, 0b110], [1, 1], 3)
     assert x is not None
     assert (x[0] + x[1]) % 2 == 1 and (x[1] + x[2]) % 2 == 1
+    with pytest.raises(ValueError):
+        solve_f2([0b100], [1], 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -249,10 +282,35 @@ def test_solve_f2():
        st.lists(st.integers(0, 1), min_size=4, max_size=4))
 def test_solve_f2_consistent_systems(rows, x):
     b = [sum(a * v for a, v in zip(row, x)) % 2 for row in rows]
-    sol = solve_f2(rows, b)
+    sol = solve_f2([bits(row) for row in rows], b, 4)
     assert sol is not None
     for row, bv in zip(rows, b):
         assert sum(a * v for a, v in zip(row, sol)) % 2 == bv
+
+
+def test_solve_f2_matches_dense_elimination_fuzzed():
+    # same canonical solution (or None) as dense elimination, on systems
+    # with zero rows, repeated rows and inconsistent right-hand sides
+    rng = random.Random(11)
+    unsolvable = 0
+    for _ in range(1500):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.choice((0.15, 0.4, 0.7))
+        A = [[int(rng.random() < density) for _ in range(ncols)]
+             for _ in range(nrows)]
+        if rng.random() < 0.3:
+            A[rng.randrange(nrows)] = [0] * ncols
+        if rng.random() < 0.3:
+            A.append(list(rng.choice(A)))
+        if rng.random() < 0.5:
+            x = [rng.randint(0, 1) for _ in range(ncols)]
+            b = [sum(a * v for a, v in zip(row, x)) % 2 for row in A]
+        else:
+            b = [rng.randint(0, 1) for _ in A]
+        want = dense_solve_f2(A, b)
+        unsolvable += want is None
+        assert solve_f2([bits(row) for row in A], b, ncols) == want
+    assert 100 < unsolvable < 1400
 
 
 @pytest.mark.parametrize("cls, space, other_space, monos", [
