@@ -277,12 +277,16 @@ def _plan(rule, c, b, a):
     return _plan_of_words(rule, c.word, b.word, a.word)[0]
 
 
+# one Matching per word, shared by every plan and product
+_matching = lru_cache(maxsize=None)(_m.Matching)
+
+
 @lru_cache(maxsize=None)
 def _plan_of_words(rule, c, b, a):
     """(events, word, top): the plan's events, the same plan as a word of
     functor moves, checked against the circle counts it meets, and the
     number of circles of W(c)b."""
-    c, b, a = _m.Matching(c), _m.Matching(b), _m.Matching(a)
+    c, b, a = _matching(c), _matching(b), _matching(a)
     m = 2 * c.n
     resolved = set()
     pos = _circle_positions(c, b, a, resolved)
@@ -352,10 +356,6 @@ def _resolve_monomials(rule, c, b, a, colored_x, colored_y, theory):
     terms = _f.run_word(
         word, {_mask(colored_x) | _mask(colored_y) << top: 1}, theory)
     return {_colored(mask): coeff for mask, coeff in terms.items()}
-
-
-# one Matching per word, shared by every product
-_matching = lru_cache(maxsize=None)(_m.Matching)
 
 
 def _block_product(resolve, x, y, cache=None):

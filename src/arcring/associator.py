@@ -198,40 +198,57 @@ def eta_table(rule1, rule2, n, *, memo=None):
                        {} if memo is None else memo)
 
 
-def first_phi0_difference(rule1, rule2, n):
-    """First quadruple (in enumeration order) where the phi0 tables differ,
-    or None.  Equal rules share one table."""
+def _first_difference(rule1, rule2, n):
+    """(first quadruple, in enumeration order, where the phi0 tables differ,
+    or None; the phi0 table of rule1).  Equal rules share one table."""
     t1 = phi0_table(rule1, n)
     t2 = t1 if rule2 is rule1 else phi0_table(rule2, n)
-    for quad in sorted(t1):
-        if t1[quad] != t2[quad]:
-            return quad
-    return None
+    return next((quad for quad in sorted(t1) if t1[quad] != t2[quad]),
+                None), t1
+
+
+def first_phi0_difference(rule1, rule2, n):
+    """First quadruple (in enumeration order) where the phi0 tables differ,
+    or None."""
+    return _first_difference(rule1, rule2, n)[0]
+
+
+def compare_rules(rule1, rule2, n):
+    """(first quadruple where the phi0 tables differ, or None; the sign
+    table eps of build_rule_isomorphism, or None).  Each distinct rule's
+    phi0 table is built once."""
+    diff, table = _first_difference(rule1, rule2, n)
+    if diff is not None:
+        return diff, None
+    return None, _rule_isomorphism(rule1, rule2, n, table)
 
 
 def build_rule_isomorphism(rule1, rule2, n):
     """If the two rules have the same chronology associator: a per-pair sign
     table eps such that x -> (-1)^eps(block of x) * x is a ring isomorphism,
-    verified on every structure constant; None if the associators differ."""
-    if first_phi0_difference(rule1, rule2, n) is not None:
-        return None
-    return _rule_isomorphism(rule1, rule2, n)
+    verified on every structure constant; None if the associators differ or
+    no such eps exists."""
+    return compare_rules(rule1, rule2, n)[1]
 
 
-def _rule_isomorphism(rule1, rule2, n):
-    """build_rule_isomorphism for rules with equal associators.  Triples
-    where eta is undefined impose nothing on eps: both block maps vanish
-    there.  The eta table and the verification share one product memo."""
+def _rule_isomorphism(rule1, rule2, n, table):
+    """build_rule_isomorphism for rules with equal associators, `table` the
+    phi0 table of both.  The two associators differ by d(eta) wherever
+    phi0 is defined, so eta must be a 2-cocycle there; where phi0 is
+    undefined both reassociations vanish and d(eta) is free.  Triples where
+    eta is undefined impose nothing on eps: both block maps vanish there.
+    None if no eps solves d(eps) = eta.  The eta table and the verification
+    share one product memo."""
     memo = {}
     eta = eta_table(rule1, rule2, n, memo=memo)
     words = [m.word for m in _m.enumerate_matchings(n)]
-    if any(_coboundary(eta, words, 4).values()):
+    if any(v and table[quad] is not None
+           for quad, v in _coboundary(eta, words, 4).items()):
         raise AssertionError("eta is not a 2-cocycle despite equal "
                              "associators")
     eps = _primitive(eta, words, 3)
     if eps is None:
-        raise AssertionError("delta eps = eta unsolvable despite 2-cocycle "
-                             "eta")
+        return None
 
     # full structure-constant verification of x -> (-1)^eps * x
     def theta(elem):

@@ -13,6 +13,7 @@ of its generators.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from . import matchings as _m
 from .arc_rings import (BasisMonomial, RingElement, block_monomials, multiply,
@@ -80,64 +81,65 @@ class CenterBasis:
         return self.coordinates(elem) is not None
 
 
-def _block_rows(unknowns, image):
-    """Rows of the constraint Sum_j x_j image(unknowns[j]) = 0, one per
-    output monomial in order of first appearance; image returns None for an
-    unknown that does not enter."""
+def _by_block(unknowns):
+    """{block word: [(j, element)]}: each diagonal unknown's monomial as a
+    RingElement, built once, under the word of its block a(.)a."""
+    blocks = {}
+    for j, mono in enumerate(unknowns):
+        blocks.setdefault(mono.top, []).append((j, RingElement.monomial(mono)))
+    return blocks
+
+
+def _block_rows(count, images):
+    """Rows of the constraint Sum_j x_j sign_j image_j = 0 over `count`
+    unknowns, from (j, sign_j, image_j) in increasing j, one row per output
+    monomial in order of first appearance."""
     row_of = {}
     rows = []
-    for j, mono in enumerate(unknowns):
-        diff = image(mono)
-        if diff is None:
-            continue
-        for out_mono, coeff in diff.terms.items():
+    for j, sign, image in images:
+        for out_mono, coeff in image.terms.items():
             row = row_of.get(out_mono)
             if row is None:
-                row = row_of[out_mono] = [0] * len(unknowns)
+                row = row_of[out_mono] = [0] * count
                 rows.append(row)
-            row[j] += coeff
+            row[j] += sign * coeff
     return rows
 
 
 def _pair_constraints(n, rule, p, theory):
     """Rows of the system {z_a.1_ab - 1_ab.z_b = 0} on the degree-p slice,
-    one block of rows per ordered pair (a, b): the images live in a(.)b."""
+    one block of rows per ordered pair (a, b): the images live in a(.)b.
+    Only the unknowns of blocks a and b enter, in index order."""
     mats = _m.enumerate_matchings(n)
     unknowns = diagonal_monomials(n, p)
+    blocks = _by_block(unknowns)
     rows = []
-    for a in mats:
-        for b in mats:
-            if a is b:
+    for ia, a in enumerate(mats):
+        z_a = blocks.get(a.word, ())
+        for ib, b in enumerate(mats):
+            if ia == ib:
                 continue
             one_ab = RingElement.monomial(
                 BasisMonomial(a.word, b.word, frozenset()))
-
-            def image(mono):
-                if mono.top == a.word:
-                    return multiply(rule, RingElement.monomial(mono), one_ab,
-                                    theory)
-                if mono.top == b.word:
-                    return -multiply(rule, one_ab, RingElement.monomial(mono),
-                                     theory)
-                return None
-            rows.extend(_block_rows(unknowns, image))
+            left = ((j, 1, multiply(rule, z, one_ab, theory)) for j, z in z_a)
+            right = ((j, -1, multiply(rule, one_ab, z, theory))
+                     for j, z in blocks.get(b.word, ()))
+            rows.extend(_block_rows(len(unknowns), chain(left, right)
+                                    if ia < ib else chain(right, left)))
     return unknowns, rows
 
 
 def _commutation_constraints(n, rule, p):
     """Rows of {z_a ^ g - g ^ z_a = 0} for degree-1 diagonal generators g,
-    one block of rows per g."""
+    one block of rows per g; only the unknowns of g's block enter."""
     unknowns = diagonal_monomials(n, p)
+    blocks = _by_block(unknowns)
     rows = []
     for gen in diagonal_monomials(n, 1):
         g = RingElement.monomial(gen)
-
-        def image(mono):
-            if mono.bottom != gen.top:
-                return None
-            z = RingElement.monomial(mono)
-            return multiply(rule, z, g) - multiply(rule, g, z)
-        rows.extend(_block_rows(unknowns, image))
+        rows.extend(_block_rows(len(unknowns), (
+            (j, 1, multiply(rule, z, g) - multiply(rule, g, z))
+            for j, z in blocks.get(gen.top, ()))))
     return rows
 
 
@@ -182,6 +184,7 @@ def center_structure_constants(basis, rule):
     """Products of all generator pairs re-expressed in the basis; closure and
     associativity are mandatory (their failure signals a bug).  All products
     share one product memo, dropped on return."""
+    _m.check_size("structure_constants", basis.n)
     theory = "even" if basis.flavor == "even-center" else "odd"
     table = {}
     prods = {}

@@ -82,14 +82,15 @@ def _cmd_springer(args):
 
 def _cmd_assoc(args):
     from .associator import (phi0_table, cocycle_defect, solve_coboundary,
-                             first_phi0_difference, _rule_isomorphism)
+                             compare_rules)
     if args.compare is not None:
-        other = args.compare
-        diff = first_phi0_difference(args.rule, other, args.n)
+        diff, eps = compare_rules(args.rule, args.compare, args.n)
         if diff is not None:
             print("associators differ; first difference: " + "|".join(diff))
             return 1
-        eps = _rule_isomorphism(args.rule, other, args.n)
+        if eps is None:
+            print("associators equal; no sign isomorphism")
+            return 1
         print("associators equal; verified isomorphism with eps:")
         for (top, bottom), bit in sorted(eps.items()):
             print(f"{top}|{bottom} -> {'-1' if bit else '+1'}")

@@ -13,12 +13,15 @@ from functools import lru_cache
 MAX_N = 12
 
 # Largest n each computation accepts: the ring basis and products (and the
-# CLI's bn and mul), the centers, the odd Springer quotient, and the phi0
-# associator table with everything built on it (6.7M triple products at
-# n = 4); and the largest m of the quantum binomial [m choose k] (about
-# 0.2 s at m = 256, k = 128).  Entry points call check_size before any work.
-SIZE_LIMITS = {"basis": 5, "center": 4, "springer": 4, "assoc": 3,
-               "qbinom": 256}
+# CLI's bn and mul), the centers, the odd Springer quotient and its
+# isomorphism check (about 10 s at n = 5), the structure constants of a
+# center (N^3 associativity checks: 5 s at n = 4, N = 70, and 16M triples
+# at n = 5), and the phi0 associator table with everything built on it
+# (6.7M triple products at n = 4); and the largest m of the quantum
+# binomial [m choose k] (about 0.2 s at m = 256, k = 128).  Entry points
+# call check_size before any work.
+SIZE_LIMITS = {"basis": 5, "center": 5, "springer": 5,
+               "structure_constants": 4, "assoc": 3, "qbinom": 256}
 
 
 def check_size(what, n):

@@ -13,7 +13,7 @@ from arcring.associator import (scission_count, phi0, phi0_table,
                                 cocycle_defect, solve_coboundary,
                                 rule_sign_ratio, eta_table,
                                 first_phi0_difference, build_rule_isomorphism,
-                                _coboundary, _primitive)
+                                compare_rules, _coboundary, _primitive)
 from arcring.cli import main
 from arcring.centers import (odd_center, even_center,
                              center_structure_constants)
@@ -153,6 +153,20 @@ def test_isomorphism_for_global_flip():
     eps = build_rule_isomorphism(DEFAULT, flip, 2)
     assert eps is not None
     assert any(v == 1 for v in eps.values())  # a genuinely nontrivial pair
+
+
+def test_no_sign_isomorphism_default_ord_n2():
+    # equal associators, and d(eta) vanishes wherever phi0 is defined, but
+    # eta is no coboundary, so no x -> +-x relates the two rules
+    assert first_phi0_difference(DEFAULT, ORD, 2) is None
+    eta = eta_table(DEFAULT, ORD, 2)
+    table = phi0_table(DEFAULT, 2)
+    defect = {q for q, v in _coboundary(eta, words_of(2), 4).items() if v}
+    assert defect == {q for q, v in table.items() if v is None}
+    assert len(defect) == 2
+    assert _primitive(eta, words_of(2), 3) is None
+    assert build_rule_isomorphism(DEFAULT, ORD, 2) is None
+    assert compare_rules(DEFAULT, ORD, 2) == (None, None)
 
 
 def test_identity_isomorphism():

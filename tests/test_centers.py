@@ -1,9 +1,12 @@
+import hashlib
 import random
 from math import comb
 
+import pytest
+
 from arcring import matchings as m
 from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
-                               multiply, BUILTIN_RULES)
+                               multiply, block_monomials, BUILTIN_RULES)
 from arcring.centers import (CenterBasis, odd_center, ring_center,
                              even_center, center_structure_constants)
 from conftest import odd_center_cached, same_lattice
@@ -142,3 +145,68 @@ def test_serialization():
     assert lines[0] == "graded_rank: 0:1 1:0 2:2"
     assert lines[1] == "1*[(())|(())|{}] + 1*[()()|()()|{}]"
     assert len(lines) == 4
+
+
+# sha256 prefixes of serialize(), pinned on the code before the center
+# systems were built block by block
+CENTER_DIGESTS = {
+    (1, "odd-default"): "e031be839ce0b6ef", (1, "odd-ord"): "e031be839ce0b6ef",
+    (1, "even"): "e031be839ce0b6ef", (1, "odd-ring"): "e031be839ce0b6ef",
+    (2, "odd-default"): "c280004c53e60c5f", (2, "odd-ord"): "c280004c53e60c5f",
+    (2, "even"): "c280004c53e60c5f", (2, "odd-ring"): "6d035a89612245c0",
+    (3, "odd-default"): "3917ceb2eba655c7", (3, "odd-ord"): "3917ceb2eba655c7",
+    (3, "even"): "388330c0593ae617", (3, "odd-ring"): "2ae051b2b432a8d0",
+    (4, "odd-default"): "29dd89f3b2c8bd18", (4, "odd-ord"): "29dd89f3b2c8bd18",
+    (4, "even"): "834160b2b1b5b9f2", (4, "odd-ring"): "718bc116a5566d64",
+}
+
+
+@pytest.mark.parametrize("n, flavor", sorted(CENTER_DIGESTS))
+def test_golden_center_digests(n, flavor):
+    basis = {"odd-default": lambda: odd_center_cached("default", n),
+             "odd-ord": lambda: odd_center_cached("ord", n),
+             "even": lambda: even_center(n),
+             "odd-ring": lambda: ring_center(n, DEFAULT)}[flavor]()
+    digest = hashlib.sha256(basis.serialize().encode()).hexdigest()[:16]
+    assert digest == CENTER_DIGESTS[n, flavor]
+
+
+def test_center_systems_multiply_once_per_pair_and_unknown(monkeypatch):
+    # one product per ordered pair (a, b) and unknown of block a or b:
+    # 14 * 13 pairs times 2 * C(4, p) unknowns over p = 0..4, for each of
+    # the odd and the even center; the digest of the call sequence is
+    # pinned on the code before the systems were built block by block
+    import arcring.centers as ce
+    calls = []
+    real = ce.multiply
+
+    def counting(rule, x, y, theory="odd", **kwargs):
+        calls.append(f"{theory} {x!r} {y!r}")
+        return real(rule, x, y, theory, **kwargs)
+
+    monkeypatch.setattr(ce, "multiply", counting)
+    odd_center(4, DEFAULT)
+    even_center(4)
+    assert len(calls) == 11648
+    assert sum(call.startswith("even") for call in calls) == 5824
+    assert hashlib.sha256("\n".join(calls).encode()).hexdigest()[:16] == \
+        "14920e2b88f993c0"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("rule_name", ["default", "ord"])
+def test_diagonal_blocks_associative(n, rule_name):
+    # (xy)z = x(yz) for all basis monomials x, y, z of one diagonal block
+    # a(.)a: stage (iv) of verify_springer_iso rests on it
+    rule = BUILTIN_RULES[rule_name]
+    memo = {}
+    for a in m.enumerate_matchings(n):
+        elems = [RingElement.monomial(x) for x in block_monomials(a, a)]
+        prods = {(i, j): multiply(rule, x, y, memo=memo)
+                 for i, x in enumerate(elems) for j, y in enumerate(elems)}
+        for i, x in enumerate(elems):
+            for j in range(len(elems)):
+                for k, z in enumerate(elems):
+                    assert (multiply(rule, prods[i, j], z, memo=memo)
+                            == multiply(rule, x, prods[j, k], memo=memo)), \
+                        (a.word, i, j, k)

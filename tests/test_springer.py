@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import lru_cache
 from math import comb
 
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 
-from arcring.arc_rings import BUILTIN_RULES
+from arcring.arc_rings import BUILTIN_RULES, RingElement, multiply
 from arcring.springer import (OddPolynomial, format_poly, parse_poly,
                               epsilon_generator, quotient_presentation,
                               ideal_slice, map_s, verify_springer_iso,
                               even_presentation_check, qint, qbinom,
-                              format_laurent, _degree_monomials)
-from arcring.zlinalg import column_hnf
+                              format_laurent, _degree_monomials,
+                              _eps_indices, _generator_action_holds)
+from arcring.zlinalg import column_hnf, hnf_columns
 from conftest import odd_center_cached
 
 DEFAULT = BUILTIN_RULES["default"]
@@ -164,13 +166,14 @@ def test_basis_coordinates_reduce_mod_ideal():
 def test_non_unit_pivots(monkeypatch):
     """A degree-1 slice whose HNF pivot is 2 (the real slices have unit
     pivots): a saturated one keeps its quotient, whose standard monomial
-    x1 does not span x2, and a torsion one is rejected by the Smith form."""
+    x1 does not span x2, and a torsion one is rejected by the Smith form.
+    The other degrees come from the `ideal_slice` oracle."""
     import arcring.springer as sp
-    real = sp.ideal_slice
 
     def with_degree_1(text):
-        monkeypatch.setattr(sp, "ideal_slice", lambda n, d, side="left": (
-            [parse_poly(text, 2)] if d == 1 else real(n, d, side)))
+        monkeypatch.setattr(sp, "_slice_columns", lambda n, d, previous: (
+            [parse_poly(text, 2).terms] if d == 1
+            else [p.terms for p in ideal_slice(n, d)]))
 
     with_degree_1("x1 + 2*x2")
     q = sp.QuotientPresentation(1)
@@ -180,6 +183,18 @@ def test_non_unit_pivots(monkeypatch):
     with_degree_1("2*x1 - 2*x2")
     with pytest.raises(AssertionError, match="torsion"):
         sp.QuotientPresentation(1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_incremental_slices_match_ideal_slice(n):
+    # the echelon built from the previous degree's echelon is the HNF of
+    # the full ideal_slice in every degree
+    q = quotient_cached(n)
+    for d in range(n + 2):
+        row = q._row[d]
+        assert q.ideal_hnf[d] == hnf_columns(
+            {row[m]: c for m, c in p.terms.items()}
+            for p in ideal_slice(n, d)), d
 
 
 def test_left_ideal_equals_right_ideal():
@@ -256,18 +271,106 @@ def test_map_s_center_membership():
 
 @pytest.mark.parametrize("n, rule_name", [
     (1, "default"), (1, "ord"), (2, "default"), (2, "ord"), (3, "default"),
-    (3, "ord"), (4, "default")])
+    (3, "ord"), (4, "default"), (5, "default")])
 def test_springer_isomorphism(n, rule_name):
     cert = verify_springer_iso(n, BUILTIN_RULES[rule_name])
     assert cert["passed"], cert.get("failed_stage")
+    assert list(cert["stages"]) == ["generators_vanish", "injective",
+                                    "graded_ranks", "spans_center",
+                                    "structure_constants"]
     assert list(cert["seconds"]) == ["quotient_presentation", "odd_center",
                                      *cert["stages"]]
+    # slice d eliminates x_i times each column of the degree-(d-1) echelon,
+    # for the 2n variables x_i, plus the eps^I_r with r = d
+    q = quotient_cached(n)
+    eps_of_degree = Counter(r for _, r in _eps_indices(n))
     assert cert["slice_shape"] == {
-        d: (comb(2 * n + d - 1, d), len(ideal_slice(n, d)))
+        d: (comb(2 * n + d - 1, d),
+            2 * n * len(q.ideal_hnf.get(d - 1, {})) + eps_of_degree[d])
         for d in range(n + 2)}
-    assert cert["quotient_rank"] == cert["center_rank"] | {n + 1: 0} or \
-        all(cert["quotient_rank"].get(d, 0) == cert["center_rank"].get(d, 0)
-            for d in range(n + 2))
+    assert cert["quotient_rank"] == cert["center_rank"] | {n + 1: 0}
+    if n == 5:
+        assert cert["center_rank"] == {0: 1, 1: 9, 2: 35, 3: 75, 4: 90,
+                                       5: 42}
+
+
+def _all_products_hold(q, images, rule):
+    """The check stage (iv) made before the generator action: phi(b b') =
+    phi(b) phi(b') for every pair of standard monomials, N^2 products."""
+    nvars = 2 * q.n
+    basis = [OddPolynomial(nvars, {m: 1})
+             for d in range(q.n + 1) for m in q.basis[d]]
+    for bi, xi in zip(basis, images):
+        for bj, xj in zip(basis, images):
+            coords = q.basis_coordinates(bi * bj)
+            if coords is None:
+                return False
+            expect = RingElement.zero(q.n)
+            for c, img in zip(coords, images):
+                expect = expect + img.scale(c)
+            if multiply(rule, xi, xj) != expect:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("rule_name", ["default", "ord"])
+def test_generator_action_agrees_with_all_products(n, rule_name):
+    rule = BUILTIN_RULES[rule_name]
+    q = quotient_cached(n)
+    images = [map_s(OddPolynomial(2 * n, {m: 1}), n)
+              for d in range(n + 1) for m in q.basis[d]]
+    assert _generator_action_holds(q, images, rule)
+    assert _all_products_hold(q, images, rule)
+    # one basis image scaled by -1 (here x1 = images[1]) fails both; at
+    # n = 1 the quotient is Z[x1]/(x1^2), where x1 -> -x1 is a ring map
+    flipped = list(images)
+    flipped[1] = images[1].scale(-1)
+    assert _generator_action_holds(q, flipped, rule) == (n == 1)
+    assert _all_products_hold(q, flipped, rule) == (n == 1)
+    # phi(1) = 1 + (a top-degree image): every x_i * b check still holds,
+    # since phi(x_i) kills the top degree, so only phi(1) = unit sees it
+    shifted = [images[0] + images[-1]] + images[1:]
+    assert not _generator_action_holds(q, shifted, rule)
+    assert not _all_products_hold(q, shifted, rule)
+
+
+def test_springer_iso_fails_on_a_flipped_basis_image(monkeypatch):
+    """x1 -> -phi(x1) keeps stages (i)-(iii) and the spanned lattice, and
+    only the structure constants see it."""
+    import arcring.springer as sp
+    real = sp.map_s
+    x1 = OddPolynomial.generator(4, 1)
+    monkeypatch.setattr(sp, "map_s", lambda p, n, **kw: (
+        real(p, n, **kw).scale(-1) if p == x1 else real(p, n, **kw)))
+    cert = verify_springer_iso(2, DEFAULT)
+    assert cert["failed_stage"] == "structure_constants"
+    assert not cert["passed"]
+
+
+@pytest.mark.parametrize("change", ["drop", "double"])
+def test_springer_iso_image_must_span_the_center(monkeypatch, change):
+    """Dropping the basis monomial x1 from the quotient, or doubling its
+    image, leaves an injective image with the center's graded ranks (the
+    quotient's own ranks are untouched) that is not the whole center."""
+    import arcring.springer as sp
+    x1 = OddPolynomial.generator(4, 1)
+    if change == "drop":
+        real = sp.quotient_presentation
+
+        def fewer(n):
+            q = real(n)
+            q.basis[1] = q.basis[1][1:]
+            return q
+        monkeypatch.setattr(sp, "quotient_presentation", fewer)
+    else:
+        real = sp.map_s
+        monkeypatch.setattr(sp, "map_s", lambda p, n, **kw: (
+            real(p, n, **kw).scale(2) if p == x1 else real(p, n, **kw)))
+    cert = verify_springer_iso(2, DEFAULT)
+    assert cert["stages"] == {"generators_vanish": True, "injective": True,
+                              "graded_ranks": True, "spans_center": False}
+    assert cert["failed_stage"] == "spans_center"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
