@@ -27,6 +27,13 @@ def diagonal_monomials(n, p):
             for mono in block_monomials(a, a) if len(mono.colored) == p]
 
 
+def diagonal_rows(n):
+    """{diagonal monomial: row}, over the diagonal monomials of every
+    degree in order: the rows of a lattice of central elements."""
+    return {m: i for i, m in enumerate(
+        m for p in range(n + 1) for m in diagonal_monomials(n, p))}
+
+
 @dataclass
 class CenterBasis:
     n: int
@@ -48,10 +55,8 @@ class CenterBasis:
         k is a column over the diagonal monomials of all degrees with a tag
         1 in row len(row_of) + k.  Built on first use, so the generators
         must be complete by then."""
-        monos = [m for p in range(self.n + 1)
-                 for m in diagonal_monomials(self.n, p)]
-        row_of = {m: i for i, m in enumerate(monos)}
-        tag = len(monos)
+        row_of = diagonal_rows(self.n)
+        tag = len(row_of)
         echelon = hnf_columns(
             {**{row_of[m]: c for m, c in g.terms.items()}, tag + k: 1}
             for k, g in enumerate(self.generators))

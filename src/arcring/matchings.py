@@ -10,9 +10,8 @@ fixed here once and for all.
 
 from functools import lru_cache
 
-MAX_N = 12
-
-# Largest n each computation accepts: the ring basis and products (and the
+# Largest n each computation accepts: a matching and the enumeration of all
+# matchings (C_12 = 208,012 words), the ring basis and products (and the
 # CLI's bn and mul), the centers, the odd Springer quotient and its
 # isomorphism check (about 10 s at n = 5), the structure constants of a
 # center (N^3 associativity checks: 5 s at n = 4, N = 70, and 16M triples
@@ -20,7 +19,7 @@ MAX_N = 12
 # (6.7M triple products at n = 4); and the largest m of the quantum
 # binomial [m choose k] (about 0.2 s at m = 256, k = 128).  Entry points
 # call check_size before any work.
-SIZE_LIMITS = {"basis": 5, "center": 5, "springer": 5,
+SIZE_LIMITS = {"matching": 12, "basis": 5, "center": 5, "springer": 5,
                "structure_constants": 4, "assoc": 3, "qbinom": 256}
 
 
@@ -38,11 +37,10 @@ class Matching:
     __slots__ = ("n", "word", "partner")
 
     def __init__(self, word):
-        if not isinstance(word, str) or len(word) % 2 != 0 or not word:
+        if not isinstance(word, str) or len(word) % 2 != 0:
             raise ValueError(f"bad matching word: {word!r}")
         n = len(word) // 2
-        if n > MAX_N:
-            raise ValueError(f"n={n} above practical cap {MAX_N}")
+        check_size("matching", n)
         partner = {}
         stack = []
         for pos, ch in enumerate(word, start=1):
@@ -86,8 +84,7 @@ class Matching:
 @lru_cache(maxsize=None)
 def enumerate_matchings(n):
     """All matchings of 2n points, in lexicographic word order ('(' < ')')."""
-    if not isinstance(n, int) or n < 1 or n > MAX_N:
-        raise ValueError(f"need 1 <= n <= {MAX_N}, got {n}")
+    check_size("matching", n)
 
     words = []
 

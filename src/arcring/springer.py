@@ -83,13 +83,15 @@ def format_poly(p):
     return " ".join(bits)
 
 
-_TERM_RE = re.compile(r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\*?)?"
+_TERM_RE = re.compile(r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)(?P<star>\*)?)?"
                       r"(?P<mono>(?:x\d+)+|1)?")
 
 
 def parse_poly(text, nvars):
     """Parse `x1x3 - 2*x2x2`; `1` stands for the empty monomial."""
     s = text.strip()
+    if not s:
+        raise ValueError("empty polynomial")
     if s == "0":
         return OddPolynomial.zero(nvars)
     pos = 0
@@ -99,8 +101,8 @@ def parse_poly(text, nvars):
         match = _TERM_RE.match(s, pos)
         if not match or match.end() == pos:
             raise ValueError(f"parse error at {s[pos:]!r}")
-        sign, coeff, mono = match.group("sign", "coeff", "mono")
-        if coeff is None and mono is None:
+        sign, coeff, star, mono = match.group("sign", "coeff", "star", "mono")
+        if mono is None and (coeff is None or star):
             raise ValueError(f"parse error at {s[pos:]!r}")
         if not first and sign is None:
             raise ValueError(f"missing +/- before {s[pos:]!r}")
@@ -302,10 +304,9 @@ def map_s(p, n, rule=None, center=None):
 def _diagonal_lattice(n, elems):
     """hnf_columns echelon of the lattice spanned by elements on the
     diagonal blocks, one row per diagonal monomial of any degree."""
-    from .centers import diagonal_monomials
+    from .centers import diagonal_rows
 
-    row_of = {m: i for i, m in enumerate(
-        m for d in range(n + 1) for m in diagonal_monomials(n, d))}
+    row_of = diagonal_rows(n)
     return hnf_columns({row_of[m]: c for m, c in e.terms.items()}
                        for e in elems)
 

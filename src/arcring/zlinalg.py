@@ -6,10 +6,11 @@ membership, coordinates, rank).  `hnf_columns` brings sparse integer columns
 vector modulo the lattice of such an echelon, which decides membership and,
 when every column carries a tag row of its own, leaves the coordinates in
 the tag rows; `kernel_basis_Z` reads a saturated kernel off the echelon of a
-matrix stacked on the identity.  `column_hnf` wraps it for dense matrices.
-Besides it: `smith_normal_form` (invariant factors, for torsion) and GF(2)
-elimination on bitset rows (`solve_f2`).  Matrices are lists of row lists of
-Python ints.
+matrix stacked on the identity.  `column_hnf` wraps it for dense matrices,
+and `smith_normal_form` (invariant factors, for torsion) is built on it by
+alternating `hnf_columns` passes over the columns and the rows.  Besides
+it: GF(2) elimination on bitset rows (`solve_f2`).  Matrices are lists of
+row lists of Python ints.
 
 SparseZ is the common base of the sparse integer combinations (ring
 elements, exterior and tensor states, odd polynomials).
@@ -187,108 +188,49 @@ def column_hnf(M):
 
 
 def smith_normal_form(M):
-    """(U, D, V) with U*M*V = D diagonal, d1 | d2 | ..., U and V unimodular."""
+    """(U, D, V) with U*M*V = D diagonal, d1 | d2 | ... nonnegative with the
+    zeros last, U and V unimodular.
+
+    Alternating Hermite forms (Kannan-Bachem): a column pass brings the
+    columns of D stacked on those of V to `hnf_columns` form, and a row pass
+    does the same for the rows of D beside those of U, until D is diagonal.
+    Where d_i does not divide d_{i+1}, row i+1 is added to row i, which the
+    next column pass lowers to gcd(d_i, d_{i+1}); a column add would not
+    help, as the column pass restores the diagonal lattice unchanged."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
-    D = [list(r) for r in M]
-    U = _identity(rows)
-    V = _identity(cols)
+    U, D, V = _identity(rows), [list(r) for r in M], _identity(cols)
+    if not rows or not cols:
+        return U, D, V
+    while True:
+        D, V = map(_transpose, _hnf_pass(_transpose(D), _transpose(V)))
+        D, U = _hnf_pass(D, U)
+        if any(x for i, row in enumerate(D) for j, x in enumerate(row)
+               if i != j):
+            continue
+        diag = [D[i][i] for i in range(min(rows, cols))]
+        i = next((i for i in range(len(diag) - 1)
+                  if diag[i] and diag[i + 1] % diag[i]), None)
+        if i is None:
+            return U, D, V
+        D[i] = [a + b for a, b in zip(D[i], D[i + 1])]
+        U[i] = [a + b for a, b in zip(U[i], U[i + 1])]
 
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
 
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+def _hnf_pass(lines, tags):
+    """`hnf_columns` of the vectors lines[k] + tags[k], split back into
+    dense (lines, tags) in pivot order.  The tags are the rows of a
+    unimodular matrix, so no vector is lost."""
+    m = len(lines[0])
+    echelon = hnf_columns(dict(enumerate(line + tag))
+                          for line, tag in zip(lines, tags))
+    dense = [[col.get(i, 0) for i in range(m + len(tags))]
+             for col in echelon.values()]
+    return [v[:m] for v in dense], [v[m:] for v in dense]
 
-    def add_row(i, j, q):  # row i += q * row j
-        D[i] = [a + q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
 
-    def add_col(i, j, q):  # col i += q * col j
-        for row in D:
-            row[i] += q * row[j]
-        for row in V:
-            row[i] += q * row[j]
-
-    t = 0
-    while t < min(rows, cols):
-        # choose the nonzero entry of smallest magnitude as pivot
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(D[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        # clear column t, then row t, each time from the smallest nonzero
-        # entry as pivot, until both are clear: re-picking the smallest
-        # remainder keeps the entries small (against a fixed pivot they can
-        # grow to thousands of bits, on a 7x7 matrix with entries in [-6, 6])
-        while True:
-            i = min((i for i in range(t, rows) if D[i][t]),
-                    key=lambda i: abs(D[i][t]))
-            swap_rows(t, i)
-            for i in range(t + 1, rows):
-                if D[i][t]:
-                    add_row(i, t, -(D[i][t] // D[t][t]))
-            if any(D[i][t] for i in range(t + 1, rows)):
-                continue
-            j = min((j for j in range(t, cols) if D[t][j]),
-                    key=lambda j: abs(D[t][j]))
-            swap_cols(t, j)
-            for j in range(t + 1, cols):
-                if D[t][j]:
-                    add_col(j, t, -(D[t][j] // D[t][t]))
-            if not any(D[t][j] for j in range(t + 1, cols)) \
-                    and not any(D[i][t] for i in range(t + 1, rows)):
-                break
-        t += 1
-
-    # make diagonal nonneg and enforce divisibility d_i | d_{i+1}
-    r = min(rows, cols)
-    for i in range(r):
-        if D[i][i] < 0:
-            for j in range(cols):
-                D[i][j] = -D[i][j]
-            for j in range(rows):
-                U[i][j] = -U[i][j]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if b and (a == 0 or b % a != 0):
-                # standard 2x2 trick: bring gcd to position i
-                add_col(i, i + 1, 1)
-                # re-run elimination on the 2x2 block
-                while D[i + 1][i]:
-                    q = D[i][i] // D[i + 1][i]
-                    add_row(i, i + 1, -q)
-                    swap_rows(i, i + 1)
-                while D[i][i + 1]:
-                    q = D[i][i + 1] // D[i][i]
-                    add_col(i + 1, i, -q)
-                if D[i][i] < 0:
-                    for j in range(cols):
-                        D[i][j] = -D[i][j]
-                    for j in range(rows):
-                        U[i][j] = -U[i][j]
-                if D[i + 1][i + 1] < 0:
-                    for j in range(cols):
-                        D[i + 1][j] = -D[i + 1][j]
-                    for j in range(rows):
-                        U[i + 1][j] = -U[i + 1][j]
-                changed = True
-    return U, D, V
+def _transpose(X):
+    return [list(col) for col in zip(*X)]
 
 
 def kernel_basis_Z(M):

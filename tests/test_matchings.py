@@ -74,6 +74,8 @@ def test_bad_word_rejected():
 
 
 @pytest.mark.parametrize("what, call", [
+    ("matching", m.enumerate_matchings),
+    ("matching", lambda n: m.Matching("()" * n)),
     ("basis", arc_rings.ring_basis),
     ("center", lambda n: centers.odd_center(n, DEFAULT)),
     ("center", lambda n: centers.ring_center(n, DEFAULT)),

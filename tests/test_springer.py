@@ -85,8 +85,9 @@ def test_poly_parse_format_roundtrip():
     assert format_poly(parse_poly("0", 4)) == "0"
     assert parse_poly("x1 + x2 - x1", 4) == parse_poly("x2", 4)
     assert parse_poly("x2x1 + x1x2", 4).is_zero()
-    with pytest.raises(ValueError):
-        parse_poly("x9", 4)
+    for bad in ("x9", "", "   ", "2*"):
+        with pytest.raises(ValueError):
+            parse_poly(bad, 4)
 
 
 def test_epsilon_golden():

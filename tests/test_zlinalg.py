@@ -178,11 +178,27 @@ def test_hnf_reduce_decides_membership():
         assert (hnf_reduce(echelon, dict(enumerate(v))) == {}) == inside
 
 
+def assert_unimodular(*matrices):
+    for X in matrices:
+        assert abs(Matrix(X).det()) == 1
+
+
 def test_snf_golden():
     U, D, V = smith_normal_form([[2, 0], [0, 3]])
     assert [D[0][0], D[1][1]] == [1, 6]
     U, D, V = smith_normal_form([[0, 0], [0, 0]])
     assert D == [[0, 0], [0, 0]]
+    # a column add would send diag(3, 2) back to itself and never finish
+    for M, D_want in (([[3, 0], [0, 2]], [[1, 0], [0, 6]]),
+                      ([[0, 4], [6, 0]], [[2, 0], [0, 12]])):
+        U, D, V = smith_normal_form(M)
+        assert D == D_want
+        assert mat_mul(mat_mul(U, M), V) == D
+        assert_unimodular(U, V)
+    # degenerate shapes: U and V are not canonical, D is
+    assert smith_normal_form([])[1] == []
+    assert smith_normal_form([[]])[1] == [[]]
+    assert smith_normal_form([[0], [0], [0]])[1] == [[0], [0], [0]]
 
 
 def test_kernel_golden():
@@ -197,6 +213,7 @@ def test_snf_7x7_no_blowup():
     assert time.perf_counter() - start < 2
     assert mat_mul(mat_mul(U, SNF_BLOWUP_7X7), V) == D
     assert [D[i][i] for i in range(7)] == [1] * 6 + [351484]
+    assert_unimodular(U, V)
 
 
 def test_fuzz_snf_kernel_solve():
@@ -207,6 +224,7 @@ def test_fuzz_snf_kernel_solve():
         M = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         U, D, V = smith_normal_form(M)
         assert mat_mul(mat_mul(U, M), V) == D
+        assert_unimodular(U, V)
         diag = [D[i][i] for i in range(min(rows, cols))]
         assert all(d >= 0 for d in diag)
         for i in range(len(diag) - 1):
