@@ -17,10 +17,9 @@ Circles are ordered throughout by (row, min column): the top boundary row
 left to right, then the bottom row; that order is what every sign depends on.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from . import functors as _f
 from . import matchings as _m
@@ -30,16 +29,23 @@ from .zlinalg import SparseZ
 # ---------------------------------------------------------------------------
 # basis monomials and ring elements
 
-@dataclass(frozen=True)
-class BasisMonomial:
-    top: str      # word of b, for an element of b(.)a
-    bottom: str   # word of a
-    colored: frozenset
+class BasisMonomial(tuple):
+    """[top|bottom|colored], an element of b(.)a with top = b.word, bottom =
+    a.word and colored the frozenset of 1-based circles of W(b)a that carry
+    a wedge factor.  An immutable (top, bottom, colored) tuple, so that it
+    hashes and compares in C."""
 
-    def __post_init__(self):
-        if len(self.top) != len(self.bottom):
-            raise ValueError(f"matching words {self.top!r} and "
-                             f"{self.bottom!r} differ in length")
+    __slots__ = ()
+
+    def __new__(cls, top, bottom, colored):
+        if len(top) != len(bottom):
+            raise ValueError(f"matching words {top!r} and "
+                             f"{bottom!r} differ in length")
+        return tuple.__new__(cls, (top, bottom, colored))
+
+    top = property(itemgetter(0))
+    bottom = property(itemgetter(1))
+    colored = property(itemgetter(2))
 
     @property
     def n(self):
@@ -80,7 +86,10 @@ class RingElement(SparseZ):
 
     @staticmethod
     def monomial(mono, coeff=1):
-        return RingElement(mono.n, {mono: coeff})
+        out = RingElement(mono.n)
+        if coeff:
+            out.terms[mono] = coeff
+        return out
 
     def __repr__(self):
         return format_element(self)
@@ -358,34 +367,39 @@ def _resolve_monomials(rule, c, b, a, colored_x, colored_y, theory):
     return {_colored(mask): coeff for mask, coeff in terms.items()}
 
 
-def _block_product(resolve, x, y, cache=None):
-    """Bilinear extension of resolve(c, b, a, colored_x, colored_y), the
-    product of two basis monomials as {colored set: coeff}; each distinct
-    monomial pair is resolved once per `cache`, a dict that is fresh for
-    every call unless the caller passes one.  Zero across non-matching
-    blocks."""
-    if x.n != y.n:
+def _block_product(x, y, cache, resolve, rule, *theory):
+    """Bilinear extension of resolve(rule, c, b, a, colored_x, colored_y,
+    *theory), the product of two basis monomials as {colored set: coeff};
+    zero across non-matching blocks.  `cache`, a dict or None, keeps per
+    monomial pair (mx, my) the built {BasisMonomial: coeff} of the product,
+    so each distinct pair is resolved once per cache and a hit builds no
+    monomial."""
+    if x.space != y.space:
         raise ValueError(f"cannot multiply elements for n={x.n} and n={y.n}")
-    out = RingElement(x.n)
+    out = RingElement(x.space)
     terms = out.terms
-    if cache is None:
-        cache = {}
     for mx, cx in x.terms.items():
+        top, middle, colored_x = mx
         for my, cy in y.terms.items():
-            if mx.bottom != my.top:
+            if middle != my[0]:
                 continue
-            key = (mx.top, mx.bottom, my.bottom, mx.colored, my.colored)
-            if key not in cache:
-                cache[key] = resolve(
-                    _matching(mx.top), _matching(mx.bottom),
-                    _matching(my.bottom), mx.colored, my.colored)
-            for colored, coeff in cache[key].items():
-                mono = BasisMonomial(mx.top, my.bottom, colored)
-                cc = terms.get(mono, 0) + cx * cy * coeff
+            prods = None if cache is None else cache.get((mx, my))
+            if prods is None:
+                bottom = my[1]
+                prods = {BasisMonomial(top, bottom, colored): coeff
+                         for colored, coeff in resolve(
+                             rule, _matching(top), _matching(middle),
+                             _matching(bottom), colored_x, my[2],
+                             *theory).items()}
+                if cache is not None:
+                    cache[mx, my] = prods
+            k = cx * cy
+            for mono, coeff in prods.items():
+                cc = terms.get(mono, 0) + k * coeff
                 if cc:
                     terms[mono] = cc
                 else:
-                    terms.pop(mono, None)
+                    del terms[mono]
     return out
 
 
@@ -400,10 +414,12 @@ def multiply(rule, x, y, theory="odd", *, memo=None):
     (rule, theory); the caller drops it when done, so nothing outlives it."""
     if theory == "even":
         rule = BUILTIN_RULES["default"]
-    return _block_product(
-        lambda c, b, a, colored_x, colored_y: _resolve_monomials(
-            rule, c, b, a, colored_x, colored_y, theory), x, y,
-        None if memo is None else memo.setdefault((rule, theory), {}))
+    cache = None
+    if memo is not None:
+        cache = memo.get((rule, theory))
+        if cache is None:
+            cache = memo[rule, theory] = {}
+    return _block_product(x, y, cache, _resolve_monomials, rule, theory)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +479,7 @@ def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
 def multiply_diagrammatic(rule, x, y):
     """Same contract as multiply (odd theory), via the colored-diagram sign
     tables."""
-    return _block_product(
-        lambda c, b, a, colored_x, colored_y: _resolve_diagrammatic(
-            rule, c, b, a, colored_x, colored_y), x, y)
+    return _block_product(x, y, None, _resolve_diagrammatic, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +535,14 @@ def parse_element(text, n=None):
         if tm.n != bm.n or (n is not None and tm.n != n):
             raise ValueError("matching sizes disagree")
         k = len(_m.closed_diagram(tm, bm).circles)
-        cols = frozenset(int(u) for u in match.group("cols").split(",") if u.strip())
+        indices = [int(u) for u in match.group("cols").split(",")
+                   if u.strip()]
+        cols = frozenset(indices)
         if any(not 1 <= i <= k for i in cols):
             raise ValueError(f"circle index out of range in {match.group(0)}")
+        if len(cols) != len(indices):
+            # x_i ^ x_i = 0: a repeated circle is no basis monomial
+            raise ValueError(f"repeated circle index in {match.group(0)}")
         mono = BasisMonomial(top, bottom, cols)
         terms[mono] = terms.get(mono, 0) + coeff
         pos = match.end()

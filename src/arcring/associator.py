@@ -26,25 +26,28 @@ def scission_count(c, b, a):
     return total // 2
 
 
-def _proportionality(pairs):
-    """Sign s with left = s * right over all (left, right) element pairs, or
-    None if every pair is zero; raises on any inconsistency."""
+def _proportionality(triples):
+    """Sign s with left = s * f * right over all (left, right, f) with f =
+    +-1, or None if every pair is zero; raises on any inconsistency.  The
+    term dicts are compared directly, so no scaled copy is built."""
     sign = None
-    for left, right in pairs:
-        if left.is_zero() and right.is_zero():
+    for left, right, f in triples:
+        lt, rt = left.terms, right.terms
+        if not lt and not rt:
             continue
-        if left.is_zero() or right.is_zero():
+        if not lt or not rt:
             raise AssertionError("zero pattern mismatch between the maps")
-        if sign is None:
-            if left == right:
-                sign = 1
-            elif left == -right:
-                sign = -1
-            else:
-                raise AssertionError("maps are not proportional by a sign")
+        if lt == rt:
+            s = f
+        elif len(lt) == len(rt) and all(rt.get(mono) == -coeff
+                                        for mono, coeff in lt.items()):
+            s = -f
         else:
-            if left != right.scale(sign):
-                raise AssertionError("inconsistent proportionality sign")
+            raise AssertionError("maps are not proportional by a sign")
+        if sign is None:
+            sign = s
+        elif s != sign:
+            raise AssertionError("inconsistent proportionality sign")
     return sign
 
 
@@ -62,19 +65,19 @@ def phi0(rule, d, c, b, a, *, memo=None):
     S = scission_count(c, b, a)
     xs, ys, zs = _block_elements(d, c), _block_elements(c, b), \
         _block_elements(b, a)
+    # y.z does not depend on x: one row of products per y, once per cell
+    yzs = [[multiply(rule, y, z, memo=memo) for _, z in zs] for _, y in ys]
 
-    def pairs():
+    def triples():
         for mx, x in xs:
             phi1 = (-1) ** (len(mx.colored) * S)
-            for _, y in ys:
+            for (_, y), yz_row in zip(ys, yzs):
                 xy = multiply(rule, x, y, memo=memo)
-                for _, z in zs:
-                    left = multiply(rule, xy, z, memo=memo)
-                    right = multiply(rule, x, multiply(rule, y, z, memo=memo),
-                                     memo=memo)
-                    yield left, right.scale(phi1)
+                for (_, z), yz in zip(zs, yz_row):
+                    yield (multiply(rule, xy, z, memo=memo),
+                           multiply(rule, x, yz, memo=memo), phi1)
 
-    return _proportionality(pairs())
+    return _proportionality(triples())
 
 
 def _sign_table(sign, n, k, memo):
@@ -181,13 +184,13 @@ def rule_sign_ratio(rule1, rule2, c, b, a, *, memo=None):
     the product memo of `multiply`."""
     ys, zs = _block_elements(c, b), _block_elements(b, a)
 
-    def pairs():
+    def triples():
         for _, y in ys:
             for _, z in zs:
                 yield (multiply(rule1, y, z, memo=memo),
-                       multiply(rule2, y, z, memo=memo))
+                       multiply(rule2, y, z, memo=memo), 1)
 
-    return _proportionality(pairs())
+    return _proportionality(triples())
 
 
 def eta_table(rule1, rule2, n, *, memo=None):

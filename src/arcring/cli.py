@@ -30,15 +30,15 @@ def _cmd_bn(args):
 
 
 def _cmd_mul(args):
+    if args.oracle and args.even:
+        raise ValueError("--oracle needs the odd theory: the diagrammatic "
+                         "oracle is odd-only")
     x = parse_element(args.x, args.n)
     y = parse_element(args.y, args.n)
     theory = "even" if args.even else "odd"
     prod = multiply(args.rule, x, y, theory)
     print(format_element(prod))
     if args.oracle:
-        if args.even:
-            print("oracle: n/a (diagrammatic oracle is odd-only)", file=sys.stderr)
-            return 2
         alt = multiply_diagrammatic(args.rule, x, y)
         print(f"oracle: {format_element(alt)}")
         if alt != prod:

@@ -16,11 +16,12 @@ from functools import lru_cache
 # isomorphism check (about 10 s at n = 5), the structure constants of a
 # center (N^3 associativity checks: 5 s at n = 4, N = 70, and 16M triples
 # at n = 5), and the phi0 associator table with everything built on it
-# (6.7M triple products at n = 4); and the largest m of the quantum
+# (38,416 cells in about 1 min at n = 4; n = 5 has 3.1M cells, 81 times as
+# many, each with larger blocks); and the largest m of the quantum
 # binomial [m choose k] (about 0.2 s at m = 256, k = 128).  Entry points
 # call check_size before any work.
 SIZE_LIMITS = {"matching": 12, "basis": 5, "center": 5, "springer": 5,
-               "structure_constants": 4, "assoc": 3, "qbinom": 256}
+               "structure_constants": 4, "assoc": 4, "qbinom": 256}
 
 
 def check_size(what, n):

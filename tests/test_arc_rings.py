@@ -184,6 +184,47 @@ def test_shared_memo_matches_memo_less_products():
                          (DEFAULT, "even")}
 
 
+def test_memo_hit_is_unchanged_by_mutating_a_result():
+    # the memo keeps built monomials; every result owns its term dict
+    x = mono("(())", "()()")
+    y = mono("()()", "(())")
+    want = multiply(DEFAULT, x, y)
+    memo = {}
+    for _ in range(3):
+        out = multiply(DEFAULT, x, y, memo=memo)
+        assert out == want
+        for key in out.terms:
+            out.terms[key] = -out.terms[key]
+        out.terms[BasisMonomial("(())", "(())", frozenset())] = 5
+    assert multiply(DEFAULT, x.scale(2), y, memo=memo) == want.scale(2)
+
+
+def test_basis_monomial_is_an_immutable_tuple():
+    x = BasisMonomial("(())", "()()", frozenset({1}))
+    assert isinstance(x, tuple)
+    assert (x.top, x.bottom, x.colored) == ("(())", "()()", frozenset({1}))
+    with pytest.raises(AttributeError):
+        x.top = "()()"
+    with pytest.raises(AttributeError):
+        x.colored = frozenset()
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    with pytest.raises(ValueError, match="differ in length"):
+        BasisMonomial("()", "(())", frozenset())
+
+
+def test_basis_monomial_hash_repr_and_sort_key():
+    x = BasisMonomial("(())", "(())", frozenset({2, 1}))
+    y = BasisMonomial("(())", "(())", frozenset([1, 2]))
+    assert x == y and hash(x) == hash(y)
+    assert x != BasisMonomial("(())", "(())", frozenset({1}))
+    assert len({x, y}) == 1
+    assert repr(x) == "[(())|(())|{1,2}]"
+    assert repr(BasisMonomial("()", "()", frozenset())) == "[()|()|{}]"
+    assert x.sort_key() == ("(())", "(())", 2, (1, 2))
+    assert x.n == 2 and x.degree() == 4
+
+
 def test_flipped_rule_flips_split_sign():
     x = mono("(())", "()()")
     y = mono("()()", "(())")
@@ -263,6 +304,10 @@ def test_parse_errors():
         parse_element("")
     with pytest.raises(ValueError):
         parse_element("  ", 2)
+    with pytest.raises(ValueError, match="repeated circle index"):
+        parse_element("[()()|()()|{1,1}]")  # x1 ^ x1 = 0
+    with pytest.raises(ValueError, match="repeated circle index"):
+        parse_element("[(())|(())|{2, 1, 2}]")
 
 
 @settings(max_examples=40, deadline=None)

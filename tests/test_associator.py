@@ -139,7 +139,7 @@ def test_rule_sign_ratio():
 
 def test_eta_table_size_limit():
     with pytest.raises(ValueError, match="out of range"):
-        eta_table(DEFAULT, DEFAULT, 4)
+        eta_table(DEFAULT, DEFAULT, 5)
 
 
 def test_eta_table_self_is_zero():
@@ -222,6 +222,40 @@ def test_phi0_table_resolves_each_pair_once_per_call(monkeypatch):
         phi0_table(DEFAULT, 3)
         assert len(calls) == 2168
         assert len(set(calls)) == 2168
+
+
+def test_phi0_table_multiply_calls_n3(monkeypatch):
+    # y.z is multiplied once per cell, not once per x: 112,080 products
+    # (146,440 with y.z inside the x loop) for the 2,168 resolutions of the
+    # test above; a change in how many products phi0 makes shows up here
+    calls = []
+    real = associator.multiply
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(associator, "multiply", counting)
+    phi0_table(DEFAULT, 3)
+    assert len(calls) == 112080
+
+
+def test_proportionality_raises_on_an_inconsistent_sign():
+    x, y = [RingElement.monomial(mono) for mono, _ in ring_basis(1)]
+    assert associator._proportionality([(x, x, 1), (y, y, 1)]) == 1
+    assert associator._proportionality([(x, -x, 1), (-y, y, 1)]) == -1
+    assert associator._proportionality([(x, -x, -1), (y, y, 1)]) == 1
+    assert associator._proportionality([(x.scale(0), y.scale(0), 1)]) \
+        is None
+    for triples, message in (
+            ([(x, x, 1), (y, -y, 1)], "inconsistent proportionality sign"),
+            ([(x, x, 1), (y, y, -1)], "inconsistent proportionality sign"),
+            ([(x, x.scale(2), 1)], "not proportional by a sign"),
+            ([(x, y, 1)], "not proportional by a sign"),
+            ([(x + y, x - y, 1)], "not proportional by a sign"),
+            ([(x, x.scale(0), 1)], "zero pattern mismatch")):
+        with pytest.raises(AssertionError, match=message):
+            associator._proportionality(triples)
 
 
 def test_eta_undefined_where_block_maps_vanish_n3():

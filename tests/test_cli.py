@@ -37,6 +37,30 @@ def test_mul_oracle(capsys):
     assert "oracle:" in out
 
 
+def test_mul_even_oracle_exits_2_before_any_product(capsys, monkeypatch):
+    import arcring.cli as cli
+
+    def no_product(*args, **kwargs):
+        raise AssertionError("a product was computed")
+
+    monkeypatch.setattr(cli, "multiply", no_product)
+    monkeypatch.setattr(cli, "multiply_diagrammatic", no_product)
+    code, out, err = run(capsys, "mul", "--n", "2", "--even", "--oracle",
+                         "--x", "[(())|()()|{}]", "--y", "[()()|(())|{}]")
+    assert code == 2
+    assert out == ""
+    assert "odd-only" in err
+
+
+def test_mul_repeated_circle_index_exits_2(capsys):
+    # x1 ^ x1 = 0, so {1,1} names no basis monomial
+    code, out, err = run(capsys, "mul", "--n", "2", "--x",
+                         "[()()|()()|{1,1}]", "--y", "[()()|()()|{}]")
+    assert code == 2
+    assert out == ""
+    assert "repeated circle index" in err
+
+
 def test_mul_parse_error(capsys):
     code, _, err = run(capsys, "mul", "--n", "2", "--x", "nope",
                        "--y", "[(())|(())|{}]")
@@ -195,9 +219,9 @@ def test_empty_element_exits_2(capsys):
     ["mul", "--n", "6", "--x", "[()|()|{}]", "--y", "[()|()|{}]"],
     ["center", "--n", "6"],
     ["springer", "--n", "6", "--ranks"],
-    ["assoc", "--n", "4", "--phi0"],
-    ["verify", "--n", "4", "--suite", "all"],
-    ["verify", "--n", "4", "--suite", "cocycle"],
+    ["assoc", "--n", "5", "--phi0"],
+    ["verify", "--n", "5", "--suite", "all"],
+    ["verify", "--n", "5", "--suite", "cocycle"],
     ["verify", "--n", "6", "--suite", "centers"],
 ], ids=" ".join)
 def test_n_above_limit_exits_2(capsys, argv):
@@ -225,7 +249,7 @@ def test_n_above_limit_exits_2_under_optimize():
 
 def test_bad_input_raises_under_optimize():
     proc = _run_optimized("-c", """
-from arcring.arc_rings import BasisMonomial
+from arcring.arc_rings import BasisMonomial, RingElement, parse_element
 from arcring.springer import (OddPolynomial, QuotientPresentation,
                               _div_one_minus, epsilon_generator, map_s,
                               parse_poly, qint, quotient_presentation)
@@ -271,7 +295,12 @@ def eta_not_a_cocycle():
 
 print(__debug__)
 x1 = OddPolynomial.generator(4, 1)
+one = RingElement.monomial(BasisMonomial("()", "()", frozenset()))
 for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
+            lambda: parse_element("[()()|()()|{1,1}]"),
+            lambda: setattr(BasisMonomial("()", "()", frozenset()), "top",
+                            "()"),
+            lambda: A._proportionality([(one, one, 1), (one, one, -1)]),
             lambda: epsilon_generator(2, (1, 2, 9), 1),
             lambda: quotient_presentation(2).basis_coordinates(
                 parse_poly("x1 + x1x2", 4)),
@@ -296,10 +325,11 @@ for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
             eta_not_a_cocycle):
     try:
         bad()
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, AttributeError, AssertionError) as exc:
         print(type(exc).__name__)
 """)
     assert proc.stdout.split() == (
-        ["False"] + ["ValueError"] * 4 + ["AssertionError"] * 5
+        ["False"] + ["ValueError"] * 2 + ["AttributeError"]
+        + ["AssertionError"] + ["ValueError"] * 3 + ["AssertionError"] * 5
         + ["ValueError"] * 2 + ["AssertionError"] * 2 + ["None"]
         + ["AssertionError"] * 2), proc.stderr
