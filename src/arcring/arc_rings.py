@@ -188,7 +188,8 @@ class FlippedRule(MultiplicationRule):
 class CustomRule(MultiplicationRule):
     """Explicit per-triple data: orders[(c,b,a) words] -> tuple of basepoints,
     sources[(c,b,a) words] -> {frozenset(arc): source basepoint}.  Missing
-    triples fall back to the given base rule."""
+    triples fall back to the given base rule.  Keys that are no triples of
+    words of size n, and malformed orders and sources, raise ValueError."""
 
     name = "custom"
 
@@ -198,8 +199,20 @@ class CustomRule(MultiplicationRule):
         self.sources = sources or {}
         self.base = base or DefaultRule()
         for key, order in self.orders.items():
-            b = _m.Matching(key[1])
-            _check_admissible(order, b)
+            _check_admissible(order, self._middle(key))
+        for key, srcs in self.sources.items():
+            arcs = {frozenset(arc) for arc in self._middle(key).arcs()}
+            if set(srcs) != arcs or any(srcs[a] not in a for a in arcs):
+                raise ValueError(f"sources of {key!r} do not map each arc of "
+                                 f"{key[1]} to one of its endpoints")
+
+    def _middle(self, key):
+        """The matching b of a (c, b, a) key of words of size n."""
+        if (not isinstance(key, tuple) or len(key) != 3
+                or any(_m.Matching(w).n != self.n for w in key)):
+            raise ValueError(f"{key!r} is not a triple of words of size "
+                             f"{self.n}")
+        return _m.Matching(key[1])
 
     def order(self, c, b, a):
         key = (c.word, b.word, a.word)

@@ -13,7 +13,7 @@ of its generators.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 
 from . import matchings as _m
 from .arc_rings import (BasisMonomial, RingElement, block_monomials, multiply,
@@ -86,39 +86,25 @@ class CenterBasis:
         return self.coordinates(elem) is not None
 
 
-def _by_block(unknowns):
-    """{block word: [(j, element)]}: each diagonal unknown's monomial as a
-    RingElement, built once, under the word of its block a(.)a."""
-    blocks = {}
-    for j, mono in enumerate(unknowns):
-        blocks.setdefault(mono.top, []).append((j, RingElement.monomial(mono)))
-    return blocks
-
-
-def _block_rows(count, images):
-    """Rows of the constraint Sum_j x_j sign_j image_j = 0 over `count`
-    unknowns, from (j, sign_j, image_j) in increasing j, one row per output
-    monomial in order of first appearance."""
+def _add_rows(columns, rows, images):
+    """Add the rows of the constraint Sum_j x_j sign_j image_j = 0 to the
+    per-unknown sparse columns, from (j, sign_j, image_j): one row per output
+    monomial in order of first appearance, numbered by the counter `rows`."""
     row_of = {}
-    rows = []
     for j, sign, image in images:
+        col = columns[j]
         for out_mono, coeff in image.terms.items():
             row = row_of.get(out_mono)
             if row is None:
-                row = row_of[out_mono] = [0] * count
-                rows.append(row)
-            row[j] += sign * coeff
-    return rows
+                row = row_of[out_mono] = next(rows)
+            col[row] = col.get(row, 0) + sign * coeff
 
 
-def _pair_constraints(n, rule, p, theory):
-    """Rows of the system {z_a.1_ab - 1_ab.z_b = 0} on the degree-p slice,
-    one block of rows per ordered pair (a, b): the images live in a(.)b.
-    Only the unknowns of blocks a and b enter, in index order."""
+def _pair_constraints(n, rule, theory, blocks, columns, rows):
+    """Rows of the system {z_a.1_ab - 1_ab.z_b = 0}, one group of rows per
+    ordered pair (a, b): the images live in a(.)b.  Only the unknowns of
+    blocks a and b enter, in index order."""
     mats = _m.enumerate_matchings(n)
-    unknowns = diagonal_monomials(n, p)
-    blocks = _by_block(unknowns)
-    rows = []
     for ia, a in enumerate(mats):
         z_a = blocks.get(a.word, ())
         for ib, b in enumerate(mats):
@@ -129,39 +115,40 @@ def _pair_constraints(n, rule, p, theory):
             left = ((j, 1, multiply(rule, z, one_ab, theory)) for j, z in z_a)
             right = ((j, -1, multiply(rule, one_ab, z, theory))
                      for j, z in blocks.get(b.word, ()))
-            rows.extend(_block_rows(len(unknowns), chain(left, right)
-                                    if ia < ib else chain(right, left)))
-    return unknowns, rows
+            _add_rows(columns, rows,
+                      chain(left, right) if ia < ib else chain(right, left))
 
 
-def _commutation_constraints(n, rule, p):
+def _commutation_constraints(n, rule, blocks, columns, rows):
     """Rows of {z_a ^ g - g ^ z_a = 0} for degree-1 diagonal generators g,
-    one block of rows per g; only the unknowns of g's block enter."""
-    unknowns = diagonal_monomials(n, p)
-    blocks = _by_block(unknowns)
-    rows = []
+    one group of rows per g; only the unknowns of g's block enter."""
     for gen in diagonal_monomials(n, 1):
         g = RingElement.monomial(gen)
-        rows.extend(_block_rows(len(unknowns), (
-            (j, 1, multiply(rule, z, g) - multiply(rule, g, z))
-            for j, z in blocks.get(gen.top, ()))))
-    return rows
+        _add_rows(columns, rows, (
+            term for j, z in blocks.get(gen.top, ())
+            for term in ((j, 1, multiply(rule, z, g)),
+                         (j, -1, multiply(rule, g, z)))))
 
 
-def _solve(n, rule, theory, flavor, extra_rows=None):
+def _solve(n, rule, theory, flavor):
     basis = CenterBasis(n=n, flavor=flavor)
     for p in range(n + 1):
-        unknowns, rows = _pair_constraints(n, rule, p, theory)
-        if extra_rows is not None:
-            rows = rows + extra_rows(p)
-        # a zero row stands for "no constraint": there are no pairs a != b
-        # at n = 1, and the top degree p = n gets no rows from them
-        K = kernel_basis_Z(rows or [[0] * len(unknowns)])
-        dim = len(K[0]) if K else 0
-        basis.graded_rank[p] = dim
-        for j in range(dim):
-            g = RingElement(n, {m: K[i][j] for i, m in enumerate(unknowns)})
-            basis.generators.append(g)
+        unknowns = diagonal_monomials(n, p)
+        # {block word: [(j, unknown j as a RingElement, built once)]}
+        blocks = {}
+        for j, mono in enumerate(unknowns):
+            blocks.setdefault(mono.top, []).append(
+                (j, RingElement.monomial(mono)))
+        columns = [{} for _ in unknowns]
+        rows = count()
+        _pair_constraints(n, rule, theory, blocks, columns, rows)
+        if flavor == "odd-ring-center":
+            _commutation_constraints(n, rule, blocks, columns, rows)
+        kernel = kernel_basis_Z(columns)
+        basis.graded_rank[p] = len(kernel)
+        basis.generators.extend(
+            RingElement(n, {unknowns[j]: vec[j] for j in sorted(vec)})
+            for vec in kernel)
     return basis
 
 
@@ -175,8 +162,7 @@ def ring_center(n, rule):
     """Z(OH^n): the odd-center system plus strict commutation with the
     degree-1 diagonal generators."""
     _m.check_size("center", n)
-    return _solve(n, rule, "odd", "odd-ring-center",
-                  extra_rows=lambda p: _commutation_constraints(n, rule, p))
+    return _solve(n, rule, "odd", "odd-ring-center")
 
 
 def even_center(n):

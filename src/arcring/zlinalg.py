@@ -5,12 +5,12 @@ membership, coordinates, rank).  `hnf_columns` brings sparse integer columns
 {row: int} to canonical column Hermite normal form; `hnf_reduce` reduces a
 vector modulo the lattice of such an echelon, which decides membership and,
 when every column carries a tag row of its own, leaves the coordinates in
-the tag rows; `kernel_basis_Z` reads a saturated kernel off the echelon of a
-matrix stacked on the identity.  `column_hnf` wraps it for dense matrices,
-and `smith_normal_form` (invariant factors, for torsion) is built on it by
+the tag rows; `kernel_basis_Z` reads a saturated kernel off the echelon of
+sparse columns stacked on the identity.  Two adapters take dense matrices,
+lists of row lists of Python ints: `column_hnf` wraps `hnf_columns`, and
+`smith_normal_form` (invariant factors, for torsion) is built on it by
 alternating `hnf_columns` passes over the columns and the rows.  Besides
-it: GF(2) elimination on bitset rows (`solve_f2`).  Matrices are lists of
-row lists of Python ints.
+them: GF(2) elimination on bitset rows (`solve_f2`).
 
 SparseZ is the common base of the sparse integer combinations (ring
 elements, exterior and tensor states, odd polynomials).
@@ -233,28 +233,26 @@ def _transpose(X):
     return [list(col) for col in zip(*X)]
 
 
-def kernel_basis_Z(M):
-    """Saturated basis of {v : Mv = 0}, columns of the returned matrix, in
-    canonical column-HNF form.
-
-    One `hnf_columns` pass over the columns of M stacked on the identity,
-    rows (0, i) of M above rows (1, j) of the identity.  The echelon
-    columns whose pivot lies in the identity part are zero on M's rows; their
-    identity part is a basis of the kernel, saturated because column
-    operations are unimodular, and already in column HNF."""
-    cols = len(M[0]) if M else 0
-    columns = [{(0, i): row[j] for i, row in enumerate(M) if row[j]}
-               for j in range(cols)]
-    echelon = hnf_columns({**col, (1, j): 1} for j, col in enumerate(columns))
-    kernel = [{j: x for (_, j), x in col.items()}
-              for (part, _), col in echelon.items() if part]
+def kernel_basis_Z(columns):
+    """Saturated basis of {v : Sum_j v_j columns[j] = 0} from one sparse
+    column {row: int} per unknown (int rows, zeros ignored, an empty column
+    unconstrained), as sparse vectors {j: int} in canonical column-HNF order.
+    One `hnf_columns` pass over the columns stacked on the identity, whose
+    tag rows lie below the system's: the echelon columns that pivot in a tag
+    row are zero on the system, and their tag part is a kernel basis,
+    saturated because column operations are unimodular, and in column HNF."""
+    columns = [{i: x for i, x in col.items() if x} for col in columns]
+    tag = 1 + max((i for col in columns for i in col), default=-1)
+    echelon = hnf_columns({**col, tag + j: 1} for j, col in enumerate(columns))
+    kernel = [{r - tag: x for r, x in col.items()}
+              for p, col in echelon.items() if p >= tag]
     for vec in kernel:
         image = {}
         for j, x in vec.items():
             _add_multiple(image, x, columns[j])
         if image:
             raise AssertionError("kernel basis is not in the kernel")
-    return [[vec.get(j, 0) for vec in kernel] for j in range(cols)]
+    return kernel
 
 
 def solve_f2(rows, rhs, ncols):

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from arcring import matchings as m
 from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis, unit,
                                multiply, multiply_diagrammatic, BUILTIN_RULES,
-                               FlippedRule, CustomRule, validate_rule,
-                               format_element, parse_element, exterior_degree)
+                               DefaultRule, FlippedRule, CustomRule,
+                               validate_rule, format_element, parse_element,
+                               exterior_degree)
 
 DEFAULT = BUILTIN_RULES["default"]
 ORD = BUILTIN_RULES["ord"]
@@ -239,6 +240,25 @@ def test_custom_rule_validation():
     validate_rule(rule, 2)
 
 
+# (orders, sources) that CustomRule(2, ...) refuses at construction
+MALFORMED_CUSTOM = [
+    ({}, {("()()", "(())", "()()"): {}}),  # lacks the arcs of b
+    ({}, {("()()", "(())", "()()"): {frozenset((1, 4)): 1}}),
+    ({}, {("()()", "(())", "()()"): {frozenset((1, 4)): 1,
+                                     frozenset((2, 3)): 1}}),  # off its arc
+    ({}, {("()()", "(())", "()()"): {(1, 4): 1, (2, 3): 2}}),
+    ({}, {("()()", "(())", "()()"): {frozenset((1, 4)): 1,
+                                     frozenset((2, 3)): 2,
+                                     frozenset((1, 2)): 1}}),  # not an arc
+    ({}, {("()()", "(())"): {frozenset((1, 4)): 1, frozenset((2, 3)): 2}}),
+    ({}, {("()()", "(())", "()"): {frozenset((1, 4)): 1,
+                                   frozenset((2, 3)): 2}}),
+    ({("()()", "(())"): (1, 2, 3, 4)}, {}),
+    ({("()()", "(())", "()()()"): (1, 2, 3, 4)}, {}),
+    ({("()()", "(()", "()()"): (1, 2, 3, 4)}, {}),
+]
+
+
 def test_custom_rule_sources():
     # explicit sources on every n = 3 triple reproduce the built-in rules
     mats = m.enumerate_matchings(3)
@@ -262,14 +282,25 @@ def test_custom_rule_sources():
                 assert multiply(rule, x, y) == multiply(builtin, x, y)
                 assert multiply_diagrammatic(rule, x, y) == \
                     multiply_diagrammatic(builtin, x, y)
-    off_arc = custom(lambda arc: next(p for p in range(1, 7)
-                                      if p not in arc))
+    with pytest.raises(ValueError):
+        custom(lambda arc: next(p for p in range(1, 7) if p not in arc))
+    for orders, sources in MALFORMED_CUSTOM:
+        with pytest.raises(ValueError):
+            CustomRule(2, orders=orders, sources=sources)
+    CustomRule(2, sources={("()()", "(())", "()()"): {
+        frozenset((1, 4)): 1, frozenset((2, 3)): 3}})
+
+    class OffArc(DefaultRule):
+        def split_source(self, c, b, a, scan, partner, *keys):
+            return next(p for p in range(1, 7) if p not in (scan, partner))
+
+    # a rule outside CustomRule is checked when the split is planned
     x = mono("((()))", "()()()")
     y = mono("()()()", "((()))")  # one split
     with pytest.raises(ValueError):
-        multiply(off_arc, x, y)
+        multiply(OffArc(), x, y)
     with pytest.raises(ValueError):
-        multiply_diagrammatic(off_arc, x, y)
+        multiply_diagrammatic(OffArc(), x, y)
 
 
 def test_even_ignores_rule():

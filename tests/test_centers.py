@@ -148,7 +148,8 @@ def test_serialization():
 
 
 # sha256 prefixes of serialize(), pinned on the code before the center
-# systems were built block by block
+# systems were built block by block (n <= 4) and before they were sparse
+# (n = 5)
 CENTER_DIGESTS = {
     (1, "odd-default"): "e031be839ce0b6ef", (1, "odd-ord"): "e031be839ce0b6ef",
     (1, "even"): "e031be839ce0b6ef", (1, "odd-ring"): "e031be839ce0b6ef",
@@ -158,6 +159,8 @@ CENTER_DIGESTS = {
     (3, "even"): "388330c0593ae617", (3, "odd-ring"): "2ae051b2b432a8d0",
     (4, "odd-default"): "29dd89f3b2c8bd18", (4, "odd-ord"): "29dd89f3b2c8bd18",
     (4, "even"): "834160b2b1b5b9f2", (4, "odd-ring"): "718bc116a5566d64",
+    (5, "odd-default"): "7233a310c946c29d", (5, "odd-ord"): "7233a310c946c29d",
+    (5, "even"): "86d8b8de23eabe11", (5, "odd-ring"): "6eb00412eb395c2b",
 }
 
 

@@ -8,7 +8,7 @@ from sympy import QQ, ZZ, Matrix
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
-from arcring import centers
+from arcring import centers, zlinalg
 from arcring.arc_rings import BUILTIN_RULES, BasisMonomial, RingElement
 from arcring.exterior import EvenTensorElement, ExteriorElement
 from arcring.springer import OddPolynomial, _degree_monomials, ideal_slice
@@ -99,11 +99,21 @@ def test_normal_forms_match_sympy_fuzzed():
     assert_normal_forms_match_sympy(SNF_BLOWUP_7X7)
 
 
-def assert_kernel_characterized(M):
+def dense_kernel(M, columns=None):
+    """kernel_basis_Z on the sparse columns of the dense matrix M (by
+    default its columns with the zeros kept), with the kernel vectors read
+    back as the columns of a dense matrix."""
+    if columns is None:
+        columns = [dict(enumerate(col)) for col in zip(*M)]
+    K = kernel_basis_Z(columns)
+    return [[vec.get(j, 0) for vec in K] for j in range(len(columns))]
+
+
+def assert_kernel_characterized(M, columns=None):
     """kernel_basis_Z(M) against sympy: it lies in the kernel, has dimension
     cols - rank, is saturated (every invariant factor is 1) and is its own
     column HNF."""
-    K = kernel_basis_Z(M)
+    K = dense_kernel(M, columns)
     cols = len(M[0])
     assert len(K) == cols
     dim = len(K[0]) if K else 0
@@ -124,15 +134,20 @@ def test_kernel_matches_sympy_fuzzed():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_kernel_matches_sympy_on_center_systems(n, monkeypatch):
     systems = []
-    monkeypatch.setattr(centers, "kernel_basis_Z", lambda M: (
-        systems.append(M) or kernel_basis_Z(M)))
+    monkeypatch.setattr(centers, "kernel_basis_Z", lambda columns: (
+        systems.append(columns) or kernel_basis_Z(columns)))
     rule = BUILTIN_RULES["default"]
     centers.odd_center(n, rule)
     centers.even_center(n)
     centers.ring_center(n, rule)
     assert len(systems) == 3 * (n + 1)
-    for M in systems:
-        assert_kernel_characterized(M)
+    for columns in systems:
+        # a system without rows (n = 1, or the top degree) reads as one
+        # zero row, so that sympy sees its columns
+        rows = sorted(set().union(*columns))
+        M = ([[col.get(r, 0) for col in columns] for r in rows]
+             or [[0] * len(columns)])
+        assert_kernel_characterized(M, columns)
 
 
 @pytest.mark.parametrize("n, d", [(3, 1), (3, 2), (3, 3), (3, 4),
@@ -202,9 +217,33 @@ def test_snf_golden():
 
 
 def test_kernel_golden():
-    assert kernel_basis_Z([[1, 1]]) == [[1], [-1]]
-    K = kernel_basis_Z([[1, 0], [0, 1]])
+    assert dense_kernel([[1, 1]]) == [[1], [-1]]
+    K = dense_kernel([[1, 0], [0, 1]])
     assert not (K and K[0])
+
+
+def test_kernel_sparse_columns():
+    """No columns have no kernel, k empty columns are k unconstrained
+    unknowns, and row ids need not be contiguous: the kernel is that of the
+    dense matrix, whose explicit zeros change nothing."""
+    assert kernel_basis_Z([]) == []
+    for k in range(1, 5):
+        assert kernel_basis_Z([{} for _ in range(k)]) == [
+            {j: 1} for j in range(k)]
+    rng = random.Random(12)
+    for M in fuzzed_matrices(12, 200):
+        ids = sorted(rng.sample(range(10 ** 6), len(M)))
+        columns = [{ids[i]: x for i, x in enumerate(col)
+                    if x or rng.random() < 0.5} for col in zip(*M)]
+        assert dense_kernel(M, columns) == dense_kernel(M)
+
+
+def test_kernel_check_raises(monkeypatch):
+    # an echelon that claims a kernel vector off the kernel is caught: the
+    # tag row of unknown 0 is row 1, below the system's row 0
+    monkeypatch.setattr(zlinalg, "hnf_columns", lambda columns: {1: {1: 1}})
+    with pytest.raises(AssertionError, match="not in the kernel"):
+        kernel_basis_Z([{0: 1}])
 
 
 def test_snf_7x7_no_blowup():
@@ -234,7 +273,7 @@ def test_fuzz_snf_kernel_solve():
                 assert diag[i + 1] == 0
         r = sum(1 for d in diag if d)
         assert r == rational_rank(M)
-        K = kernel_basis_Z(M)
+        K = dense_kernel(M)
         kdim = len(K[0]) if K and K[0] else 0
         assert kdim == cols - r
         # an image vector M x reduces to zero modulo the column lattice
