@@ -4,8 +4,9 @@ and the bridge-resolution multiplication.
 Multiplication of x in c(.)b by y in b(.)a stacks the closed diagram W(c)b on
 top of W(b)a and resolves one bridge per arc of b, scanning basepoints in the
 order prescribed by the multiplication rule.  The geometry of that resolution
-is computed once per (rule, c, b, a) by `_plan`, as merge and split events on
-circle positions.  Two independent interpretations of the plan are provided:
+is computed once per (rule, c, b, a) by `_plan_of_words`, as merge and split
+events on circle positions.  Two independent interpretations of the plan are
+provided:
 
   multiply              applies the odd/even surface functor of `functors`
                         to the plan's merge/split/permute moves (normative);
@@ -67,11 +68,6 @@ class BasisMonomial(tuple):
         return f"[{self.top}|{self.bottom}|{{{inner}}}]"
 
 
-def exterior_degree(mono):
-    """p(z) = number of wedge factors = (deg - n + |circles|) / 2."""
-    return len(mono.colored)
-
-
 class RingElement(SparseZ):
     """Exact integer combination of basis monomials of H^n or OH^n."""
 
@@ -128,7 +124,9 @@ class MultiplicationRule:
     name = "abstract"
 
     def order(self, c, b, a):
-        raise NotImplementedError
+        """The basepoints in scan order: the usual left-to-right order unless
+        a rule overrides it."""
+        return tuple(range(1, 2 * c.n + 1))
 
     def split_source(self, c, b, a, scan, partner, key_scan, key_partner):
         """Which endpoint of the arc {scan, partner} of b is the orientation
@@ -143,9 +141,6 @@ class DefaultRule(MultiplicationRule):
 
     name = "default"
 
-    def order(self, c, b, a):
-        return tuple(range(1, 2 * c.n + 1))
-
     def split_source(self, c, b, a, scan, partner, key_scan, key_partner):
         return min(scan, partner)
 
@@ -155,9 +150,6 @@ class OrderRule(MultiplicationRule):
     comes first in the component order of the post-split diagram."""
 
     name = "ord"
-
-    def order(self, c, b, a):
-        return tuple(range(1, 2 * c.n + 1))
 
     def split_source(self, c, b, a, scan, partner, key_scan, key_partner):
         return scan if key_scan < key_partner else partner
@@ -239,15 +231,6 @@ def _check_admissible(order, b):
                     f"inadmissible order: arc ({i},{j}) vs point {k}")
 
 
-def validate_rule(rule, n):
-    """Eagerly check admissibility of the rule's orders on every triple."""
-    mats = _m.enumerate_matchings(n)
-    for c in mats:
-        for b in mats:
-            for a in mats:
-                _check_admissible(list(rule.order(c, b, a)), b)
-
-
 BUILTIN_RULES = {"default": DefaultRule(), "ord": OrderRule()}
 
 
@@ -278,11 +261,20 @@ def _circle_positions(c, b, a, resolved):
     return pos
 
 
-def _plan(rule, c, b, a):
-    """The bridge resolutions of W(c)b stacked on W(b)a in the scan order of
-    `rule`, as a tuple of events on 1-based circle positions in (row, min
-    column) order; initially the circles of W(c)b come first, and at the end
-    position k is circle k of W(c)a.
+# one Matching per word, shared by every plan and product
+_matching = lru_cache(maxsize=None)(_m.Matching)
+
+
+@lru_cache(maxsize=None)
+def _plan_of_words(rule, c, b, a):
+    """(events, word, top) for the bridge resolutions of W(c)b stacked on
+    W(b)a, given as words, in the scan order of `rule`: the events, the same
+    plan as a word of functor moves, checked against the circle counts it
+    meets, and the number of circles of W(c)b.
+
+    The events are on 1-based circle positions in (row, min column) order;
+    initially the circles of W(c)b come first, and at the end position k is
+    circle k of W(c)a.
 
       ("merge", p, q)   p is the circle through the top of the column, q
                         the one through its bottom; the merged circle sits
@@ -293,21 +285,8 @@ def _plan(rule, c, b, a):
                         partner.  One child keeps position p, the other is
                         the one at max(i, j).
 
-    Cached per (rule, c.word, b.word, a.word), holding only the event
-    tuples, their move word and a circle count; a rule must therefore not be
-    mutated after its first product."""
-    return _plan_of_words(rule, c.word, b.word, a.word)[0]
-
-
-# one Matching per word, shared by every plan and product
-_matching = lru_cache(maxsize=None)(_m.Matching)
-
-
-@lru_cache(maxsize=None)
-def _plan_of_words(rule, c, b, a):
-    """(events, word, top): the plan's events, the same plan as a word of
-    functor moves, checked against the circle counts it meets, and the
-    number of circles of W(c)b."""
+    Cached per (rule, c, b, a), so a rule must not be mutated after its
+    first product."""
     c, b, a = _matching(c), _matching(b), _matching(a)
     m = 2 * c.n
     resolved = set()
@@ -439,11 +418,11 @@ def multiply(rule, x, y, theory="odd", *, memo=None):
 # diagrammatic multiplication (colored diagrams with sign tables; odd only)
 
 def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
-    top = len(_m.closed_diagram(c, b))
+    events, _, top = _plan_of_words(rule, c.word, b.word, a.word)
     # terms: {frozenset(positions of colored circles): coeff}
     terms = {frozenset(colored_x) | {top + i for i in colored_y}: 1}
 
-    for event in _plan(rule, c, b, a):
+    for event in events:
         new_terms = {}
 
         def put(colored, coeff):

@@ -201,41 +201,23 @@ def eta_table(rule1, rule2, n, *, memo=None):
                        {} if memo is None else memo)
 
 
-def _first_difference(rule1, rule2, n):
+def compare_rules(rule1, rule2, n):
     """(first quadruple, in enumeration order, where the phi0 tables differ,
-    or None; the phi0 table of rule1).  Equal rules share one table."""
+    or None; a per-pair sign table eps, or None).  If the two rules have the
+    same chronology associator, eps is such that x -> (-1)^eps(block of x) * x
+    is a ring isomorphism, verified on every structure constant; eps is None
+    if the associators differ or no such eps exists.  Equal rules share one
+    phi0 table."""
     t1 = phi0_table(rule1, n)
     t2 = t1 if rule2 is rule1 else phi0_table(rule2, n)
-    return next((quad for quad in sorted(t1) if t1[quad] != t2[quad]),
-                None), t1
-
-
-def first_phi0_difference(rule1, rule2, n):
-    """First quadruple (in enumeration order) where the phi0 tables differ,
-    or None."""
-    return _first_difference(rule1, rule2, n)[0]
-
-
-def compare_rules(rule1, rule2, n):
-    """(first quadruple where the phi0 tables differ, or None; the sign
-    table eps of build_rule_isomorphism, or None).  Each distinct rule's
-    phi0 table is built once."""
-    diff, table = _first_difference(rule1, rule2, n)
+    diff = next((quad for quad in sorted(t1) if t1[quad] != t2[quad]), None)
     if diff is not None:
         return diff, None
-    return None, _rule_isomorphism(rule1, rule2, n, table)
-
-
-def build_rule_isomorphism(rule1, rule2, n):
-    """If the two rules have the same chronology associator: a per-pair sign
-    table eps such that x -> (-1)^eps(block of x) * x is a ring isomorphism,
-    verified on every structure constant; None if the associators differ or
-    no such eps exists."""
-    return compare_rules(rule1, rule2, n)[1]
+    return None, _rule_isomorphism(rule1, rule2, n, t1)
 
 
 def _rule_isomorphism(rule1, rule2, n, table):
-    """build_rule_isomorphism for rules with equal associators, `table` the
+    """The eps of compare_rules for rules with equal associators, `table` the
     phi0 table of both.  The two associators differ by d(eta) wherever
     phi0 is defined, so eta must be a 2-cocycle there; where phi0 is
     undefined both reassociations vanish and d(eta) is free.  Triples where

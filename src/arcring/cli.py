@@ -115,18 +115,13 @@ def _cmd_assoc(args):
 
 def _cmd_qbinom(args):
     from .springer import qbinom, format_laurent
-    try:
-        print(format_laurent(qbinom(args.m, args.k)))
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    print(format_laurent(qbinom(args.m, args.k)))
     return 0
 
 
 def _verify_catalan(n):
-    catalan = [1, 1, 2, 5, 14, 42, 132]
     for k in range(1, n + 1):
-        if len(_m.enumerate_matchings(k)) != catalan[k]:
+        if len(_m.enumerate_matchings(k)) != comb(2 * k, k) // (k + 1):
             return f"catalan count wrong at n={k}"
         total = sum(2 ** _m.lower_arc_count(a) for a in _m.enumerate_matchings(k))
         if total != comb(2 * k, k):
@@ -296,11 +291,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if isinstance(getattr(args, "rule", None), str):
-        try:
-            args.rule = _rule(args.rule)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(str(exc))
     try:
         _check_sizes(args)
         return args.func(args)

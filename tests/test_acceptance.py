@@ -10,7 +10,7 @@ import pytest
 from arcring import matchings as m
 from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
                                multiply, multiply_diagrammatic,
-                               BUILTIN_RULES, FlippedRule, _plan)
+                               BUILTIN_RULES, FlippedRule, _plan_of_words)
 from arcring.associator import phi0_table
 from conftest import odd_center_cached, same_lattice
 
@@ -149,14 +149,14 @@ def test_11_even_presentation():
 
 def test_12_associator():
     from arcring.associator import (scission_count, cocycle_defect,
-                                    solve_coboundary, build_rule_isomorphism)
+                                    solve_coboundary, compare_rules)
     ok = True
     # scission formula vs the splits of the resolution plan
     for n in (1, 2, 3):
         mats = m.enumerate_matchings(n)
         for c, b, a in product(mats, repeat=3):
-            plan = _plan(DEFAULT, c, b, a)
-            if sum(event[0] == "split" for event in plan) != \
+            events, _, _ = _plan_of_words(DEFAULT, c.word, b.word, a.word)
+            if sum(event[0] == "split" for event in events) != \
                     scission_count(c, b, a):
                 ok = False
     # chronology cocycle identity (twisted by the cup square of S), n <= 3
@@ -169,7 +169,7 @@ def test_12_associator():
     lam = solve_coboundary(phi0_table(DEFAULT, 2), 2)
     ok = ok and lam is not None
     # verified isomorphism for a nontrivial same-associator pair
-    eps = build_rule_isomorphism(DEFAULT, FlippedRule(DEFAULT), 2)
+    eps = compare_rules(DEFAULT, FlippedRule(DEFAULT), 2)[1]
     ok = ok and eps is not None and any(v == 1 for v in eps.values())
     _report(12, "scission formula, chronology cocycle, lambda0, rule iso", ok)
 

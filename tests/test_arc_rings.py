@@ -9,8 +9,8 @@ from arcring import matchings as m
 from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis, unit,
                                multiply, multiply_diagrammatic, BUILTIN_RULES,
                                DefaultRule, FlippedRule, CustomRule,
-                               validate_rule, format_element, parse_element,
-                               exterior_degree)
+                               MultiplicationRule, format_element,
+                               parse_element)
 
 DEFAULT = BUILTIN_RULES["default"]
 ORD = BUILTIN_RULES["ord"]
@@ -35,7 +35,7 @@ def test_degrees():
     assert x.degree() == 1  # one circle, nothing colored, n=2
     y = BasisMonomial("(())", "(())", frozenset({1, 2}))
     assert y.degree() == 4
-    assert exterior_degree(y) == 2
+    assert len(y.colored) == 2  # the exterior degree
 
 
 def test_worked_product_colored():
@@ -237,7 +237,26 @@ def test_custom_rule_validation():
     with pytest.raises(ValueError):
         CustomRule(2, orders={("(())", "(())", "(())"): (2, 1, 3, 4)})
     rule = CustomRule(2, orders={("(())", "(())", "(())"): (1, 4, 2, 3)})
-    validate_rule(rule, 2)
+    # a CustomRule checks every order it holds: hand it all of rule's
+    mats = m.enumerate_matchings(2)
+    CustomRule(2, orders={(c.word, b.word, a.word): rule.order(c, b, a)
+                          for c in mats for b in mats for a in mats})
+
+
+def test_rule_with_only_split_source_multiplies_like_default():
+    class SplitOnly(MultiplicationRule):
+        name = "split-only"
+
+        def split_source(self, c, b, a, scan, partner, key_scan,
+                         key_partner):
+            return min(scan, partner)
+
+    rule = SplitOnly()
+    basis = [mx for mx, _ in ring_basis(2)]
+    for mx in basis:
+        for my in basis:
+            x, y = RingElement.monomial(mx), RingElement.monomial(my)
+            assert multiply(rule, x, y) == multiply(DEFAULT, x, y)
 
 
 # (orders, sources) that CustomRule(2, ...) refuses at construction

@@ -7,12 +7,11 @@ import pytest
 
 from arcring import matchings as m
 from arcring.arc_rings import (RingElement, ring_basis, multiply,
-                               BUILTIN_RULES, FlippedRule, _plan)
+                               BUILTIN_RULES, FlippedRule, _plan_of_words)
 from arcring import associator
 from arcring.associator import (scission_count, phi0, phi0_table,
                                 cocycle_defect, solve_coboundary,
                                 rule_sign_ratio, eta_table,
-                                first_phi0_difference, build_rule_isomorphism,
                                 compare_rules, _coboundary, _primitive)
 from arcring.cli import main
 from arcring.centers import (odd_center, even_center,
@@ -45,8 +44,8 @@ def test_scission_matches_instrumented_splits():
     for n in (1, 2, 3):
         mats = m.enumerate_matchings(n)
         for c, b, a in product(mats, repeat=3):
-            plan = _plan(DEFAULT, c, b, a)
-            splits = sum(event[0] == "split" for event in plan)
+            events, _, _ = _plan_of_words(DEFAULT, c.word, b.word, a.word)
+            splits = sum(event[0] == "split" for event in events)
             assert splits == scission_count(c, b, a)
 
 
@@ -149,8 +148,8 @@ def test_eta_table_self_is_zero():
 
 def test_isomorphism_for_global_flip():
     flip = FlippedRule(DEFAULT)
-    assert first_phi0_difference(DEFAULT, flip, 2) is None
-    eps = build_rule_isomorphism(DEFAULT, flip, 2)
+    diff, eps = compare_rules(DEFAULT, flip, 2)
+    assert diff is None
     assert eps is not None
     assert any(v == 1 for v in eps.values())  # a genuinely nontrivial pair
 
@@ -158,19 +157,19 @@ def test_isomorphism_for_global_flip():
 def test_no_sign_isomorphism_default_ord_n2():
     # equal associators, and d(eta) vanishes wherever phi0 is defined, but
     # eta is no coboundary, so no x -> +-x relates the two rules
-    assert first_phi0_difference(DEFAULT, ORD, 2) is None
+    diff, eps = compare_rules(DEFAULT, ORD, 2)
+    assert diff is None
     eta = eta_table(DEFAULT, ORD, 2)
     table = phi0_table(DEFAULT, 2)
     defect = {q for q, v in _coboundary(eta, words_of(2), 4).items() if v}
     assert defect == {q for q, v in table.items() if v is None}
     assert len(defect) == 2
     assert _primitive(eta, words_of(2), 3) is None
-    assert build_rule_isomorphism(DEFAULT, ORD, 2) is None
-    assert compare_rules(DEFAULT, ORD, 2) == (None, None)
+    assert eps is None
 
 
 def test_identity_isomorphism():
-    eps = build_rule_isomorphism(DEFAULT, DEFAULT, 2)
+    eps = compare_rules(DEFAULT, DEFAULT, 2)[1]
     assert eps is not None and all(v == 0 for v in eps.values())
 
 
@@ -268,7 +267,7 @@ def test_eta_undefined_where_block_maps_vanish_n3():
     assert rule_sign_ratio(DEFAULT, FLIP, *map(m.Matching, undefined[0])) \
         is None
     # (the flip-default isomorphism at n = 3 is checked through the CLI)
-    eps = build_rule_isomorphism(DEFAULT, DEFAULT, 3)
+    eps = compare_rules(DEFAULT, DEFAULT, 3)[1]
     assert eps is not None and not any(eps.values())
 
 

@@ -3,7 +3,7 @@ import pytest
 from arcring import functors
 from arcring.exterior import ExteriorElement, EvenTensorElement
 from arcring.functors import (Birth, Death, Merge, Split, Permute,
-                              apply_odd, apply_even, apply_word,
+                              apply_word,
                               euler_characteristic, verify_relations)
 
 
@@ -26,37 +26,38 @@ def test_odd_closed_surfaces_vanish():
 def test_odd_split_formula():
     # split of the single circle: 1 -> a1 - a2, a -> a1 ^ a2 (1-based labels)
     x = ExteriorElement((1,), {(): 1})
-    out = apply_odd(Split(1), x)
+    out = apply_word([Split(1)], x, "odd")
     assert out == ExteriorElement((1, 2), {(1,): 1, (2,): -1})
     xa = ExteriorElement((1,), {(1,): 1})
-    out2 = apply_odd(Split(1), xa)
+    out2 = apply_word([Split(1)], xa, "odd")
     assert out2 == ExteriorElement((1, 2), {(1, 2): 1})
 
 
 def test_odd_split_orientation_reversal():
     x = ExteriorElement((1,), {(): 1})
-    out = apply_odd(Split(1, source_first=False), x)
+    out = apply_word([Split(1, source_first=False)], x, "odd")
     assert out == ExteriorElement((1, 2), {(1,): -1, (2,): 1})
 
 
 def test_odd_merge_orientation_free():
     x = ExteriorElement((1, 2), {(1,): 1, (2,): 1})
-    out = apply_odd(Merge(1, 2), x)
+    out = apply_word([Merge(1, 2)], x, "odd")
     assert out == ExteriorElement((1,), {(1,): 2})
-    assert apply_odd(Merge(1, 2),
-                     ExteriorElement((1, 2), {(1, 2): 1})).is_zero()
+    assert apply_word([Merge(1, 2)], ExteriorElement((1, 2), {(1, 2): 1}),
+                      "odd").is_zero()
 
 
 def test_odd_death_contraction_sign():
     x = ExteriorElement((1, 2, 3), {(1, 2): 1})
-    out = apply_odd(Death(2), x)
+    out = apply_word([Death(2)], x, "odd")
     assert out == ExteriorElement((1, 2), {(1,): -1})
-    assert apply_odd(Death(3), x).is_zero()
+    assert apply_word([Death(3)], x, "odd").is_zero()
 
 
 def test_permute_swaps_generators():
     x = ExteriorElement((1, 2), {(1,): 1})
-    assert apply_odd(Permute(1, 2), x) == ExteriorElement((1, 2), {(2,): 1})
+    assert apply_word([Permute(1, 2)], x, "odd") == \
+        ExteriorElement((1, 2), {(2,): 1})
 
 
 def test_euler_characteristic():
@@ -69,9 +70,17 @@ def test_euler_characteristic():
 
 @pytest.mark.parametrize("theory", ["even", "odd"])
 def test_all_relations_hold(theory):
-    results = verify_relations(4, theory)
-    failures = [name for name, ok in results.items() if not ok]
-    assert not failures, failures
+    # 1 is the least size SIZE_LIMITS["relations"] allows
+    for max_labels in (1, 4):
+        results = verify_relations(max_labels, theory)
+        failures = [name for name, ok in results.items() if not ok]
+        assert not failures, (max_labels, failures)
+
+
+def test_verify_relations_rejects_a_fractional_size():
+    # 0 and 6 are in test_size_limits_raise; 2.5 lies inside the range
+    with pytest.raises(ValueError, match="out of range for relations"):
+        verify_relations(2.5, "odd")
 
 
 def test_degree_law_checks_every_position(monkeypatch):

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from arcring import arc_rings, associator, centers, springer
+from arcring import arc_rings, associator, centers, functors, springer
 from arcring import matchings as m
 
 DEFAULT = arc_rings.BUILTIN_RULES["default"]
@@ -88,6 +88,7 @@ def test_bad_word_rejected():
     ("assoc", lambda n: associator.phi0_table(DEFAULT, n)),
     ("assoc", lambda n: associator.cocycle_defect(DEFAULT, n)),
     ("assoc", lambda n: associator.solve_coboundary({}, n)),
+    ("relations", lambda n: functors.verify_relations(n, "odd")),
 ])
 def test_size_limits_raise(what, call):
     # n = limit + 1 would run for minutes or more if it were not rejected
