@@ -21,10 +21,15 @@ left to right, then the bottom row; that order is what every sign depends on.
 from functools import lru_cache
 from itertools import combinations
 from operator import attrgetter, itemgetter
+import re
 
 from . import functors as _f
 from . import matchings as _m
-from .zlinalg import SparseZ
+from .zlinalg import SparseZ, signed_sum
+
+
+# one Matching per word, shared by monomials, rules, plans and products
+_matching = lru_cache(maxsize=None)(_m.Matching)
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +58,8 @@ class BasisMonomial(tuple):
         return len(self.top) // 2
 
     def circles(self):
-        return _m.closed_diagram(_m.Matching(self.top),
-                                 _m.Matching(self.bottom)).circles
+        return _m.closed_diagram(_matching(self.top),
+                                 _matching(self.bottom)).circles
 
     def degree(self):
         return 2 * len(self.colored) - len(self.circles()) + self.n
@@ -201,10 +206,10 @@ class CustomRule(MultiplicationRule):
     def _middle(self, key):
         """The matching b of a (c, b, a) key of words of size n."""
         if (not isinstance(key, tuple) or len(key) != 3
-                or any(_m.Matching(w).n != self.n for w in key)):
+                or any(_matching(w).n != self.n for w in key)):
             raise ValueError(f"{key!r} is not a triple of words of size "
                              f"{self.n}")
-        return _m.Matching(key[1])
+        return _matching(key[1])
 
     def order(self, c, b, a):
         key = (c.word, b.word, a.word)
@@ -259,10 +264,6 @@ def _circle_positions(c, b, a, resolved):
             row = q - col
             p = col + m - row if col in resolved else b.partner[col] + row
     return pos
-
-
-# one Matching per word, shared by every plan and product
-_matching = lru_cache(maxsize=None)(_m.Matching)
 
 
 @lru_cache(maxsize=None)
@@ -478,18 +479,14 @@ def multiply_diagrammatic(rule, x, y):
 # element grammar
 
 def format_element(elem):
-    if not elem.terms:
-        return "0"
-    monos = sorted(elem.terms, key=BasisMonomial.sort_key)
-    bits = []
-    for idx, mono in enumerate(monos):
-        coeff = elem.terms[mono]
-        body = f"{abs(coeff)}*{mono!r}"
-        if idx == 0:
-            bits.append(body if coeff > 0 else "-" + body)
-        else:
-            bits.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(bits)
+    return signed_sum((elem.terms[mono], f"{abs(elem.terms[mono])}*{mono!r}")
+                      for mono in sorted(elem.terms,
+                                         key=BasisMonomial.sort_key))
+
+
+_TERM_RE = re.compile(
+    r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\*)?"
+    r"\[(?P<top>[()]+)\|(?P<bottom>[()]+)\|\{(?P<cols>[\d,\s]*)\}\]")
 
 
 def parse_element(text, n=None):
@@ -497,8 +494,6 @@ def parse_element(text, n=None):
     element := term (('+'|'-') term)*
     term    := [uint '*'] '[' matching '|' matching '|' '{' uints '}' ']'
     """
-    import re
-
     s = text.strip()
     if not s:
         raise ValueError("empty element")
@@ -506,14 +501,11 @@ def parse_element(text, n=None):
         if n is None:
             raise ValueError("cannot infer n from '0'")
         return RingElement.zero(n)
-    term_re = re.compile(
-        r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\*)?"
-        r"\[(?P<top>[()]+)\|(?P<bottom>[()]+)\|\{(?P<cols>[\d,\s]*)\}\]")
     pos = 0
     terms = {}
     first = True
     while pos < len(s):
-        match = term_re.match(s, pos)
+        match = _TERM_RE.match(s, pos)
         if not match:
             raise ValueError(f"parse error at {s[pos:]!r}")
         sign = match.group("sign")
@@ -523,7 +515,7 @@ def parse_element(text, n=None):
         if sign == "-":
             coeff = -coeff
         top, bottom = match.group("top"), match.group("bottom")
-        tm, bm = _m.Matching(top), _m.Matching(bottom)
+        tm, bm = _matching(top), _matching(bottom)
         if tm.n != bm.n or (n is not None and tm.n != n):
             raise ValueError("matching sizes disagree")
         k = len(_m.closed_diagram(tm, bm).circles)

@@ -152,7 +152,9 @@ def _verify_centers(n, rule):
     oz = odd_center(n, rule)
     if oz.total_rank() != comb(2 * n, n):
         return f"odd center rank {oz.total_rank()} != C(2n,n)"
-    other = odd_center(n, BUILTIN_RULES["ord"])
+    # against another rule: ord, or default when the rule is ord itself
+    other = odd_center(n, BUILTIN_RULES[
+        "default" if rule is BUILTIN_RULES["ord"] else "ord"])
     # graded lattices: equal iff each holds the other's generators
     outside = [len(next(iter(g.terms)).colored)
                for a, b in ((oz, other), (other, oz))

@@ -137,10 +137,6 @@ class EvenTensorElement(_MaskElement):
             mask |= _bit(self.space, label)
         return mask, 1
 
-    @staticmethod
-    def one(labels):
-        return EvenTensorElement(labels, {frozenset(): 1})
-
     def __repr__(self):
         return " + ".join(f"{c}*t[{','.join(names)}]" if names else f"{c}*1"
                           for c, names in self._named_terms()) or "0"

@@ -18,11 +18,13 @@ shifts per monomial; an odd move's sign is the popcount parity of the bits a
 generator crosses.  `run_word` applies a word of moves, checked once by
 `check_word`, and is the one engine under `apply_word` and the ring product.
 
-verify_relations instantiates every relation of the relevant presentation on
+verify_relations instantiates every relation of the one presentation both
+functors satisfy, the odd one up to the chronology sign of each relation, on
 all monomials with <= max_labels circles and reports pass/fail per relation.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import matchings as _m
 from .exterior import ExteriorElement, EvenTensorElement
@@ -227,121 +229,79 @@ def _maps_equal(word1, word2, m, theory, sign=1):
                for mask in range(2 ** m))
 
 
-def _relations(theory, m):
-    """Named relation instances on m circles (lists of (word1, word2, sign))."""
-    rels = {}
-
-    def add(name, w1, w2, sign=1):
-        rels.setdefault(name, []).append((w1, w2, sign))
-
-    # shared groups: permutation relations
-    for p in range(1, m):
-        add("permutation involution", [Permute(p, p + 1), Permute(p, p + 1)], [])
-    for p in range(1, m - 1):
-        add("permutation braid",
-            [Permute(p, p + 1), Permute(p + 1, p + 2), Permute(p, p + 1)],
-            [Permute(p + 1, p + 2), Permute(p, p + 1), Permute(p + 1, p + 2)])
-    for (p, q), (r, s) in _disjoint_pairs(m):
-        add("permutation disjoint commute",
-            [Permute(p, q), Permute(r, s)], [Permute(r, s), Permute(p, q)])
-
-    # unit / counit permutation: the born/dying circle slides past a neighbour
-    for p in range(1, m + 1):
-        add("unit permutation", [Birth(p), Permute(p, p + 1)], [Birth(p + 1)])
-    for p in range(1, m):
-        add("counit permutation",
-            [Permute(p, p + 1), Death(p)], [Death(p + 1)])
-
-    # merge / split permutation (disjoint moves commute past permutations)
-    if m >= 3:
-        for p in range(1, m):
-            for (r, s) in [(r, s) for r in range(1, m + 1) for s in range(r + 1, m + 1)
-                           if {r, s}.isdisjoint({p, p + 1})]:
-                mr = r - 1 if r > p + 1 else r
-                ms = s - 1 if s > p + 1 else s
-                add("merge permutation",
-                    [Permute(r, s), Merge(p, p + 1)],
-                    [Merge(p, p + 1), Permute(mr, ms)])
-    if m >= 2:
-        for p in range(1, m + 1):
-            for (r, s) in [(r, s) for r in range(1, m + 1) for s in range(r + 1, m + 1)
-                           if p not in (r, s)]:
-                sr = r + 1 if r > p else r
-                ss = s + 1 if s > p else s
-                add("split permutation",
-                    [Permute(r, s), Split(p)],
-                    [Split(p), Permute(sr, ss)])
-
-    if theory == "even":
-        # commutativity / cocommutativity
-        for p in range(1, m):
-            add("commutativity", [Permute(p, p + 1), Merge(p, p + 1)],
-                [Merge(p, p + 1)])
-        for p in range(1, m + 1):
-            add("cocommutativity", [Split(p), Permute(p, p + 1)], [Split(p)])
-        # associativity / coassociativity
-        if m >= 3:
-            for p in range(1, m - 1):
-                add("associativity",
-                    [Merge(p, p + 1), Merge(p, p + 1)],
-                    [Merge(p + 1, p + 2), Merge(p, p + 1)])
-        for p in range(1, m + 1):
-            add("coassociativity",
-                [Split(p), Split(p)],
-                [Split(p), Split(p + 1)])
-        # Frobenius
-        if m >= 2:
-            for p in range(1, m):
-                add("Frobenius",
-                    [Split(p + 1), Merge(p, p + 1)],
-                    [Merge(p, p + 1), Split(p)])
-                add("Frobenius",
-                    [Split(p), Merge(p + 1, p + 2)],
-                    [Merge(p, p + 1), Split(p)])
-        # unit / counit
-        for p in range(1, m + 1):
-            add("unit", [Birth(p), Merge(p, p + 1)], [])
-            if p >= 2:
-                add("unit", [Birth(p), Merge(p - 1, p)], [])
-            add("counit", [Split(p), Death(p)], [])
-            add("counit", [Split(p), Death(p + 1)], [])
-    else:
-        # anti-commutativity: merge after a swap is the merge with the other
-        # orientation; merges are orientation-free, so the two sides must agree
-        for p in range(1, m):
-            add("anti-commutativity", [Permute(p, p + 1), Merge(p, p + 1)],
-                [Merge(p, p + 1)])
-        # anti-co-commutativity: permuting the outputs flips the orientation
-        for p in range(1, m + 1):
-            add("anti-co-commutativity",
-                [Split(p, source_first=True), Permute(p, p + 1)],
-                [Split(p, source_first=False)])
-
-    return rels
-
-
-def _disjoint_pairs(m):
-    out = []
-    pairs = [(p, q) for p in range(1, m + 1) for q in range(p + 1, m + 1)]
-    for i, (p, q) in enumerate(pairs):
-        for (r, s) in pairs:
-            if {p, q}.isdisjoint({r, s}):
-                out.append(((p, q), (r, s)))
-    return out
+def _relations(m):
+    """Every relation of the presentation on m circles, as {name: [(word1,
+    word2, odd_sign)]}: the even functor takes both words to the same map,
+    the odd one to maps that differ by odd_sign, the chronology sign of the
+    relation's form.  A family with no instance on m circles is empty."""
+    # p ranges over the circles, over those followed by one more circle
+    # (adj) and by two more (triples)
+    ps, adj, triples = range(1, m + 1), range(1, m), range(1, m - 1)
+    pairs = list(combinations(ps, 2))
+    return {
+        "permutation involution": [
+            ([Permute(p, p + 1)] * 2, [], 1) for p in adj],
+        "permutation braid": [
+            ([Permute(p, p + 1), Permute(p + 1, p + 2), Permute(p, p + 1)],
+             [Permute(p + 1, p + 2), Permute(p, p + 1), Permute(p + 1, p + 2)],
+             1) for p in triples],
+        "permutation disjoint commute": [
+            ([Permute(p, q), Permute(r, s)], [Permute(r, s), Permute(p, q)], 1)
+            for p, q in pairs for r, s in pairs if not {p, q} & {r, s}],
+        # the born or dying circle slides past a neighbour
+        "unit permutation": [
+            ([Birth(p), Permute(p, p + 1)], [Birth(p + 1)], 1) for p in ps],
+        "counit permutation": [
+            ([Permute(p, p + 1), Death(p)], [Death(p + 1)], 1) for p in adj],
+        # a merge or split commutes with a permutation of other circles,
+        # renumbered by the move
+        "merge permutation": [
+            ([Permute(r, s), Merge(p, p + 1)],
+             [Merge(p, p + 1), Permute(r - (r > p), s - (s > p))], 1)
+            for p in adj for r, s in pairs if not {r, s} & {p, p + 1}],
+        "split permutation": [
+            ([Permute(r, s), Split(p)],
+             [Split(p), Permute(r + (r > p), s + (s > p))], 1)
+            for p in ps for r, s in pairs if p not in (r, s)],
+        "commutativity": [
+            ([Permute(p, p + 1), Merge(p, p + 1)], [Merge(p, p + 1)], 1)
+            for p in adj],
+        "cocommutativity": [
+            ([Split(p), Permute(p, p + 1)], [Split(p)], -1) for p in ps],
+        "associativity": [
+            ([Merge(p, p + 1), Merge(p, p + 1)],
+             [Merge(p + 1, p + 2), Merge(p, p + 1)], 1) for p in triples],
+        "coassociativity": [
+            ([Split(p), Split(p)], [Split(p), Split(p + 1)], -1) for p in ps],
+        "Frobenius": [
+            (word, [Merge(p, p + 1), Split(p)], 1) for p in adj
+            for word in ([Split(p + 1), Merge(p, p + 1)],
+                         [Split(p), Merge(p + 1, p + 2)])],
+        "unit": [([Birth(p), Merge(p, p + 1)], [], 1) for p in ps]
+        + [([Birth(p), Merge(p - 1, p)], [], 1) for p in range(2, m + 1)],
+        "counit": [([Split(p), Death(p + k)], [], (-1) ** k)
+                   for p in ps for k in (0, 1)],
+        # reversing a split's orientation negates the odd split
+        "split orientation": [
+            ([Split(p, source_first=False)], [Split(p)], -1) for p in ps],
+    }
 
 
 def verify_relations(max_labels, theory):
-    """Check every presentation relation on all states with <= max_labels
-    circles; returns {relation_name: bool} plus extra odd-theory checks."""
+    """Check every relation of the presentation, with the signs of
+    `theory`, on all states with <= max_labels circles, and the degree law
+    and closed surfaces; returns {name: bool}, the same names in both
+    theories."""
     _m.check_size("relations", max_labels)
-    if theory not in ("even", "odd"):
+    if theory not in _STATES:
         raise ValueError(f"unknown theory {theory!r}")
+    odd = theory == "odd"
     report = {}
     for m in range(1, max_labels + 1):
-        for name, instances in _relations(theory, m).items():
-            ok = all(_maps_equal(w1, w2, m, theory, sign)
-                     for (w1, w2, sign) in instances)
-            report[name] = report.get(name, True) and ok
+        for name, instances in _relations(m).items():
+            report[name] = report.get(name, True) and all(
+                _maps_equal(w1, w2, m, theory, sign if odd else 1)
+                for w1, w2, sign in instances)
 
     # degree law: every move of `theory`, at every position, shifts the
     # (post-shift) degree by -chi
@@ -352,29 +312,11 @@ def verify_relations(max_labels, theory):
         for mask in range(2 ** m)
         for out in run_word((move,), {mask: 1}, theory))
 
-    if theory == "odd":
-        # two chronologies splitting one circle into three differ by -1
-        report["chronology change sign"] = _maps_equal(
-            [Split(1, True), Split(2, True)], [Split(1, True), Split(1, True)],
-            1, "odd", -1)
-        # merges do not depend on orientation: permuting inputs first changes
-        # nothing (same check as anti-commutativity, stated separately; one
-        # circle has no merge, so nothing to check)
-        report["merge orientation-free"] = report.get("anti-commutativity",
-                                                      True)
-        # closed surfaces die
-        one = ExteriorElement.one(())
-        sphere = apply_word([Birth(1), Death(1)], one, "odd")
-        torus = apply_word([Birth(1), Split(1), Merge(1, 2), Death(1)],
-                           one, "odd")
-        report["closed surfaces vanish"] = sphere.is_zero() and torus.is_zero()
-    else:
-        one = EvenTensorElement.one(())
-        sphere = apply_word([Birth(1), Death(1)], one, "even")
-        torus = apply_word([Birth(1), Split(1), Merge(1, 2), Death(1)],
-                           one, "even")
-        report["sphere = 0, torus = x2"] = (
-            sphere.is_zero() and torus == one.scale(2))
+    # the sphere is 0; the torus is 2 (even) or 0 (odd)
+    sphere = run_word([Birth(1), Death(1)], {0: 1}, theory)
+    torus = run_word([Birth(1), Split(1), Merge(1, 2), Death(1)], {0: 1},
+                     theory)
+    report["closed surfaces"] = not sphere and torus == ({} if odd else {0: 2})
     return report
 
 

@@ -14,7 +14,8 @@ from time import perf_counter
 
 from . import matchings as _m
 from .arc_rings import BasisMonomial, RingElement, multiply, unit
-from .zlinalg import SparseZ, hnf_columns, hnf_reduce, smith_normal_form
+from .zlinalg import (SparseZ, hnf_columns, hnf_reduce, signed_sum,
+                      smith_normal_form)
 
 
 def _normalize(indices):
@@ -69,18 +70,11 @@ class OddPolynomial(SparseZ):
 
 
 def format_poly(p):
-    if not p.terms:
-        return "0"
-    bits = []
-    for idx, mono in enumerate(sorted(p.terms, key=lambda m: (len(m), m))):
+    def term(mono):
         coeff = p.terms[mono]
-        name = "".join(f"x{i}" for i in mono) if mono else "1"
-        body = name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
-        if idx == 0:
-            bits.append(body if coeff > 0 else "-" + body)
-        else:
-            bits.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(bits)
+        name = "".join(f"x{i}" for i in mono) or "1"
+        return coeff, name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
+    return signed_sum(map(term, sorted(p.terms, key=lambda m: (len(m), m))))
 
 
 _TERM_RE = re.compile(r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)(?P<star>\*)?)?"
@@ -514,18 +508,10 @@ def qbinom(m, k):
 
 
 def format_laurent(p):
-    if not p:
-        return "0"
-    bits = []
-    for e in sorted(p, reverse=True):
+    def term(e):
         c = p[e]
         if e == 0:
-            body = str(abs(c))
-        else:
-            var = "q" if e == 1 else f"q^{e}"
-            body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-        if not bits:
-            bits.append(body if c > 0 else "-" + body)
-        else:
-            bits.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(bits)
+            return c, str(abs(c))
+        var = "q" if e == 1 else f"q^{e}"
+        return c, var if abs(c) == 1 else f"{abs(c)}*{var}"
+    return signed_sum(map(term, sorted(p, reverse=True)))

@@ -13,7 +13,8 @@ alternating `hnf_columns` passes over the columns and the rows.  Besides
 them: GF(2) elimination on bitset rows (`solve_f2`).
 
 SparseZ is the common base of the sparse integer combinations (ring
-elements, exterior and tensor states, odd polynomials).
+elements, exterior and tensor states, odd polynomials), and `signed_sum`
+writes the text form of such a combination.
 """
 
 from heapq import heapify, heappop, heappush
@@ -90,6 +91,20 @@ class SparseZ:
         if k:
             out.terms = {m: k * c for m, c in self.terms.items()}
         return out
+
+
+def signed_sum(terms):
+    """Join (coeff, body) pairs, nonzero coeffs and bodies showing |coeff|,
+    as `body + body - body`, a negative first term as `-body`; '0' if there
+    are none."""
+    parts = []
+    for coeff, body in terms:
+        if parts:
+            parts.append("+" if coeff > 0 else "-")
+        elif coeff < 0:
+            body = "-" + body
+        parts.append(body)
+    return " ".join(parts) or "0"
 
 
 def _identity(k):

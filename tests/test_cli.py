@@ -188,10 +188,15 @@ def test_verify_catalan_beyond_the_seventh_catalan_number(monkeypatch):
     assert _verify_catalan(7) is None
 
 
-@pytest.mark.parametrize("doubled", ["default", "ord"])
-def test_verify_centers_rejects_a_sublattice(monkeypatch, doubled):
+@pytest.mark.parametrize("doubled, rule", [
+    pytest.param("default", "default", id="default"),
+    pytest.param("ord", "default", id="ord"),
+    pytest.param("default", "ord", id="default-under-ord"),
+    pytest.param("ord", "ord", id="ord-under-ord")])
+def test_verify_centers_rejects_a_sublattice(monkeypatch, doubled, rule):
     # doubling one degree-1 generator of either center keeps every graded
-    # rank but leaves an index-2 sublattice of the other center
+    # rank but leaves an index-2 sublattice of the other center; under
+    # either rule the check compares two different rules' centers
     from arcring import centers
     from arcring.arc_rings import BUILTIN_RULES
     from arcring.cli import _verify_centers
@@ -204,7 +209,7 @@ def test_verify_centers_rejects_a_sublattice(monkeypatch, doubled):
         return basis
 
     monkeypatch.setattr(centers, "odd_center", fake)
-    assert _verify_centers(2, BUILTIN_RULES["default"]) == \
+    assert _verify_centers(2, BUILTIN_RULES[rule]) == \
         "odd center lattice rule-dependent in degree 1"
 
 

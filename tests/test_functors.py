@@ -77,6 +77,32 @@ def test_all_relations_hold(theory):
         assert not failures, (max_labels, failures)
 
 
+def test_both_theories_report_the_same_relations():
+    for max_labels in range(1, 6):
+        even = verify_relations(max_labels, "even")
+        odd = verify_relations(max_labels, "odd")
+        assert list(even) == list(odd) and len(even) == 17
+        assert all(even.values()) and all(odd.values()), max_labels
+
+
+def test_odd_merge_sign_breaks_the_odd_presentation(monkeypatch):
+    # an extra -1 on the odd merges away from circle 1 keeps every relation
+    # with the same merge on both sides, and breaks the others
+    real = functors._KERNELS[Merge]
+
+    def merge_away_from_one_negated(move, terms, odd):
+        out = real(move, terms, odd)
+        if odd and min(move.p, move.q) >= 2:
+            return {k: -c for k, c in out.items()}
+        return out
+
+    monkeypatch.setitem(functors._KERNELS, Merge, merge_away_from_one_negated)
+    results = verify_relations(4, "odd")
+    assert [name for name, ok in results.items() if not ok] == \
+        ["associativity", "Frobenius", "unit"]
+    assert all(verify_relations(4, "even").values())
+
+
 def test_verify_relations_rejects_a_fractional_size():
     # 0 and 6 are in test_size_limits_raise; 2.5 lies inside the range
     with pytest.raises(ValueError, match="out of range for relations"):
