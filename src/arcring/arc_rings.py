@@ -28,8 +28,19 @@ from . import matchings as _m
 from .zlinalg import SparseZ, signed_sum
 
 
+class _Cache(dict):
+    """{key: convert(key)}, filled on first lookup."""
+
+    def __init__(self, convert):
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
 # one Matching per word, shared by monomials, rules, plans and products
-_matching = lru_cache(maxsize=None)(_m.Matching)
+_MATCHINGS = _Cache(_m.Matching)
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +69,8 @@ class BasisMonomial(tuple):
         return len(self.top) // 2
 
     def circles(self):
-        return _m.closed_diagram(_matching(self.top),
-                                 _matching(self.bottom)).circles
+        return _m.closed_diagram(_MATCHINGS[self.top],
+                                 _MATCHINGS[self.bottom]).circles
 
     def degree(self):
         return 2 * len(self.colored) - len(self.circles()) + self.n
@@ -87,9 +98,9 @@ class RingElement(SparseZ):
 
     @staticmethod
     def monomial(mono, coeff=1):
-        out = RingElement(mono.n)
-        if coeff:
-            out.terms[mono] = coeff
+        out = object.__new__(RingElement)
+        out.space = len(mono[0]) // 2
+        out.terms = {mono: coeff} if coeff else {}
         return out
 
     def __repr__(self):
@@ -206,10 +217,10 @@ class CustomRule(MultiplicationRule):
     def _middle(self, key):
         """The matching b of a (c, b, a) key of words of size n."""
         if (not isinstance(key, tuple) or len(key) != 3
-                or any(_matching(w).n != self.n for w in key)):
+                or any(_MATCHINGS[w].n != self.n for w in key)):
             raise ValueError(f"{key!r} is not a triple of words of size "
                              f"{self.n}")
-        return _matching(key[1])
+        return _MATCHINGS[key[1]]
 
     def order(self, c, b, a):
         key = (c.word, b.word, a.word)
@@ -242,36 +253,32 @@ BUILTIN_RULES = {"default": DefaultRule(), "ord": OrderRule()}
 # ---------------------------------------------------------------------------
 # the resolution plan: geometry only, shared by both products
 
-def _circle_positions(c, b, a, resolved):
-    """Map every point of W(c)b stacked on W(b)a, with the bridges at the
-    columns in `resolved` done, to the 1-based position of its circle.  Top
-    point k is k and bottom point k is 2n + k, so numbering the circles by
+def _circle_positions(outer, inner):
+    """([0, position of the circle through each point], circle count) of a
+    stacked diagram whose points are 1..len(outer) - 1: outer[p] is the
+    other end of p's arc of c or a, inner[p] the point its arc of b or a
+    resolved column's vertical strand leads to.  Numbering the circles by
     least point puts them in (row, min column) order."""
-    m = 2 * c.n
-    pos = {}
+    pos = [0] * len(outer)
     count = 0
-    for start in range(1, 2 * m + 1):
-        if start in pos:
+    for start in range(1, len(outer)):
+        if pos[start]:
             continue
         count += 1
         p = start
-        while p not in pos:
-            # an arc of c (top row) or of a (bottom row), then an arc of b in
-            # the same row or, at a resolved column, the vertical strand
-            q = c.partner[p] if p <= m else m + a.partner[p - m]
+        while not pos[p]:
+            q = outer[p]
             pos[p] = pos[q] = count
-            col = q if q <= m else q - m
-            row = q - col
-            p = col + m - row if col in resolved else b.partner[col] + row
-    return pos
+            p = inner[q]
+    return pos, count
 
 
 @lru_cache(maxsize=None)
 def _plan_of_words(rule, c, b, a):
-    """(events, word, top) for the bridge resolutions of W(c)b stacked on
+    """(events, ops, top) for the bridge resolutions of W(c)b stacked on
     W(b)a, given as words, in the scan order of `rule`: the events, the same
-    plan as a word of functor moves, checked against the circle counts it
-    meets, and the number of circles of W(c)b.
+    plan compiled to functor ops (each checked against the circle count it
+    meets), and the number of circles of W(c)b.
 
     The events are on 1-based circle positions in (row, min column) order;
     initially the circles of W(c)b come first, and at the end position k is
@@ -284,93 +291,80 @@ def _plan_of_words(rule, c, b, a):
                         circle p splits; i and j are the post-split positions
                         of the children through the scanned column and its
                         partner.  One child keeps position p, the other is
-                        the one at max(i, j).
+                        the one at max(i, j).  The ops split p with the
+                        child that keeps position p first; permutes then
+                        carry the other child from the next slot to its own.
 
     Cached per (rule, c, b, a), so a rule must not be mutated after its
     first product."""
-    c, b, a = _matching(c), _matching(b), _matching(a)
+    c, b, a = _MATCHINGS[c], _MATCHINGS[b], _MATCHINGS[a]
     m = 2 * c.n
-    resolved = set()
-    pos = _circle_positions(c, b, a, resolved)
-    top = max(pos[p] for p in range(1, m + 1))
-    start = max(pos.values())
-    events = []
+    # top point k is k and bottom point k is m + k
+    outer = c.partner + [m + k for k in a.partner[1:]]
+    inner = b.partner + [m + k for k in b.partner[1:]]
+    pos, count = _circle_positions(outer, inner)
+    top = max(pos[1:m + 1])
+    events, ops = [], []
     for col in rule.order(c, b, a):
-        if col in resolved:
+        if inner[col] == m + col:
             continue
         partner = b.partner[col]
-        resolved.update((col, partner))
-        new = _circle_positions(c, b, a, resolved)
-        if pos[col] != pos[m + col]:
-            events.append(("merge", pos[col], pos[m + col]))
+        for k in (col, partner):
+            inner[k], inner[m + k] = m + k, k
+        new, new_count = _circle_positions(outer, inner)
+        p = pos[col]
+        if p != pos[m + col]:
+            events.append(("merge", p, pos[m + col]))
+            ops.append(_f.merge_op(count, p, pos[m + col]))
         else:
             i, j = new[col], new[partner]
             src = rule.split_source(c, b, a, col, partner, i, j)
             if src not in (col, partner):
                 raise ValueError(f"split source {src!r} is not an endpoint "
                                  f"of the arc ({col}, {partner}) of {b.word}")
-            events.append(("split", pos[col], i, j, src == col))
-        pos = new
-    word = tuple(_moves(events))
-    _f.check_word(word, start)
-    return tuple(events), word, top
+            events.append(("split", p, i, j, src == col))
+            ops.append(_f.split_op(count, p, (src == col) == (i == p)))
+            ops.extend(_f.permute_op(new_count, k, k + 1)
+                       for k in range(p + 1, max(i, j)))
+        pos, count = new, new_count
+    return tuple(events), tuple(ops), top
 
 
 # ---------------------------------------------------------------------------
 # normative multiplication (the surface functor on the plan)
 
-def _moves(plan):
-    """The plan as functor moves.  A split puts the child that keeps the
-    parent's position first; Permutes then carry the other child from the
-    next slot to its own."""
-    for event in plan:
-        if event[0] == "merge":
-            yield _f.Merge(event[1], event[2])
-            continue
-        _, p, i, j, scan_is_source = event
-        yield _f.Split(p, source_first=scan_is_source == (i == p))
-        for k in range(p + 1, max(i, j)):
-            yield _f.Permute(k, k + 1)
-
-
-def _mask(colored):
-    mask = 0
-    for i in colored:
-        mask |= 1 << i - 1
-    return mask
-
-
-def _colored(mask):
-    """The 1-based circles of the set bits of a mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return frozenset(out)
+# colored set -> mask (bit k - 1 for circle k) and back, one entry each
+_MASKS = _Cache(lambda colored: sum(1 << i - 1 for i in colored))
+_COLOREDS = _Cache(lambda mask: frozenset(
+    i for i in range(1, mask.bit_length() + 1) if mask >> i - 1 & 1))
 
 
 def _resolve_monomials(rule, c, b, a, colored_x, colored_y, theory):
     """Product of [c|b|colored_x] . [b|a|colored_y]: the surface functor of
-    `theory` on the moves of the resolution plan.  Returns {frozenset: int}
-    over colored sets of W(c)a circle indices."""
-    _, word, top = _plan_of_words(rule, c.word, b.word, a.word)
+    `theory` on the compiled ops of the resolution plan.  Returns
+    {frozenset: int} over colored sets of W(c)a circle indices."""
+    _, ops, top = _plan_of_words(rule, c.word, b.word, a.word)
     terms = _f.run_word(
-        word, {_mask(colored_x) | _mask(colored_y) << top: 1}, theory)
-    return {_colored(mask): coeff for mask, coeff in terms.items()}
+        ops, {_MASKS[colored_x] | _MASKS[colored_y] << top: 1}, theory)
+    return {_COLOREDS[mask]: coeff for mask, coeff in terms.items()}
 
 
-def _block_product(x, y, cache, resolve, rule, *theory):
+def _block_product(x, y, cache, resolve, rule, theory):
     """Bilinear extension of resolve(rule, c, b, a, colored_x, colored_y,
-    *theory), the product of two basis monomials as {colored set: coeff};
+    theory), the product of two basis monomials as {colored set: coeff};
     zero across non-matching blocks.  `cache`, a dict or None, keeps per
     monomial pair (mx, my) the built {BasisMonomial: coeff} of the product,
     so each distinct pair is resolved once per cache and a hit builds no
-    monomial."""
+    monomial.  The product's monomials are built without BasisMonomial's
+    length check, as their top and bottom come from the operands, and the
+    result without SparseZ.__init__."""
     if x.space != y.space:
         raise ValueError(f"cannot multiply elements for n={x.n} and n={y.n}")
-    out = RingElement(x.space)
-    terms = out.terms
+    out = object.__new__(RingElement)
+    out.space = x.space
+    out.terms = terms = {}
+    if not (x.terms and y.terms):
+        return out
     for mx, cx in x.terms.items():
         top, middle, colored_x = mx
         for my, cy in y.terms.items():
@@ -379,11 +373,12 @@ def _block_product(x, y, cache, resolve, rule, *theory):
             prods = None if cache is None else cache.get((mx, my))
             if prods is None:
                 bottom = my[1]
-                prods = {BasisMonomial(top, bottom, colored): coeff
+                prods = {tuple.__new__(BasisMonomial, (top, bottom, colored)):
+                         coeff
                          for colored, coeff in resolve(
-                             rule, _matching(top), _matching(middle),
-                             _matching(bottom), colored_x, my[2],
-                             *theory).items()}
+                             rule, _MATCHINGS[top], _MATCHINGS[middle],
+                             _MATCHINGS[bottom], colored_x, my[2],
+                             theory).items()}
                 if cache is not None:
                     cache[mx, my] = prods
             k = cx * cy
@@ -418,7 +413,7 @@ def multiply(rule, x, y, theory="odd", *, memo=None):
 # ---------------------------------------------------------------------------
 # diagrammatic multiplication (colored diagrams with sign tables; odd only)
 
-def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
+def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y, theory):
     events, _, top = _plan_of_words(rule, c.word, b.word, a.word)
     # terms: {frozenset(positions of colored circles): coeff}
     terms = {frozenset(colored_x) | {top + i for i in colored_y}: 1}
@@ -472,7 +467,7 @@ def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
 def multiply_diagrammatic(rule, x, y):
     """Same contract as multiply (odd theory), via the colored-diagram sign
     tables."""
-    return _block_product(x, y, None, _resolve_diagrammatic, rule)
+    return _block_product(x, y, None, _resolve_diagrammatic, rule, "odd")
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +510,7 @@ def parse_element(text, n=None):
         if sign == "-":
             coeff = -coeff
         top, bottom = match.group("top"), match.group("bottom")
-        tm, bm = _matching(top), _matching(bottom)
+        tm, bm = _MATCHINGS[top], _MATCHINGS[bottom]
         if tm.n != bm.n or (n is not None and tm.n != n):
             raise ValueError("matching sizes disagree")
         k = len(_m.closed_diagram(tm, bm).circles)

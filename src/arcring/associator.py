@@ -51,20 +51,25 @@ def _proportionality(triples):
     return sign
 
 
-def _block_elements(top, bottom):
-    """(monomial, element) for every basis monomial of one block."""
-    return [(mono, RingElement.monomial(mono))
-            for mono in block_monomials(top, bottom)]
+def _block_elements(top, bottom, blocks):
+    """(monomial, element) for every basis monomial of one block, built once
+    per `blocks`, a dict owned by the caller."""
+    out = blocks.get((top, bottom))
+    if out is None:
+        out = blocks[top, bottom] = [(mono, RingElement.monomial(mono))
+                                     for mono in block_monomials(top, bottom)]
+    return out
 
 
-def phi0(rule, d, c, b, a, *, memo=None):
+def phi0(rule, d, c, b, a, *, memo=None, blocks=None):
     """Chronology sign: (xy)z = (-1)^(p(x)*S(c,b,a)) * phi0 * x(yz) on the
     whole block, as a proportionality of linear maps, or None if both maps
     vanish identically (twice at n = 2).  `memo` is the product memo of
-    `multiply`."""
+    `multiply`, `blocks` that of `_block_elements`."""
     S = scission_count(c, b, a)
-    xs, ys, zs = _block_elements(d, c), _block_elements(c, b), \
-        _block_elements(b, a)
+    blocks = {} if blocks is None else blocks
+    xs, ys, zs = (_block_elements(top, bottom, blocks)
+                  for top, bottom in ((d, c), (c, b), (b, a)))
     # y.z does not depend on x: one row of products per y, once per cell
     yzs = [[multiply(rule, y, z, memo=memo) for _, z in zs] for _, y in ys]
 
@@ -82,12 +87,14 @@ def phi0(rule, d, c, b, a, *, memo=None):
 
 def _sign_table(sign, n, k, memo):
     """{k-cell of words: bit or None} over all k-tuples of matchings, bit = 1
-    iff sign(*cell, memo=memo) = -1, None where it is undefined.  The cells
-    share the product memo `memo`."""
+    iff sign(*cell, memo=memo, blocks=blocks) = -1, None where it is
+    undefined.  The cells share the product memo `memo` and one list of
+    basis elements per block, both dropped with the table's caller."""
     _m.check_size("assoc", n)
     table = {}
+    blocks = {}
     for cell in _product(_m.enumerate_matchings(n), repeat=k):
-        s = sign(*cell, memo=memo)
+        s = sign(*cell, memo=memo, blocks=blocks)
         table[tuple(m.word for m in cell)] = \
             None if s is None else (1 - s) // 2
     return table
@@ -177,12 +184,13 @@ def solve_coboundary(table, n):
     return _primitive(table, [m.word for m in _m.enumerate_matchings(n)], 4)
 
 
-def rule_sign_ratio(rule1, rule2, c, b, a, *, memo=None):
+def rule_sign_ratio(rule1, rule2, c, b, a, *, memo=None, blocks=None):
     """Proportionality sign between the block multiplication maps of the two
     rules on (c,b,a), or None if both maps vanish identically (this happens
     in the odd theory, e.g. on ((()))|(())()|()(()) at n = 3).  `memo` is
-    the product memo of `multiply`."""
-    ys, zs = _block_elements(c, b), _block_elements(b, a)
+    the product memo of `multiply`, `blocks` that of `_block_elements`."""
+    blocks = {} if blocks is None else blocks
+    ys, zs = _block_elements(c, b, blocks), _block_elements(b, a, blocks)
 
     def triples():
         for _, y in ys:

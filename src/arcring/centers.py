@@ -142,7 +142,9 @@ def _solve(n, rule, theory, flavor):
         columns = [{} for _ in unknowns]
         rows = count()
         _pair_constraints(n, rule, theory, blocks, columns, rows)
-        if flavor == "odd-ring-center":
+        # a diagonal block multiplies by merges alone, so z.g = z ^ g =
+        # (-1)^p g ^ z for z of degree p: only odd p adds nonzero rows
+        if flavor == "odd-ring-center" and p % 2:
             _commutation_constraints(n, rule, blocks, columns, rows)
         kernel = kernel_basis_Z(columns)
         basis.graded_rank[p] = len(kernel)

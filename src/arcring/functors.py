@@ -15,8 +15,11 @@ one to A^{tensor m} with A = Z[t]/t^2.  Moves are positional:
 A state is a map {mask: coeff}, bit k - 1 of a mask standing for a generator
 (odd) or a t (even) on circle k, as in `exterior`.  Every move is a few bit
 shifts per monomial; an odd move's sign is the popcount parity of the bits a
-generator crosses.  `run_word` applies a word of moves, checked once by
-`check_word`, and is the one engine under `apply_word` and the ring product.
+generator crosses.  `compile_word` checks a word of moves once and compiles
+each move to a kernel with precomputed bit constants; `run_word` runs such a
+compiled word, and is the one engine under `apply_word`, `verify_relations`
+and the ring product, whose plans build the same ops through the `*_op`
+builders.
 
 verify_relations instantiates every relation of the one presentation both
 functors satisfy, the odd one up to the chronology sign of each relation, on
@@ -59,51 +62,44 @@ class Permute:
     q: int
 
 
-def _labels(m):
-    return tuple(range(1, m + 1))
+# A move compiles, once per word, to an op (kernel, consts): the kernel maps
+# {mask: coeff} on the circles before the move, bit k - 1 for circle k, to
+# the same on the circles after it, from bit constants computed at compile
+# time.  `odd` adds the exterior signs: a generator that moves past others
+# picks up the popcount parity of the bits it crosses.  Only merges can send
+# two monomials to one.  The *_op builders check the move against the
+# circle count m it meets and raise ValueError, so compiled words are valid.
 
-
-def _check_pos(move, m):
-    if isinstance(move, Birth):
-        ok = 1 <= move.pos <= m + 1
-    elif isinstance(move, Death):
-        ok = 1 <= move.pos <= m
-    elif isinstance(move, Split):
-        ok = 1 <= move.p <= m
-    elif isinstance(move, (Merge, Permute)):
-        ok = 1 <= move.p <= m and 1 <= move.q <= m and move.p != move.q
-    else:
-        ok = False
-    if not ok:
-        raise ValueError(f"move {move} invalid on {m} circles")
-
-
-# The move kernels map {mask: coeff} on m circles, bit k - 1 for circle k,
-# to the same on the circles after the move.  `odd` adds the exterior signs:
-# a generator that moves past others picks up the popcount parity of the
-# bits it crosses.  Only merges can send two monomials to one.
-
-def _birth(move, terms, odd):
-    low = (1 << move.pos - 1) - 1
+def _birth(terms, odd, consts):
+    low, = consts
     return {(k & low) | (k & ~low) << 1: c for k, c in terms.items()}
 
 
-def _death(move, terms, odd):
+def birth_op(m, p):
+    if not 1 <= p <= m + 1:
+        raise ValueError(f"birth({p}) invalid on {m} circles")
+    return _birth, ((1 << p - 1) - 1,)
+
+
+def _death(terms, odd, consts):
     # odd: contraction against the dual of generator p; even: the trace
-    p = move.pos
-    bit = 1 << p - 1
-    low = bit - 1
-    return {(k & low) | (k >> p) << p - 1:
+    bit, low, high = consts
+    return {(k & low) | (k >> 1 & high):
             -c if odd and (k & low).bit_count() & 1 else c
             for k, c in terms.items() if k & bit}
 
 
-def _merge(move, terms, odd):
+def death_op(m, p):
+    if not 1 <= p <= m:
+        raise ValueError(f"death({p}) invalid on {m} circles")
+    bit = 1 << p - 1
+    return _death, (bit, bit - 1, -bit)
+
+
+def _merge(terms, odd, consts):
     # generators p and q both go to min(p, q): two of them multiply to zero,
     # and one at max(p, q) moves down past the bits in between
-    lo, hi = sorted((move.p, move.q))
-    lo_bit, hi_bit = 1 << lo - 1, 1 << hi - 1
-    between = hi_bit - (lo_bit << 1)
+    lo_bit, hi_bit, between, keep, high = consts
     out = {}
     for k, c in terms.items():
         if k & hi_bit:
@@ -112,7 +108,7 @@ def _merge(move, terms, odd):
             if odd and (k & between).bit_count() & 1:
                 c = -c
             k |= lo_bit
-        k = (k & hi_bit - 1) | (k >> hi) << hi - 1
+        k = (k & keep) | (k >> 1 & high)
         c += out.get(k, 0)
         if c:
             out[k] = c
@@ -121,20 +117,25 @@ def _merge(move, terms, odd):
     return out
 
 
-def _split(move, terms, odd):
+def merge_op(m, p, q):
+    if not (1 <= p <= m and 1 <= q <= m and p != q):
+        raise ValueError(f"merge({p}, {q}) invalid on {m} circles")
+    lo_bit, hi_bit = 1 << min(p, q) - 1, 1 << max(p, q) - 1
+    return _merge, (lo_bit, hi_bit, hi_bit - (lo_bit << 1), hi_bit - 1,
+                    -hi_bit)
+
+
+def _split(terms, odd, consts):
     # circle p becomes circles p and p + 1.  Odd: (a1 - a2) ^ x with x's
     # generator on p moved to the orientation source a1 (circle p if
     # source_first), so 1 -> a1 - a2 and a_p -> a1 ^ a2; the new generator
     # enters in front, past the bits below p.  Even: 1 -> 1 (x) t + t (x) 1
     # and t -> t (x) t.
-    p = move.p
-    first, second = 1 << p - 1, 1 << p
-    low = first - 1
-    u = 1 if move.source_first or not odd else -1
-    v = -u if odd else u
+    first, second, low, high, signs = consts
+    u, v = signs[odd]
     out = {}
     for k, c in terms.items():
-        base = (k & low) | (k >> p) << p + 1
+        base = (k & low) | (k << 1 & high)
         if odd and (k & low).bit_count() & 1:
             c = -c
         if k & first:
@@ -145,12 +146,20 @@ def _split(move, terms, odd):
     return out
 
 
-def _permute(move, terms, odd):
+def split_op(m, p, source_first=True):
+    if not 1 <= p <= m:
+        raise ValueError(f"split({p}) invalid on {m} circles")
+    # (u, v) of the even and of the odd theory
+    u = 1 if source_first else -1
+    first = 1 << p - 1
+    return _split, (first, first << 1, first - 1, -(first << 2),
+                    ((1, 1), (u, -u)))
+
+
+def _permute(terms, odd, consts):
     # swapping two generators costs -1; moving one costs the parity of the
     # bits it crosses
-    lo, hi = sorted((move.p, move.q))
-    both = 1 << lo - 1 | 1 << hi - 1
-    between = (1 << hi - 1) - (1 << lo)
+    both, between = consts
     out = {}
     for k, c in terms.items():
         ends = k & both
@@ -164,31 +173,49 @@ def _permute(move, terms, odd):
     return out
 
 
-_KERNELS = {Birth: _birth, Death: _death, Merge: _merge, Split: _split,
-            Permute: _permute}
-_CIRCLES = {Birth: 1, Death: -1, Merge: -1, Split: 1, Permute: 0}
+def permute_op(m, p, q):
+    if not (1 <= p <= m and 1 <= q <= m and p != q):
+        raise ValueError(f"permute({p}, {q}) invalid on {m} circles")
+    lo, hi = min(p, q), max(p, q)
+    return _permute, (1 << lo - 1 | 1 << hi - 1, (1 << hi - 1) - (1 << lo))
+
+
+# per move type: the builder of its op, called with the move's fields, and
+# the change in the circle count
+_BUILDERS = {Birth: (birth_op, 1), Death: (death_op, -1),
+             Merge: (merge_op, -1), Split: (split_op, 1),
+             Permute: (permute_op, 0)}
 _STATES = {"odd": ExteriorElement, "even": EvenTensorElement}
 
 
-def check_word(word, m):
-    """Raise ValueError unless every move of `word` is valid on the circles
-    it meets, starting from m; returns the final circle count."""
+def _labels(m):
+    return tuple(range(1, m + 1))
+
+
+def compile_word(word, m):
+    """(ops, final circle count) of a word of moves, first move first,
+    starting from m circles; ValueError unless every move is valid on the
+    circles it meets."""
+    ops = []
     for move in word:
-        _check_pos(move, m)
-        m += _CIRCLES[type(move)]
-    return m
+        if type(move) not in _BUILDERS:
+            raise ValueError(f"{move!r} is not a move")
+        build, circles = _BUILDERS[type(move)]
+        ops.append(build(m, *vars(move).values()))
+        m += circles
+    return tuple(ops), m
 
 
-def run_word(word, terms, theory):
-    """The functor of `theory` on a word that check_word accepted, applied
-    to {mask: coeff} on its starting circles, first move first; returns the
-    map on the final circles, a new dict unless `word` is empty.  The one
-    engine under apply_word and the ring product."""
+def run_word(ops, terms, theory):
+    """The functor of `theory` on a compiled word, applied to {mask: coeff}
+    on its starting circles; returns the map on the final circles, a new
+    dict unless `ops` is empty.  The one engine under apply_word,
+    verify_relations and the ring product."""
     if theory not in _STATES:
         raise ValueError(f"unknown theory {theory!r}")
     odd = theory == "odd"
-    for move in word:
-        terms = _KERNELS[type(move)](move, terms, odd)
+    for kernel, consts in ops:
+        terms = kernel(terms, odd, consts)
     return terms
 
 
@@ -202,9 +229,9 @@ def apply_word(word, x, theory):
     m = len(x.labels)
     if x.labels != _labels(m):
         raise ValueError(f"labels {x.labels} are not 1..{m}")
-    word = tuple(word)
-    out = type(x)(_labels(check_word(word, m)))
-    out.terms = run_word(word, x.terms, theory) if word else dict(x.terms)
+    ops, m = compile_word(word, m)
+    out = type(x)(_labels(m))
+    out.terms = run_word(ops, x.terms, theory) if ops else dict(x.terms)
     return out
 
 
@@ -221,12 +248,11 @@ def euler_characteristic(move):
 def _maps_equal(word1, word2, m, theory, sign=1):
     """Do the words agree up to `sign` on every basis state on m circles?
     States on different circle counts are unequal."""
-    if check_word(word1, m) != check_word(word2, m):
-        return False
-    return all(run_word(word1, {mask: 1}, theory)
-               == {k: sign * c for k, c in
-                   run_word(word2, {mask: 1}, theory).items()}
-               for mask in range(2 ** m))
+    (ops1, m1), (ops2, m2) = compile_word(word1, m), compile_word(word2, m)
+    return m1 == m2 and all(
+        run_word(ops1, {mask: 1}, theory)
+        == {k: sign * c for k, c in run_word(ops2, {mask: 1}, theory).items()}
+        for mask in range(2 ** m))
 
 
 def _relations(m):
@@ -306,16 +332,18 @@ def verify_relations(max_labels, theory):
     # degree law: every move of `theory`, at every position, shifts the
     # (post-shift) degree by -chi
     report["degree law"] = all(
-        2 * out.bit_count() - check_word((move,), m)
+        2 * out.bit_count() - after
         == 2 * mask.bit_count() - m - euler_characteristic(move)
         for m in range(1, max_labels + 1) for move in _all_moves(m)
+        for ops, after in [compile_word((move,), m)]
         for mask in range(2 ** m)
-        for out in run_word((move,), {mask: 1}, theory))
+        for out in run_word(ops, {mask: 1}, theory))
 
     # the sphere is 0; the torus is 2 (even) or 0 (odd)
-    sphere = run_word([Birth(1), Death(1)], {0: 1}, theory)
-    torus = run_word([Birth(1), Split(1), Merge(1, 2), Death(1)], {0: 1},
-                     theory)
+    sphere = run_word(compile_word([Birth(1), Death(1)], 0)[0], {0: 1},
+                      theory)
+    torus = run_word(compile_word(
+        [Birth(1), Split(1), Merge(1, 2), Death(1)], 0)[0], {0: 1}, theory)
     report["closed surfaces"] = not sphere and torus == ({} if odd else {0: 2})
     return report
 

@@ -2,7 +2,7 @@
 
 A matching is stored canonically as a balanced parenthesis word of length 2n;
 the partner involution (other endpoint of the arc through each basepoint) is
-derived from it.  Stacking a matching a under the mirror W(b) of a matching b
+derived from it, as a list indexed by the basepoints 1..2n.  Stacking a matching a under the mirror W(b) of a matching b
 closes everything up into a disjoint union of circles; those circles, ordered
 by minimal basepoint, drive all sign conventions downstream, so the order is
 fixed here once and for all.
@@ -44,7 +44,7 @@ class Matching:
             raise ValueError(f"bad matching word: {word!r}")
         n = len(word) // 2
         check_size("matching", n)
-        partner = {}
+        partner = [0] * (len(word) + 1)
         stack = []
         for pos, ch in enumerate(word, start=1):
             if ch == "(":

@@ -8,6 +8,7 @@ only in the quotient).  Degrees below count variables per monomial.
 """
 
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from operator import attrgetter
 import re
 from time import perf_counter
@@ -345,9 +346,10 @@ def _generator_action_holds(q, images, rule):
 def verify_springer_iso(n, rule):
     """Certificate that the quotient presentation and the odd center are
     isomorphic as graded rings, via the evaluation map.  Besides the stage
-    verdicts it holds the wall seconds of every step ("seconds") and the
+    verdicts it holds the wall seconds of every step ("seconds"), the
     (monomials, columns eliminated) shape of every ideal slice
-    ("slice_shape")."""
+    ("slice_shape") and, if the quotient's ranks are not the Betti numbers,
+    the first degree where they differ ("witness")."""
     from .centers import odd_center
 
     _m.check_size("springer", n)
@@ -386,21 +388,34 @@ def verify_springer_iso(n, rule):
     if not check("injective", len(echelon) == len(images)):
         return cert
 
-    # (iii) graded ranks agree
+    # (iii) the quotient's graded ranks are the Betti numbers of the (n, n)
+    # Springer fiber, an oracle independent of both computed sides: the
+    # first degree where they differ is the witness
     cert["quotient_rank"] = dict(q.graded_rank)
+    betti = [comb(nvars, k) - comb(nvars, k - 1) if k else 1
+             for k in range(n + 1)] + [0]
+    bad = next((k for k, b in enumerate(betti)
+                if q.graded_rank.get(k, 0) != b), None)
+    if bad is not None:
+        cert["witness"] = {"degree": bad, "rank": q.graded_rank.get(bad, 0),
+                           "betti": betti[bad]}
+    if not check("betti_numbers", bad is None):
+        return cert
+
+    # (iv) the graded ranks agree with the center's
     cert["center_rank"] = dict(oz.graded_rank)
     if not check("graded_ranks",
                  all(q.graded_rank.get(d, 0) == oz.graded_rank.get(d, 0)
                      for d in range(n + 2))):
         return cert
 
-    # (ii) and (iii) leave the image a finite-index sublattice of the
+    # (ii) and (iv) leave the image a finite-index sublattice of the
     # center; equal echelons make it the whole center
     if not check("spans_center",
                  echelon == _diagonal_lattice(n, oz.generators)):
         return cert
 
-    # (iv) the map is multiplicative
+    # (v) the map is multiplicative
     if not check("structure_constants",
                  _generator_action_holds(q, images, rule)):
         return cert

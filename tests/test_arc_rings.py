@@ -10,7 +10,7 @@ from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis, unit,
                                multiply, multiply_diagrammatic, BUILTIN_RULES,
                                DefaultRule, FlippedRule, CustomRule,
                                MultiplicationRule, format_element,
-                               parse_element)
+                               parse_element, _plan_of_words)
 
 DEFAULT = BUILTIN_RULES["default"]
 ORD = BUILTIN_RULES["ord"]
@@ -79,16 +79,16 @@ def test_block_mismatch_is_zero():
 
 
 @pytest.mark.parametrize("rule", [DEFAULT, ORD], ids=["default", "ord"])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_diagrammatic_oracle_agrees(rule, n):
+    # every composable basis pair for n <= 3, a seeded sample of 2000 at n = 4
     basis = [bm for bm, _ in ring_basis(n)]
-    for mx in basis:
-        x = RingElement.monomial(mx)
-        for my in basis:
-            if mx.bottom != my.top:
-                continue
-            y = RingElement.monomial(my)
-            assert multiply(rule, x, y) == multiply_diagrammatic(rule, x, y)
+    pairs = [(x, y) for x in basis for y in basis if x.bottom == y.top]
+    if n == 4:
+        pairs = random.Random(16).sample(pairs, 2000)
+    for mx, my in pairs:
+        x, y = RingElement.monomial(mx), RingElement.monomial(my)
+        assert multiply(rule, x, y) == multiply_diagrammatic(rule, x, y)
 
 
 def test_degree_additivity():
@@ -156,6 +156,41 @@ def test_golden_product_digests(n):
         digests.append(
             hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16])
     assert tuple(digests) == GOLDEN_DIGESTS[n]
+
+
+# sha256 prefixes of the events of every (c, b, a) triple, per rule in
+# PLAN_RULES order, pinned on the dict-walk plan builder this one replaced
+PLAN_DIGESTS = {
+    1: ("8f454a7309de12c7",) * 3,
+    2: ("350ebf1f8d3bdcb9", "c375c5ed7b750ba1", "14db75ff6601b791"),
+    3: ("c51e5ef8788550dc", "6a94b15a26374a7c", "6970f029ef0eccf8"),
+    4: ("3efbedd52b125f1d", "67a59731fde96a79", "bcc6e895b7389d6d"),
+}
+PLAN_RULES = [DEFAULT, ORD, FlippedRule(DEFAULT)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_golden_plan_digests(n):
+    words = [a.word for a in m.enumerate_matchings(n)]
+    digests = []
+    for rule in PLAN_RULES:
+        lines = [f"{c}|{b}|{a} {_plan_of_words(rule, c, b, a)[0]!r}"
+                 for c in words for b in words for a in words]
+        digests.append(
+            hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16])
+    assert tuple(digests) == PLAN_DIGESTS[n]
+
+
+def test_plan_rejects_a_split_source_off_the_arc():
+    class OffArc(MultiplicationRule):
+        name = "off-arc"
+
+        def split_source(self, c, b, a, scan, partner, *keys):
+            return 0
+
+    # ()() over (()) over ()(): one merge, then one split
+    with pytest.raises(ValueError, match="is not an endpoint"):
+        _plan_of_words(OffArc(), "()()", "(())", "()()")
 
 
 def test_shared_memo_matches_memo_less_products():

@@ -239,6 +239,24 @@ def test_phi0_table_multiply_calls_n3(monkeypatch):
     assert len(calls) == 112080
 
 
+def test_tables_build_each_block_once(monkeypatch):
+    # the 25 blocks of n = 3 are built once per table, not once per cell
+    # (1,875 builds for phi0's 625 cells, 250 for eta's 125)
+    calls = []
+    real = associator.block_monomials
+
+    def counting(top, bottom):
+        calls.append((top.word, bottom.word))
+        return real(top, bottom)
+
+    monkeypatch.setattr(associator, "block_monomials", counting)
+    for table in (lambda: phi0_table(DEFAULT, 3),
+                  lambda: eta_table(DEFAULT, ORD, 3)):
+        calls.clear()
+        table()
+        assert len(calls) == len(set(calls)) == 25
+
+
 def test_proportionality_raises_on_an_inconsistent_sign():
     x, y = [RingElement.monomial(mono) for mono, _ in ring_basis(1)]
     assert associator._proportionality([(x, x, 1), (y, y, 1)]) == 1

@@ -95,8 +95,8 @@ def test_springer_check_iso(capsys):
     assert code == 0
     assert out.splitlines() == [
         f"{stage}: pass" for stage in ("generators_vanish", "injective",
-                                       "graded_ranks", "spans_center",
-                                       "structure_constants")]
+                                       "betti_numbers", "graded_ranks",
+                                       "spans_center", "structure_constants")]
 
 
 def test_assoc_phi0_table(capsys):
@@ -275,7 +275,13 @@ import arcring.associator as A
 import arcring.matchings as M
 from arcring.arc_rings import BUILTIN_RULES
 from arcring.exterior import EvenTensorElement, ExteriorElement
-from arcring.functors import Birth, apply_word
+from arcring.arc_rings import MultiplicationRule, _plan_of_words
+from arcring.functors import Birth, Split, apply_word, compile_word, merge_op
+
+
+class OffArc(MultiplicationRule):
+    def split_source(self, c, b, a, scan, partner, *keys):
+        return 0
 
 DEFAULT = BUILTIN_RULES["default"]
 W2 = [a.word for a in M.enumerate_matchings(2)]
@@ -330,7 +336,10 @@ for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
             patched(A, "solve_f2",
                     lambda rows, rhs, ncols: [1] + [0] * (ncols - 1),
                     lambda: A.compare_rules(DEFAULT, DEFAULT, 2)),
-            eta_not_a_cocycle):
+            eta_not_a_cocycle,
+            lambda: _plan_of_words(OffArc(), "()()", "(())", "()()"),
+            lambda: merge_op(2, 1, 3),
+            lambda: compile_word([Birth(1), Split(3)], 1)):
     try:
         bad()
     except (ValueError, AttributeError, AssertionError) as exc:
@@ -340,4 +349,4 @@ for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
         ["False"] + ["ValueError"] * 2 + ["AttributeError"]
         + ["AssertionError"] + ["ValueError"] * 3 + ["AssertionError"] * 4
         + ["ValueError"] * 2 + ["AssertionError"] * 2 + ["None"]
-        + ["AssertionError"] * 2), proc.stderr
+        + ["AssertionError"] * 2 + ["ValueError"] * 3), proc.stderr

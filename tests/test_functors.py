@@ -88,15 +88,16 @@ def test_both_theories_report_the_same_relations():
 def test_odd_merge_sign_breaks_the_odd_presentation(monkeypatch):
     # an extra -1 on the odd merges away from circle 1 keeps every relation
     # with the same merge on both sides, and breaks the others
-    real = functors._KERNELS[Merge]
+    # the merge kernel's first constant is the bit of circle min(p, q)
+    real = functors._merge
 
-    def merge_away_from_one_negated(move, terms, odd):
-        out = real(move, terms, odd)
-        if odd and min(move.p, move.q) >= 2:
+    def merge_away_from_one_negated(terms, odd, consts):
+        out = real(terms, odd, consts)
+        if odd and consts[0] >= 2:
             return {k: -c for k, c in out.items()}
         return out
 
-    monkeypatch.setitem(functors._KERNELS, Merge, merge_away_from_one_negated)
+    monkeypatch.setattr(functors, "_merge", merge_away_from_one_negated)
     results = verify_relations(4, "odd")
     assert [name for name, ok in results.items() if not ok] == \
         ["associativity", "Frobenius", "unit"]
@@ -126,13 +127,13 @@ def test_degree_law_checks_every_position(monkeypatch):
 def test_degree_law_checks_the_theory_asked_for(monkeypatch):
     # an even merge that puts a t on circle 1 raises the degree; the odd
     # merge is untouched
-    real = functors._KERNELS[Merge]
+    real = functors._merge
 
-    def even_merge_adds_t(move, terms, odd):
-        out = real(move, terms, odd)
+    def even_merge_adds_t(terms, odd, consts):
+        out = real(terms, odd, consts)
         return out if odd else {k | 1: c for k, c in out.items()}
 
-    monkeypatch.setitem(functors._KERNELS, Merge, even_merge_adds_t)
+    monkeypatch.setattr(functors, "_merge", even_merge_adds_t)
     assert not verify_relations(3, "even")["degree law"]
     assert verify_relations(3, "odd")["degree law"]
 

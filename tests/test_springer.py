@@ -278,8 +278,9 @@ def test_springer_isomorphism(n, rule_name):
     cert = verify_springer_iso(n, BUILTIN_RULES[rule_name])
     assert cert["passed"], cert.get("failed_stage")
     assert list(cert["stages"]) == ["generators_vanish", "injective",
-                                    "graded_ranks", "spans_center",
-                                    "structure_constants"]
+                                    "betti_numbers", "graded_ranks",
+                                    "spans_center", "structure_constants"]
+    assert "witness" not in cert
     assert list(cert["seconds"]) == ["quotient_presentation", "odd_center",
                                      *cert["stages"]]
     # slice d eliminates x_i times each column of the degree-(d-1) echelon,
@@ -371,8 +372,30 @@ def test_springer_iso_image_must_span_the_center(monkeypatch, change):
             real(p, n).scale(2) if p == x1 else real(p, n)))
     cert = verify_springer_iso(2, DEFAULT)
     assert cert["stages"] == {"generators_vanish": True, "injective": True,
-                              "graded_ranks": True, "spans_center": False}
+                              "betti_numbers": True, "graded_ranks": True,
+                              "spans_center": False}
     assert cert["failed_stage"] == "spans_center"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_springer_iso_checks_ranks_against_betti_numbers(monkeypatch, n):
+    """One quotient rank off by one, in degree 2, fails the Betti stage
+    before the two computed sides are compared, and names the degree."""
+    import arcring.springer as sp
+    real = sp.quotient_presentation
+
+    def off_by_one(n):
+        q = real(n)
+        q.graded_rank = {**q.graded_rank, 2: q.graded_rank[2] + 1}
+        return q
+    monkeypatch.setattr(sp, "quotient_presentation", off_by_one)
+    cert = verify_springer_iso(n, DEFAULT)
+    assert cert["stages"] == {"generators_vanish": True, "injective": True,
+                              "betti_numbers": False}
+    assert cert["failed_stage"] == "betti_numbers"
+    betti = comb(2 * n, 2) - comb(2 * n, 1)
+    assert cert["witness"] == {"degree": 2, "rank": betti + 1,
+                               "betti": betti}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
