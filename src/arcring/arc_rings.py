@@ -5,11 +5,11 @@ Multiplication of x in c(.)b by y in b(.)a stacks the closed diagram W(c)b on
 top of W(b)a and resolves one bridge per arc of b, scanning basepoints in the
 order prescribed by the multiplication rule.  The geometry of that resolution
 is computed once per (rule, c, b, a) by `_plan_of_words`, as merge and split
-events on circle positions.  Two independent interpretations of the plan are
-provided:
+events on circle positions, and compiled there into the bit-constant kernels
+of `functors`.  Two independent interpretations of the plan are provided:
 
-  multiply              applies the odd/even surface functor of `functors`
-                        to the plan's merge/split/permute moves (normative);
+  multiply              runs the odd/even surface functor on the plan's
+                        compiled merge/split/permute ops (normative);
   multiply_diagrammatic reimplements the same product through the colored
                         diagram sign tables (independent oracle, odd only);
                         it shares the plan's geometry, not its algebra.
@@ -254,11 +254,12 @@ BUILTIN_RULES = {"default": DefaultRule(), "ord": OrderRule()}
 # the resolution plan: geometry only, shared by both products
 
 def _circle_positions(outer, inner):
-    """([0, position of the circle through each point], circle count) of a
-    stacked diagram whose points are 1..len(outer) - 1: outer[p] is the
-    other end of p's arc of c or a, inner[p] the point its arc of b or a
-    resolved column's vertical strand leads to.  Numbering the circles by
-    least point puts them in (row, min column) order."""
+    """(pos, count) for a stacked diagram on the points 1..len(outer) - 1:
+    pos[p] is the 1-based position of the circle through p, count the number
+    of circles.  outer[p] is the other end of p's arc of c or a, inner[p]
+    where p's arc of b, or at a resolved column the vertical strand, leads.
+    Numbering the circles by least point puts them in (row, min column)
+    order."""
     pos = [0] * len(outer)
     count = 0
     for start in range(1, len(outer)):
@@ -349,9 +350,9 @@ def _resolve_monomials(rule, c, b, a, colored_x, colored_y, theory):
     return {_COLOREDS[mask]: coeff for mask, coeff in terms.items()}
 
 
-def _block_product(x, y, cache, resolve, rule, theory):
+def _block_product(x, y, cache, resolve, rule, *theory):
     """Bilinear extension of resolve(rule, c, b, a, colored_x, colored_y,
-    theory), the product of two basis monomials as {colored set: coeff};
+    *theory), the product of two basis monomials as {colored set: coeff};
     zero across non-matching blocks.  `cache`, a dict or None, keeps per
     monomial pair (mx, my) the built {BasisMonomial: coeff} of the product,
     so each distinct pair is resolved once per cache and a hit builds no
@@ -378,7 +379,7 @@ def _block_product(x, y, cache, resolve, rule, theory):
                          for colored, coeff in resolve(
                              rule, _MATCHINGS[top], _MATCHINGS[middle],
                              _MATCHINGS[bottom], colored_x, my[2],
-                             theory).items()}
+                             *theory).items()}
                 if cache is not None:
                     cache[mx, my] = prods
             k = cx * cy
@@ -413,7 +414,7 @@ def multiply(rule, x, y, theory="odd", *, memo=None):
 # ---------------------------------------------------------------------------
 # diagrammatic multiplication (colored diagrams with sign tables; odd only)
 
-def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y, theory):
+def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
     events, _, top = _plan_of_words(rule, c.word, b.word, a.word)
     # terms: {frozenset(positions of colored circles): coeff}
     terms = {frozenset(colored_x) | {top + i for i in colored_y}: 1}
@@ -467,7 +468,7 @@ def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y, theory):
 def multiply_diagrammatic(rule, x, y):
     """Same contract as multiply (odd theory), via the colored-diagram sign
     tables."""
-    return _block_product(x, y, None, _resolve_diagrammatic, rule, "odd")
+    return _block_product(x, y, None, _resolve_diagrammatic, rule)
 
 
 # ---------------------------------------------------------------------------

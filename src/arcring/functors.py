@@ -62,6 +62,10 @@ class Permute:
     q: int
 
 
+def _labels(m):
+    return tuple(range(1, m + 1))
+
+
 # A move compiles, once per word, to an op (kernel, consts): the kernel maps
 # {mask: coeff} on the circles before the move, bit k - 1 for circle k, to
 # the same on the circles after it, from bit constants computed at compile
@@ -186,10 +190,6 @@ _BUILDERS = {Birth: (birth_op, 1), Death: (death_op, -1),
              Merge: (merge_op, -1), Split: (split_op, 1),
              Permute: (permute_op, 0)}
 _STATES = {"odd": ExteriorElement, "even": EvenTensorElement}
-
-
-def _labels(m):
-    return tuple(range(1, m + 1))
 
 
 def compile_word(word, m):

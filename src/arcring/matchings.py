@@ -2,10 +2,10 @@
 
 A matching is stored canonically as a balanced parenthesis word of length 2n;
 the partner involution (other endpoint of the arc through each basepoint) is
-derived from it, as a list indexed by the basepoints 1..2n.  Stacking a matching a under the mirror W(b) of a matching b
-closes everything up into a disjoint union of circles; those circles, ordered
-by minimal basepoint, drive all sign conventions downstream, so the order is
-fixed here once and for all.
+derived from it, as a list indexed by the basepoints 1..2n.  Stacking a
+matching a under the mirror W(b) of a matching b closes everything up into a
+disjoint union of circles; those circles, ordered by minimal basepoint, drive
+all sign conventions downstream, so the order is fixed here once and for all.
 """
 
 from functools import lru_cache
