@@ -99,7 +99,7 @@ class RingElement(SparseZ):
     @staticmethod
     def monomial(mono, coeff=1):
         out = object.__new__(RingElement)
-        out.space = len(mono[0]) // 2
+        out.space = mono.n
         out.terms = {mono: coeff} if coeff else {}
         return out
 
