@@ -181,18 +181,6 @@ def test_golden_plan_digests(n):
     assert tuple(digests) == PLAN_DIGESTS[n]
 
 
-def test_plan_rejects_a_split_source_off_the_arc():
-    class OffArc(MultiplicationRule):
-        name = "off-arc"
-
-        def split_source(self, c, b, a, scan, partner, *keys):
-            return 0
-
-    # ()() over (()) over ()(): one merge, then one split
-    with pytest.raises(ValueError, match="is not an endpoint"):
-        _plan_of_words(OffArc(), "()()", "(())", "()()")
-
-
 def test_shared_memo_matches_memo_less_products():
     # one memo across three odd rules and the even theory: every product
     # equals the memo-less one, on a cold memo and again on a warm one
