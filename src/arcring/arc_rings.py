@@ -14,8 +14,9 @@ of `functors`.  Two independent interpretations of the plan are provided:
                         diagram sign tables (independent oracle, odd only);
                         it shares the plan's geometry, not its algebra.
 
-Circles are ordered throughout by (row, min column): the top boundary row
-left to right, then the bottom row; that order is what every sign depends on.
+Circles are numbered throughout by least point (`matchings.circle_positions`);
+on a stacked diagram that is (row, min column) order: the top boundary row
+left to right, then the bottom row.  Every sign depends on that order.
 """
 
 from functools import lru_cache
@@ -68,12 +69,10 @@ class BasisMonomial(tuple):
     def n(self):
         return len(self.top) // 2
 
-    def circles(self):
-        return _m.closed_diagram(_MATCHINGS[self.top],
-                                 _MATCHINGS[self.bottom]).circles
-
     def degree(self):
-        return 2 * len(self.colored) - len(self.circles()) + self.n
+        count = _m.closed_diagram(_MATCHINGS[self.top],
+                                  _MATCHINGS[self.bottom])[1]
+        return 2 * len(self.colored) - count + self.n
 
     def sort_key(self):
         return (self.top, self.bottom,
@@ -110,7 +109,7 @@ class RingElement(SparseZ):
 def block_monomials(top, bottom):
     """The basis monomials [top|bottom|s] of one block, ordered by |s| and
     then by the sorted circle indices of s."""
-    k = len(_m.closed_diagram(top, bottom).circles)
+    k = _m.closed_diagram(top, bottom)[1]
     return [BasisMonomial(top.word, bottom.word, frozenset(s))
             for p in range(k + 1) for s in combinations(range(1, k + 1), p)]
 
@@ -122,6 +121,17 @@ def ring_basis(n):
     mats = _m.enumerate_matchings(n)
     return [(mono, mono.degree())
             for b in mats for a in mats for mono in block_monomials(b, a)]
+
+
+def basis_pairs(n):
+    """Each pair (mx, my) of basis monomials with mx.bottom == my.top, the
+    pairs whose product can be nonzero, in ring_basis order of mx and then
+    of my."""
+    basis = [mono for mono, _ in ring_basis(n)]
+    by_top = {}
+    for mono in basis:
+        by_top.setdefault(mono.top, []).append(mono)
+    return ((mx, my) for mx in basis for my in by_top[mx.bottom])
 
 
 def unit(n):
@@ -253,27 +263,6 @@ BUILTIN_RULES = {"default": DefaultRule(), "ord": OrderRule()}
 # ---------------------------------------------------------------------------
 # the resolution plan: geometry only, shared by both products
 
-def _circle_positions(outer, inner):
-    """(pos, count) for a stacked diagram on the points 1..len(outer) - 1:
-    pos[p] is the 1-based position of the circle through p, count the number
-    of circles.  outer[p] is the other end of p's arc of c or a, inner[p]
-    where p's arc of b, or at a resolved column the vertical strand, leads.
-    Numbering the circles by least point puts them in (row, min column)
-    order."""
-    pos = [0] * len(outer)
-    count = 0
-    for start in range(1, len(outer)):
-        if pos[start]:
-            continue
-        count += 1
-        p = start
-        while not pos[p]:
-            q = outer[p]
-            pos[p] = pos[q] = count
-            p = inner[q]
-    return pos, count
-
-
 @lru_cache(maxsize=None)
 def _plan_of_words(rule, c, b, a):
     """(events, ops, top) for the bridge resolutions of W(c)b stacked on
@@ -282,8 +271,8 @@ def _plan_of_words(rule, c, b, a):
     meets), and the number of circles of W(c)b.
 
     The events are on 1-based circle positions in (row, min column) order;
-    initially the circles of W(c)b come first, and at the end position k is
-    circle k of W(c)a.
+    initially the circles of W(c)b come first, then circle k of W(b)a at
+    position top + k, and at the end position k is circle k of W(c)a.
 
       ("merge", p, q)   p is the circle through the top of the column, q
                         the one through its bottom; the merged circle sits
@@ -303,7 +292,7 @@ def _plan_of_words(rule, c, b, a):
     # top point k is k and bottom point k is m + k
     outer = c.partner + [m + k for k in a.partner[1:]]
     inner = b.partner + [m + k for k in b.partner[1:]]
-    pos, count = _circle_positions(outer, inner)
+    pos, count = _m.circle_positions(outer, inner)
     top = max(pos[1:m + 1])
     events, ops = [], []
     for col in rule.order(c, b, a):
@@ -312,7 +301,7 @@ def _plan_of_words(rule, c, b, a):
         partner = b.partner[col]
         for k in (col, partner):
             inner[k], inner[m + k] = m + k, k
-        new, new_count = _circle_positions(outer, inner)
+        new, new_count = _m.circle_positions(outer, inner)
         p = pos[col]
         if p != pos[m + col]:
             events.append(("merge", p, pos[m + col]))
@@ -414,21 +403,22 @@ def multiply(rule, x, y, theory="odd", *, memo=None):
 # ---------------------------------------------------------------------------
 # diagrammatic multiplication (colored diagrams with sign tables; odd only)
 
+def _put(terms, colored, coeff):
+    """terms[colored] += coeff, dropping the entry when it reaches zero."""
+    cc = terms.get(colored, 0) + coeff
+    if cc:
+        terms[colored] = cc
+    else:
+        terms.pop(colored, None)
+
+
 def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
     events, _, top = _plan_of_words(rule, c.word, b.word, a.word)
     # terms: {frozenset(positions of colored circles): coeff}
     terms = {frozenset(colored_x) | {top + i for i in colored_y}: 1}
 
     for event in events:
-        new_terms = {}
-
-        def put(colored, coeff):
-            cc = new_terms.get(colored, 0) + coeff
-            if cc:
-                new_terms[colored] = cc
-            else:
-                new_terms.pop(colored, None)
-
+        out = {}
         if event[0] == "merge":
             _, x_comp, y_comp = event  # top-side and bottom-side circles
             first, last = min(x_comp, y_comp), max(x_comp, y_comp)
@@ -441,8 +431,8 @@ def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
                     lo, hi = (y_comp, x_comp) if cx else (x_comp, y_comp)
                     m = sum(1 for p in colored if lo < p < hi)
                     sign = (-1) ** m
-                put(frozenset(first if p == last else p - (p > last)
-                              for p in colored), sign * coeff)
+                _put(out, frozenset(first if p == last else p - (p > last)
+                                    for p in colored), sign * coeff)
         else:
             _, parent, ki, kj, scan_is_source = event
             alpha = 1 if scan_is_source else -1
@@ -454,14 +444,14 @@ def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
                     # uncolored circle splits: alpha (b_i D_i - b_j D_j)
                     m_i = sum(1 for p in others if p < ki)
                     m_j = sum(1 for p in others if p < kj)
-                    put(others | {ki}, alpha * (-1) ** m_i * coeff)
-                    put(others | {kj}, -alpha * (-1) ** m_j * coeff)
+                    _put(out, others | {ki}, alpha * (-1) ** m_i * coeff)
+                    _put(out, others | {kj}, -alpha * (-1) ** m_j * coeff)
                 else:
                     # colored circle splits: both children colored, sign beta
                     new_colored = others | {ki, kj}
                     m = sum(1 for p in new_colored if p <= kj or p < ki)
-                    put(new_colored, alpha * (-1) ** m * coeff)
-        terms = new_terms
+                    _put(out, new_colored, alpha * (-1) ** m * coeff)
+        terms = out
     return terms
 
 
@@ -514,7 +504,7 @@ def parse_element(text, n=None):
         tm, bm = _MATCHINGS[top], _MATCHINGS[bottom]
         if tm.n != bm.n or (n is not None and tm.n != n):
             raise ValueError("matching sizes disagree")
-        k = len(_m.closed_diagram(tm, bm).circles)
+        k = _m.closed_diagram(tm, bm)[1]
         indices = [int(u) for u in match.group("cols").split(",")
                    if u.strip()]
         cols = frozenset(indices)

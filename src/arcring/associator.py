@@ -13,7 +13,7 @@ from functools import partial
 from itertools import product as _product
 
 from . import matchings as _m
-from .arc_rings import RingElement, block_monomials, multiply, ring_basis
+from .arc_rings import RingElement, basis_pairs, block_monomials, multiply
 from .zlinalg import solve_f2
 
 
@@ -249,15 +249,10 @@ def _rule_isomorphism(rule1, rule2, n, table):
             mono: -coeff if eps[mono.top, mono.bottom] else coeff
             for mono, coeff in elem.terms.items()})
 
-    basis = [mono for mono, _ in ring_basis(n)]
-    for mx in basis:
-        x1 = RingElement.monomial(mx)
-        for my in basis:
-            if mx.bottom != my.top:
-                continue
-            y1 = RingElement.monomial(my)
-            lhs = theta(multiply(rule1, x1, y1, memo=memo))
-            rhs1 = multiply(rule2, theta(x1), theta(y1), memo=memo)
-            if lhs != rhs1:
-                raise AssertionError("sign map is not a ring homomorphism")
+    for mx, my in basis_pairs(n):
+        x1, y1 = RingElement.monomial(mx), RingElement.monomial(my)
+        lhs = theta(multiply(rule1, x1, y1, memo=memo))
+        rhs1 = multiply(rule2, theta(x1), theta(y1), memo=memo)
+        if lhs != rhs1:
+            raise AssertionError("sign map is not a ring homomorphism")
     return eps

@@ -9,7 +9,7 @@ from math import comb
 from . import matchings as _m
 from .arc_rings import (BUILTIN_RULES, FlippedRule, multiply,
                         multiply_diagrammatic, parse_element, format_element,
-                        ring_basis, RingElement)
+                        basis_pairs, RingElement)
 
 
 def _rule(name):
@@ -130,19 +130,13 @@ def _verify_catalan(n):
 
 
 def _verify_mod2(n, rule):
-    basis = [mono for mono, _ in ring_basis(n)]
-    for mx in basis:
-        x = RingElement.monomial(mx)
-        for my in basis:
-            if mx.bottom != my.top:
-                continue
-            y = RingElement.monomial(my)
-            odd = multiply(rule, x, y)
-            even = multiply(rule, x, y, "even")
-            keys = set(odd.terms) | set(even.terms)
-            for k in keys:
-                if (odd.terms.get(k, 0) - even.terms.get(k, 0)) % 2:
-                    return f"mod-2 mismatch at {mx} * {my}"
+    for mx, my in basis_pairs(n):
+        x, y = RingElement.monomial(mx), RingElement.monomial(my)
+        odd = multiply(rule, x, y)
+        even = multiply(rule, x, y, "even")
+        for k in odd.terms.keys() | even.terms.keys():
+            if (odd.terms.get(k, 0) - even.terms.get(k, 0)) % 2:
+                return f"mod-2 mismatch at {mx} * {my}"
     return None
 
 

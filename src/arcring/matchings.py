@@ -4,8 +4,10 @@ A matching is stored canonically as a balanced parenthesis word of length 2n;
 the partner involution (other endpoint of the arc through each basepoint) is
 derived from it, as a list indexed by the basepoints 1..2n.  Stacking a
 matching a under the mirror W(b) of a matching b closes everything up into a
-disjoint union of circles; those circles, ordered by minimal basepoint, drive
-all sign conventions downstream, so the order is fixed here once and for all.
+disjoint union of circles; those circles, numbered by least basepoint, drive
+all sign conventions downstream, so the order is fixed here once and for all:
+`circle_positions` is the one walk that numbers them, for `closed_diagram`
+and for the resolution plans of `arc_rings` alike.
 """
 
 from functools import lru_cache
@@ -74,14 +76,8 @@ class Matching:
     def __hash__(self):
         return hash(self.word)
 
-    def __lt__(self, other):
-        return self.word < other.word
-
     def __repr__(self):
         return f"Matching({self.word!r})"
-
-    def __str__(self):
-        return self.word
 
 
 @lru_cache(maxsize=None)
@@ -108,54 +104,39 @@ def enumerate_matchings(n):
     return tuple(Matching(w) for w in words)
 
 
-class CircleDiagram:
-    """The closed diagram W(b)a: circles ordered by minimal basepoint."""
-
-    __slots__ = ("n", "top", "bottom", "circles", "circle_of")
-
-    def __init__(self, b, a):
-        if a.n != b.n:
-            raise ValueError(f"size mismatch: {a.word} vs {b.word}")
-        self.n = a.n
-        self.top = b
-        self.bottom = a
-        seen = set()
-        circles = []
-        for start in range(1, 2 * self.n + 1):
-            if start in seen:
-                continue
-            # walk the orbit, alternating arcs of a and arcs of b
-            circle = set()
-            p = start
-            while p not in circle:
-                circle.add(p)
-                q = a.partner[p]
-                circle.add(q)
-                p = b.partner[q]
-            seen |= circle
-            circles.append(frozenset(circle))
-        circles.sort(key=min)
-        self.circles = tuple(circles)
-        self.circle_of = {}
-        for idx, circle in enumerate(self.circles, start=1):
-            for p in circle:
-                self.circle_of[p] = idx
-
-    def __len__(self):
-        return len(self.circles)
-
-    def __repr__(self):
-        return f"CircleDiagram({self.top.word!r}, {self.bottom.word!r})"
+def circle_positions(outer, inner):
+    """(pos, count) for a closed diagram on the points 1..len(outer) - 1:
+    pos[p] is the 1-based position of the circle through p, count the number
+    of circles.  outer[p] is the other end of p's arc on one side, inner[p]
+    where the other side leads from p.  Circles are numbered by least point,
+    the order every sign downstream depends on."""
+    pos = [0] * len(outer)
+    count = 0
+    for start in range(1, len(outer)):
+        if pos[start]:
+            continue
+        count += 1
+        p = start
+        while not pos[p]:
+            q = outer[p]
+            pos[p] = pos[q] = count
+            p = inner[q]
+    return pos, count
 
 
 @lru_cache(maxsize=None)
 def closed_diagram(b, a):
-    return CircleDiagram(b, a)
+    """(pos, count) of the closed diagram W(b)a: pos[i], a tuple, is the
+    circle through basepoint i, numbered by least basepoint."""
+    if a.n != b.n:
+        raise ValueError(f"size mismatch: {a.word} vs {b.word}")
+    pos, count = circle_positions(a.partner, b.partner)
+    return tuple(pos), count
 
 
 def distance(a, b):
     """d(a, b) = n - number of circles of W(b)a."""
-    return a.n - len(closed_diagram(b, a))
+    return a.n - closed_diagram(b, a)[1]
 
 
 def is_arrow(a, b):

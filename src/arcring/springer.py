@@ -281,9 +281,9 @@ def map_s(p, n):
                          f"for n = {n}")
     terms = {}
     for a in _m.enumerate_matchings(n):
-        circle_of = _m.closed_diagram(a, a).circle_of
+        pos = _m.closed_diagram(a, a)[0]
         for mono, coeff in p.terms.items():
-            labels = [circle_of[i] for i in mono]
+            labels = [pos[i] for i in mono]
             if len(set(labels)) != len(labels):
                 continue
             norm, sign = _normalize(labels)

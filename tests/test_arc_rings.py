@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcring import matchings as m
-from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis, unit,
-                               multiply, multiply_diagrammatic, BUILTIN_RULES,
+from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
+                               basis_pairs, unit, multiply,
+                               multiply_diagrammatic, BUILTIN_RULES,
                                DefaultRule, FlippedRule, CustomRule,
                                MultiplicationRule, format_element,
                                parse_element, _plan_of_words)
@@ -24,10 +25,17 @@ def mono(top, bottom, colored=()):
 def test_basis_size():
     # total rank of the ring is sum over pairs of 2^circles
     for n in (1, 2, 3):
-        expect = sum(2 ** len(m.closed_diagram(b, a).circles)
+        expect = sum(2 ** m.closed_diagram(b, a)[1]
                      for b in m.enumerate_matchings(n)
                      for a in m.enumerate_matchings(n))
         assert len(ring_basis(n)) == expect
+
+
+def test_basis_pairs_is_the_ordered_compatible_scan():
+    for n in (1, 2, 3):
+        basis = [bm for bm, _ in ring_basis(n)]
+        assert list(basis_pairs(n)) == [(x, y) for x in basis for y in basis
+                                        if x.bottom == y.top]
 
 
 def test_degrees():

@@ -24,13 +24,46 @@ def test_partner_involution():
             assert a.partner[a.partner[p]] == p
 
 
+def _components(a, b):
+    """Root of each point 1..2n under a union-find of the arcs of a and b."""
+    root = list(range(2 * a.n + 1))
+
+    def find(p):
+        while root[p] != p:
+            p = root[p]
+        return p
+
+    for p in range(1, 2 * a.n + 1):
+        for q in (a.partner[p], b.partner[p]):
+            root[find(p)] = find(q)
+    return [find(p) for p in range(2 * a.n + 1)]
+
+
 def test_closed_diagram_circles():
-    a = m.Matching("(())")
-    b = m.Matching("()()")
-    diag = m.closed_diagram(a, a)
-    assert diag.circles == (frozenset({1, 4}), frozenset({2, 3}))
-    mixed = m.closed_diagram(b, a)
-    assert len(mixed.circles) == 1
+    # checked against a union-find of the arcs, not against the walk
+    for n in range(1, 5):
+        for a in m.enumerate_matchings(n):
+            for b in m.enumerate_matchings(n):
+                pos, count = m.closed_diagram(b, a)
+                assert isinstance(pos, tuple)
+                points = range(1, 2 * n + 1)
+                for p in points:
+                    assert pos[p] == pos[a.partner[p]] == pos[b.partner[p]]
+                # numbered by least point: first seen in point order
+                first_seen = list(dict.fromkeys(pos[1:]))
+                assert first_seen == list(range(1, count + 1))
+                roots = _components(a, b)
+                assert count == len({roots[p] for p in points})
+                assert count == len({(roots[p], pos[p]) for p in points})
+
+
+def test_closed_diagram_and_distance_reject_size_mismatch():
+    a, b = m.Matching("()"), m.Matching("(())")
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="size mismatch"):
+            m.closed_diagram(x, y)
+        with pytest.raises(ValueError, match="size mismatch"):
+            m.distance(x, y)
 
 
 def test_circle_count_vs_distance():
@@ -38,7 +71,7 @@ def test_circle_count_vs_distance():
     for n in (1, 2, 3):
         for a in m.enumerate_matchings(n):
             for b in m.enumerate_matchings(n):
-                k = len(m.closed_diagram(b, a).circles)
+                k = m.closed_diagram(b, a)[1]
                 assert k == n - m.distance(a, b)
 
 
