@@ -12,7 +12,11 @@ of `functors`.  Two independent interpretations of the plan are provided:
                         compiled merge/split/permute ops (normative);
   multiply_diagrammatic reimplements the same product through the colored
                         diagram sign tables (independent oracle, odd only);
-                        it shares the plan's geometry, not its algebra.
+                        it shares the plan's geometry, not its algebra: it
+                        compiles each plan event once into its own position
+                        masks and counts the signs of its tables on them.
+
+Both stop at the first zero state.
 
 Circles are numbered throughout by least point (`matchings.circle_positions`);
 on a stacked diagram that is (row, min column) order: the top boundary row
@@ -320,14 +324,15 @@ def _plan_of_words(rule, c, b, a):
     return tuple(events), tuple(ops), top
 
 
-# ---------------------------------------------------------------------------
-# normative multiplication (the surface functor on the plan)
-
-# colored set -> mask (bit k - 1 for circle k) and back, one entry each
+# colored set -> mask (bit k - 1 for circle k) and back, one entry each;
+# both products run on masks
 _MASKS = _Cache(lambda colored: sum(1 << i - 1 for i in colored))
 _COLOREDS = _Cache(lambda mask: frozenset(
     i for i in range(1, mask.bit_length() + 1) if mask >> i - 1 & 1))
 
+
+# ---------------------------------------------------------------------------
+# normative multiplication (the surface functor on the plan)
 
 def _resolve_monomials(rule, c, b, a, colored_x, colored_y, theory):
     """Product of [c|b|colored_x] . [b|a|colored_y]: the surface functor of
@@ -403,56 +408,101 @@ def multiply(rule, x, y, theory="odd", *, memo=None):
 # ---------------------------------------------------------------------------
 # diagrammatic multiplication (colored diagrams with sign tables; odd only)
 
-def _put(terms, colored, coeff):
-    """terms[colored] += coeff, dropping the entry when it reaches zero."""
-    cc = terms.get(colored, 0) + coeff
-    if cc:
-        terms[colored] = cc
-    else:
-        terms.pop(colored, None)
+# Each plan event compiles once, keyed by the event itself, to a step (fn,
+# consts) that maps {mask: coeff} over colored circle positions (bit p - 1 for
+# position p) before the event to the same after it.  The constants are the
+# position masks that the sign tables count colored circles in.
+
+def _below(p):
+    """Mask of the positions strictly below p."""
+    return (1 << p - 1) - 1
+
+
+def _between(lo, hi):
+    """Mask of the positions strictly between lo and hi (none if lo >= hi)."""
+    return (1 << hi - 1) - (1 << lo) if lo < hi else 0
+
+
+def _diagram_merge(terms, consts):
+    # two colored circles merge to 0; one colored circle keeps its color,
+    # with sign (-1)^(colored circles strictly between it and its partner,
+    # counted only when the partner lies below it)
+    x_bit, y_bit, x_between, y_between, first_bit, last_bit, keep, high = \
+        consts
+    out = {}
+    for colored, coeff in terms.items():
+        if colored & x_bit:
+            if colored & y_bit:
+                continue
+            if (colored & x_between).bit_count() & 1:
+                coeff = -coeff
+        elif colored & y_bit and (colored & y_between).bit_count() & 1:
+            coeff = -coeff
+        # the merged circle sits at `first`; positions above `last` move down
+        key = (colored & keep) | (colored >> 1 & high)
+        if colored & last_bit:
+            key |= first_bit
+        coeff += out.get(key, 0)
+        if coeff:
+            out[key] = coeff
+        else:
+            del out[key]
+    return out
+
+
+def _diagram_split(terms, consts):
+    # uncolored circle: alpha (b_i D_i - b_j D_j), b_i = (-1)^(colored circles
+    # below k_i); colored circle: both children colored, sign
+    # alpha (-1)^#{colored p <= k_j or p < k_i}.  A split is injective on
+    # colored sets, so no two terms meet.
+    parent_bit, low, ki_bit, kj_bit, below_ki, below_kj, beta, alpha = consts
+    out = {}
+    for colored, coeff in terms.items():
+        rest = colored & ~parent_bit
+        # the other circles, those from the moved child's slot up shifted up
+        others = (rest & low) | (rest & ~low) << 1
+        coeff *= alpha
+        if colored & parent_bit:
+            new = others | ki_bit | kj_bit
+            out[new] = -coeff if (new & beta).bit_count() & 1 else coeff
+        else:
+            out[others | ki_bit] = (-coeff if (others & below_ki).bit_count()
+                                    & 1 else coeff)
+            out[others | kj_bit] = (coeff if (others & below_kj).bit_count()
+                                    & 1 else -coeff)
+    return out
+
+
+def _diagram_step(event):
+    if event[0] == "merge":
+        _, x_comp, y_comp = event  # top-side and bottom-side circles
+        first, last = min(x_comp, y_comp), max(x_comp, y_comp)
+        return _diagram_merge, (1 << x_comp - 1, 1 << y_comp - 1,
+                                _between(y_comp, x_comp),
+                                _between(x_comp, y_comp),
+                                1 << first - 1, 1 << last - 1,
+                                _below(last), -(1 << last - 1))
+    _, parent, ki, kj, scan_is_source = event
+    moved = max(ki, kj)  # the child that leaves the parent's slot
+    return _diagram_split, (1 << parent - 1, _below(moved),
+                            1 << ki - 1, 1 << kj - 1, _below(ki), _below(kj),
+                            _below(kj + 1) | _below(ki),
+                            1 if scan_is_source else -1)
+
+
+# plan event -> its step; few distinct events (28 at n = 4 under default)
+_DIAGRAM_STEPS = _Cache(_diagram_step)
 
 
 def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
     events, _, top = _plan_of_words(rule, c.word, b.word, a.word)
-    # terms: {frozenset(positions of colored circles): coeff}
-    terms = {frozenset(colored_x) | {top + i for i in colored_y}: 1}
-
+    terms = {_MASKS[colored_x] | _MASKS[colored_y] << top: 1}
     for event in events:
-        out = {}
-        if event[0] == "merge":
-            _, x_comp, y_comp = event  # top-side and bottom-side circles
-            first, last = min(x_comp, y_comp), max(x_comp, y_comp)
-            for colored, coeff in terms.items():
-                cx, cy = x_comp in colored, y_comp in colored
-                if cx and cy:
-                    continue
-                sign = 1
-                if cx or cy:
-                    lo, hi = (y_comp, x_comp) if cx else (x_comp, y_comp)
-                    m = sum(1 for p in colored if lo < p < hi)
-                    sign = (-1) ** m
-                _put(out, frozenset(first if p == last else p - (p > last)
-                                    for p in colored), sign * coeff)
-        else:
-            _, parent, ki, kj, scan_is_source = event
-            alpha = 1 if scan_is_source else -1
-            moved = max(ki, kj)  # the child that leaves the parent's slot
-            for colored, coeff in terms.items():
-                others = frozenset(p + (p >= moved) for p in colored
-                                   if p != parent)
-                if parent not in colored:
-                    # uncolored circle splits: alpha (b_i D_i - b_j D_j)
-                    m_i = sum(1 for p in others if p < ki)
-                    m_j = sum(1 for p in others if p < kj)
-                    _put(out, others | {ki}, alpha * (-1) ** m_i * coeff)
-                    _put(out, others | {kj}, -alpha * (-1) ** m_j * coeff)
-                else:
-                    # colored circle splits: both children colored, sign beta
-                    new_colored = others | {ki, kj}
-                    m = sum(1 for p in new_colored if p <= kj or p < ki)
-                    _put(out, new_colored, alpha * (-1) ** m * coeff)
-        terms = out
-    return terms
+        step, consts = _DIAGRAM_STEPS[event]
+        terms = step(terms, consts)
+        if not terms:
+            break
+    return {_COLOREDS[mask]: coeff for mask, coeff in terms.items()}
 
 
 def multiply_diagrammatic(rule, x, y):

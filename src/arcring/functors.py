@@ -209,13 +209,15 @@ def compile_word(word, m):
 def run_word(ops, terms, theory):
     """The functor of `theory` on a compiled word, applied to {mask: coeff}
     on its starting circles; returns the map on the final circles, a new
-    dict unless `ops` is empty.  The one engine under apply_word,
-    verify_relations and the ring product."""
+    dict unless `ops` is empty, and stops at the first zero state.  The one
+    engine under apply_word, verify_relations and the ring product."""
     if theory not in _STATES:
         raise ValueError(f"unknown theory {theory!r}")
     odd = theory == "odd"
     for kernel, consts in ops:
         terms = kernel(terms, odd, consts)
+        if not terms:
+            break
     return terms
 
 

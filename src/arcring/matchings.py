@@ -18,7 +18,7 @@ from functools import lru_cache
 # isomorphism check (about 10 s at n = 5), the structure constants of a
 # center (N^3 associativity checks: 5 s at n = 4, N = 70, and 16M triples
 # at n = 5), and the phi0 associator table with everything built on it
-# (38,416 cells in about 1 min at n = 4; n = 5 has 3.1M cells, 81 times as
+# (38,416 cells in about 30 s at n = 4; n = 5 has 3.1M cells, 81 times as
 # many, each with larger blocks); the largest m of the quantum binomial
 # [m choose k] (about 0.2 s at m = 256, k = 128); and the most circles
 # verify_relations instantiates the functor relations on (every state on

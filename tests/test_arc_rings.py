@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcring import matchings as m
+from arcring import arc_rings, functors, matchings as m
 from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
                                basis_pairs, unit, multiply,
                                multiply_diagrammatic, BUILTIN_RULES,
@@ -89,14 +89,44 @@ def test_block_mismatch_is_zero():
 @pytest.mark.parametrize("rule", [DEFAULT, ORD], ids=["default", "ord"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_diagrammatic_oracle_agrees(rule, n):
-    # every composable basis pair for n <= 3, a seeded sample of 2000 at n = 4
-    basis = [bm for bm, _ in ring_basis(n)]
-    pairs = [(x, y) for x in basis for y in basis if x.bottom == y.top]
-    if n == 4:
+    # every composable basis pair (85,608 at n = 4), but a seeded sample of
+    # 2000 at n = 4 under ord
+    pairs = list(basis_pairs(n))
+    if n == 4 and rule is ORD:
         pairs = random.Random(16).sample(pairs, 2000)
     for mx, my in pairs:
         x, y = RingElement.monomial(mx), RingElement.monomial(my)
         assert multiply(rule, x, y) == multiply_diagrammatic(rule, x, y)
+
+
+@pytest.fixture
+def fresh_plans():
+    # compiled plans and oracle steps keep the kernels they were built with
+    def clear():
+        _plan_of_words.cache_clear()
+        arc_rings._DIAGRAM_STEPS.clear()
+    clear()
+    yield
+    clear()
+
+
+@pytest.mark.parametrize("module, name", [(functors, "_merge"),
+                                          (arc_rings, "_diagram_merge")],
+                         ids=["kernel", "oracle"])
+def test_a_merge_sign_flip_on_one_side_breaks_the_agreement(
+        monkeypatch, fresh_plans, module, name):
+    # the oracle shares the plan's events, never the kernels' signs: negating
+    # every merge of one side must show on some n = 3 pair
+    real = getattr(module, name)
+
+    def negated(terms, *rest):
+        return {k: -c for k, c in real(terms, *rest).items()}
+
+    monkeypatch.setattr(module, name, negated)
+    pairs = [(RingElement.monomial(x), RingElement.monomial(y))
+             for x, y in basis_pairs(3)]
+    assert any(multiply(DEFAULT, x, y) != multiply_diagrammatic(DEFAULT, x, y)
+               for x, y in pairs)
 
 
 def test_degree_additivity():
@@ -187,6 +217,22 @@ def test_golden_plan_digests(n):
         digests.append(
             hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16])
     assert tuple(digests) == PLAN_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_golden_oracle_digests(n):
+    # the oracle's own lines over every composable pair, per rule in
+    # PLAN_RULES order, pinned on the frozenset oracle the mask steps
+    # replaced; they equal the odd product's lines, so the digests are the
+    # first three of GOLDEN_DIGESTS
+    digests = []
+    for rule in PLAN_RULES:
+        lines = [f"{x!r} {y!r} " + format_element(multiply_diagrammatic(
+            rule, RingElement.monomial(x), RingElement.monomial(y)))
+            for x, y in basis_pairs(n)]
+        digests.append(
+            hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16])
+    assert tuple(digests) == GOLDEN_DIGESTS[n][:3]
 
 
 def test_shared_memo_matches_memo_less_products():
