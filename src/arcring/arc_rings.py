@@ -21,6 +21,8 @@ Both stop at the first zero state.
 Circles are numbered throughout by least point (`matchings.circle_positions`);
 on a stacked diagram that is (row, min column) order: the top boundary row
 left to right, then the bottom row.  Every sign depends on that order.
+Colored circles are int masks, bit k - 1 for circle k, from basis monomial
+to kernel and back.
 """
 
 from functools import lru_cache
@@ -30,7 +32,7 @@ import re
 
 from . import functors as _f
 from . import matchings as _m
-from .zlinalg import SparseZ, signed_sum
+from .zlinalg import SparseZ, signed_sum, signed_terms
 
 
 class _Cache(dict):
@@ -53,9 +55,9 @@ _MATCHINGS = _Cache(_m.Matching)
 
 class BasisMonomial(tuple):
     """[top|bottom|colored], an element of b(.)a with top = b.word, bottom =
-    a.word and colored the frozenset of 1-based circles of W(b)a that carry
-    a wedge factor.  An immutable (top, bottom, colored) tuple, so that it
-    hashes and compares in C."""
+    a.word and colored the 1-based circles of W(b)a that carry a wedge
+    factor.  An immutable (top, bottom, mask) tuple, so that it hashes and
+    compares in C; `colored` is a frozenset view of the mask."""
 
     __slots__ = ()
 
@@ -63,11 +65,20 @@ class BasisMonomial(tuple):
         if len(top) != len(bottom):
             raise ValueError(f"matching words {top!r} and "
                              f"{bottom!r} differ in length")
-        return tuple.__new__(cls, (top, bottom, colored))
+        count = _m.closed_diagram(_MATCHINGS[top], _MATCHINGS[bottom])[1]
+        mask = 0
+        for i in colored:
+            if not 1 <= i <= count:
+                inner = ",".join(map(str, sorted(colored)))
+                raise ValueError(f"circle index out of range in "
+                                 f"[{top}|{bottom}|{{{inner}}}]")
+            mask |= 1 << i - 1
+        return tuple.__new__(cls, (top, bottom, mask))
 
     top = property(itemgetter(0))
     bottom = property(itemgetter(1))
-    colored = property(itemgetter(2))
+    mask = property(itemgetter(2))
+    colored = property(lambda self: frozenset(_circles(self.mask)))
 
     @property
     def n(self):
@@ -76,15 +87,20 @@ class BasisMonomial(tuple):
     def degree(self):
         count = _m.closed_diagram(_MATCHINGS[self.top],
                                   _MATCHINGS[self.bottom])[1]
-        return 2 * len(self.colored) - count + self.n
+        return 2 * self.mask.bit_count() - count + self.n
 
     def sort_key(self):
-        return (self.top, self.bottom,
-                len(self.colored), tuple(sorted(self.colored)))
+        top, bottom, mask = self
+        return top, bottom, mask.bit_count(), tuple(_circles(mask))
 
     def __repr__(self):
-        inner = ",".join(str(i) for i in sorted(self.colored))
+        inner = ",".join(map(str, _circles(self.mask)))
         return f"[{self.top}|{self.bottom}|{{{inner}}}]"
+
+
+def _circles(mask):
+    """The circles of a mask, increasing."""
+    return [i for i in range(1, mask.bit_length() + 1) if mask >> i - 1 & 1]
 
 
 class RingElement(SparseZ):
@@ -114,8 +130,9 @@ def block_monomials(top, bottom):
     """The basis monomials [top|bottom|s] of one block, ordered by |s| and
     then by the sorted circle indices of s."""
     k = _m.closed_diagram(top, bottom)[1]
-    return [BasisMonomial(top.word, bottom.word, frozenset(s))
-            for p in range(k + 1) for s in combinations(range(1, k + 1), p)]
+    return [tuple.__new__(BasisMonomial, (top.word, bottom.word,
+                                          sum(1 << i for i in s)))
+            for p in range(k + 1) for s in combinations(range(k), p)]
 
 
 def ring_basis(n):
@@ -324,29 +341,20 @@ def _plan_of_words(rule, c, b, a):
     return tuple(events), tuple(ops), top
 
 
-# colored set -> mask (bit k - 1 for circle k) and back, one entry each;
-# both products run on masks
-_MASKS = _Cache(lambda colored: sum(1 << i - 1 for i in colored))
-_COLOREDS = _Cache(lambda mask: frozenset(
-    i for i in range(1, mask.bit_length() + 1) if mask >> i - 1 & 1))
-
-
 # ---------------------------------------------------------------------------
 # normative multiplication (the surface functor on the plan)
 
 def _resolve_monomials(rule, c, b, a, colored_x, colored_y, theory):
-    """Product of [c|b|colored_x] . [b|a|colored_y]: the surface functor of
-    `theory` on the compiled ops of the resolution plan.  Returns
-    {frozenset: int} over colored sets of W(c)a circle indices."""
+    """Product of [c|b|colored_x] . [b|a|colored_y], both given as masks:
+    the surface functor of `theory` on the compiled ops of the resolution
+    plan.  Returns {mask: int} over the circles of W(c)a."""
     _, ops, top = _plan_of_words(rule, c.word, b.word, a.word)
-    terms = _f.run_word(
-        ops, {_MASKS[colored_x] | _MASKS[colored_y] << top: 1}, theory)
-    return {_COLOREDS[mask]: coeff for mask, coeff in terms.items()}
+    return _f.run_word(ops, {colored_x | colored_y << top: 1}, theory)
 
 
 def _block_product(x, y, cache, resolve, rule, *theory):
     """Bilinear extension of resolve(rule, c, b, a, colored_x, colored_y,
-    *theory), the product of two basis monomials as {colored set: coeff};
+    *theory), the product of two basis monomials as {mask: coeff};
     zero across non-matching blocks.  `cache`, a dict or None, keeps per
     monomial pair (mx, my) the built {BasisMonomial: coeff} of the product,
     so each distinct pair is resolved once per cache and a hit builds no
@@ -368,9 +376,9 @@ def _block_product(x, y, cache, resolve, rule, *theory):
             prods = None if cache is None else cache.get((mx, my))
             if prods is None:
                 bottom = my[1]
-                prods = {tuple.__new__(BasisMonomial, (top, bottom, colored)):
+                prods = {tuple.__new__(BasisMonomial, (top, bottom, mask)):
                          coeff
-                         for colored, coeff in resolve(
+                         for mask, coeff in resolve(
                              rule, _MATCHINGS[top], _MATCHINGS[middle],
                              _MATCHINGS[bottom], colored_x, my[2],
                              *theory).items()}
@@ -496,13 +504,13 @@ _DIAGRAM_STEPS = _Cache(_diagram_step)
 
 def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
     events, _, top = _plan_of_words(rule, c.word, b.word, a.word)
-    terms = {_MASKS[colored_x] | _MASKS[colored_y] << top: 1}
+    terms = {colored_x | colored_y << top: 1}
     for event in events:
         step, consts = _DIAGRAM_STEPS[event]
         terms = step(terms, consts)
         if not terms:
             break
-    return {_COLOREDS[mask]: coeff for mask, coeff in terms.items()}
+    return terms
 
 
 def multiply_diagrammatic(rule, x, y):
@@ -537,36 +545,19 @@ def parse_element(text, n=None):
         if n is None:
             raise ValueError("cannot infer n from '0'")
         return RingElement.zero(n)
-    pos = 0
     terms = {}
-    first = True
-    while pos < len(s):
-        match = _TERM_RE.match(s, pos)
-        if not match:
-            raise ValueError(f"parse error at {s[pos:]!r}")
-        sign = match.group("sign")
-        if not first and sign is None:
-            raise ValueError(f"missing +/- before {s[pos:]!r}")
-        coeff = int(match.group("coeff") or 1)
-        if sign == "-":
-            coeff = -coeff
+    for coeff, match in signed_terms(s, _TERM_RE):
         top, bottom = match.group("top"), match.group("bottom")
         tm, bm = _MATCHINGS[top], _MATCHINGS[bottom]
         if tm.n != bm.n or (n is not None and tm.n != n):
             raise ValueError("matching sizes disagree")
-        k = _m.closed_diagram(tm, bm)[1]
         indices = [int(u) for u in match.group("cols").split(",")
                    if u.strip()]
-        cols = frozenset(indices)
-        if any(not 1 <= i <= k for i in cols):
-            raise ValueError(f"circle index out of range in {match.group(0)}")
-        if len(cols) != len(indices):
+        mono = BasisMonomial(top, bottom, indices)
+        if mono.mask.bit_count() != len(indices):
             # x_i ^ x_i = 0: a repeated circle is no basis monomial
             raise ValueError(f"repeated circle index in {match.group(0)}")
-        mono = BasisMonomial(top, bottom, cols)
         terms[mono] = terms.get(mono, 0) + coeff
-        pos = match.end()
-        first = False
     if n is None:
         n = next(iter(terms)).n
     return RingElement(n, terms)

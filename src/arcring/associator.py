@@ -75,7 +75,7 @@ def phi0(rule, d, c, b, a, *, memo=None, blocks=None):
 
     def triples():
         for mx, x in xs:
-            phi1 = (-1) ** (len(mx.colored) * S)
+            phi1 = (-1) ** (mx.mask.bit_count() * S)
             for (_, y), yz_row in zip(ys, yzs):
                 xy = multiply(rule, x, y, memo=memo)
                 for (_, z), yz in zip(zs, yz_row):

@@ -24,7 +24,7 @@ from .zlinalg import hnf_columns, hnf_reduce, kernel_basis_Z
 def diagonal_monomials(n, p):
     """All [a|a|s] with |s| = p, in canonical order."""
     return [mono for a in _m.enumerate_matchings(n)
-            for mono in block_monomials(a, a) if len(mono.colored) == p]
+            for mono in block_monomials(a, a) if mono.mask.bit_count() == p]
 
 
 def diagonal_rows(n):

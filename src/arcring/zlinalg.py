@@ -13,8 +13,8 @@ alternating `hnf_columns` passes over the columns and the rows.  Besides
 them: GF(2) elimination on bitset rows (`solve_f2`).
 
 SparseZ is the common base of the sparse integer combinations (ring
-elements, exterior and tensor states, odd polynomials), and `signed_sum`
-writes the text form of such a combination.
+elements, exterior and tensor states, odd polynomials); `signed_sum` writes
+the text form of such a combination and `signed_terms` reads it back.
 """
 
 from heapq import heapify, heappop, heappush
@@ -105,6 +105,24 @@ def signed_sum(terms):
             body = "-" + body
         parts.append(body)
     return " ".join(parts) or "0"
+
+
+def signed_terms(text, term_re):
+    """Parsing twin of `signed_sum`: yield (signed coeff, match) for each
+    term of `text`, a match of `term_re` (groups `sign` and `coeff`, both
+    optional) at the end of the one before; only the first term may omit
+    its sign."""
+    pos = 0
+    while pos < len(text):
+        match = term_re.match(text, pos)
+        if not match:
+            raise ValueError(f"parse error at {text[pos:]!r}")
+        sign = match.group("sign")
+        if pos and sign is None:
+            raise ValueError(f"missing +/- before {text[pos:]!r}")
+        coeff = int(match.group("coeff") or 1)
+        yield -coeff if sign == "-" else coeff, match
+        pos = match.end()
 
 
 def _identity(k):

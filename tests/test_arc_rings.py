@@ -11,7 +11,8 @@ from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
                                multiply_diagrammatic, BUILTIN_RULES,
                                DefaultRule, FlippedRule, CustomRule,
                                MultiplicationRule, format_element,
-                               parse_element, _plan_of_words)
+                               parse_element, block_monomials,
+                               _plan_of_words)
 
 DEFAULT = BUILTIN_RULES["default"]
 ORD = BUILTIN_RULES["ord"]
@@ -301,6 +302,29 @@ def test_basis_monomial_hash_repr_and_sort_key():
     assert repr(BasisMonomial("()", "()", frozenset())) == "[()|()|{}]"
     assert x.sort_key() == ("(())", "(())", 2, (1, 2))
     assert x.n == 2 and x.degree() == 4
+
+
+def test_basis_monomial_rejects_missing_circles():
+    # W(b)a for b = a = (()) has two circles, so 3 and 0 name none
+    for colored in ({3}, {0}, {1, 3}, {-1}):
+        with pytest.raises(ValueError, match="circle index out of range"):
+            BasisMonomial("(())", "(())", frozenset(colored))
+    with pytest.raises(ValueError, match=r"out of range in \[\(\)\(\)\|"):
+        BasisMonomial("()()", "(())", frozenset({2}))
+    assert BasisMonomial("(())", "(())", frozenset({2})).degree() == 2
+
+
+def test_basis_monomial_orders_by_circles_not_by_mask():
+    # {1, 4} is mask 0b1001 and {2, 3} is 0b0110; the sorted circles decide
+    w = "()()()()"
+    x, y = (BasisMonomial(w, w, frozenset(s)) for s in ({2, 3}, {1, 4}))
+    assert x.mask < y.mask
+    assert sorted([x, y], key=BasisMonomial.sort_key) == [y, x]
+    assert format_element(RingElement.monomial(x) + RingElement.monomial(y)) \
+        == f"1*[{w}|{w}|{{1,4}}] + 1*[{w}|{w}|{{2,3}}]"
+    assert [m.colored for m in block_monomials(m.Matching(w), m.Matching(w))
+            ][5:11] == [frozenset(s) for s in ((1, 2), (1, 3), (1, 4), (2, 3),
+                                               (2, 4), (3, 4))]
 
 
 def test_flipped_rule_flips_split_sign():

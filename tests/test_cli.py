@@ -96,7 +96,8 @@ def test_springer_check_iso(capsys):
     assert out.splitlines() == [
         f"{stage}: pass" for stage in ("generators_vanish", "injective",
                                        "betti_numbers", "graded_ranks",
-                                       "spans_center", "structure_constants")]
+                                       "spans_center", "diagonal_wedge",
+                                       "structure_constants")]
 
 
 def test_assoc_phi0_table(capsys):

@@ -279,7 +279,8 @@ def test_springer_isomorphism(n, rule_name):
     assert cert["passed"], cert.get("failed_stage")
     assert list(cert["stages"]) == ["generators_vanish", "injective",
                                     "betti_numbers", "graded_ranks",
-                                    "spans_center", "structure_constants"]
+                                    "spans_center", "diagonal_wedge",
+                                    "structure_constants"]
     assert "witness" not in cert
     assert list(cert["seconds"]) == ["quotient_presentation", "odd_center",
                                      *cert["stages"]]
@@ -375,6 +376,29 @@ def test_springer_iso_image_must_span_the_center(monkeypatch, change):
                               "betti_numbers": True, "graded_ranks": True,
                               "spans_center": False}
     assert cert["failed_stage"] == "spans_center"
+
+
+def test_springer_iso_checks_the_diagonal_wedge(monkeypatch):
+    """One diagonal product with its sign flipped, x1 . x2 on the block
+    (()), fails the wedge stage, before the structure constants rely on
+    associativity there, and names the block and the pair."""
+    import arcring.springer as sp
+    from arcring.arc_rings import BasisMonomial
+    x1, x2 = (BasisMonomial("(())", "(())", {i}) for i in (1, 2))
+    real = sp.multiply
+
+    def flipped(rule, x, y, *args, **kwargs):
+        out = real(rule, x, y, *args, **kwargs)
+        return out.scale(-1) if (set(x.terms), set(y.terms)) == (
+            {x1}, {x2}) else out
+    monkeypatch.setattr(sp, "multiply", flipped)
+    cert = verify_springer_iso(2, DEFAULT)
+    assert cert["stages"] == {"generators_vanish": True, "injective": True,
+                              "betti_numbers": True, "graded_ranks": True,
+                              "spans_center": True, "diagonal_wedge": False}
+    assert cert["failed_stage"] == "diagonal_wedge"
+    assert cert["witness"] == {"block": "(())",
+                               "pair": ["[(())|(())|{1}]", "[(())|(())|{2}]"]}
 
 
 @pytest.mark.parametrize("n", [2, 3])
