@@ -68,11 +68,18 @@ class BasisMonomial(tuple):
         count = _m.closed_diagram(_MATCHINGS[top], _MATCHINGS[bottom])[1]
         mask = 0
         for i in colored:
+            if type(i) is not int:
+                raise ValueError(f"circle index {i!r} is not an int")
             if not 1 <= i <= count:
-                inner = ",".join(map(str, sorted(colored)))
-                raise ValueError(f"circle index out of range in "
-                                 f"[{top}|{bottom}|{{{inner}}}]")
-            mask |= 1 << i - 1
+                why = "circle index out of range"
+            elif mask >> i - 1 & 1:
+                # x_i ^ x_i = 0: a repeated circle is no basis monomial
+                why = "repeated circle index"
+            else:
+                mask |= 1 << i - 1
+                continue
+            inner = ",".join(map(str, sorted(colored)))
+            raise ValueError(f"{why} in [{top}|{bottom}|{{{inner}}}]")
         return tuple.__new__(cls, (top, bottom, mask))
 
     top = property(itemgetter(0))
@@ -554,9 +561,6 @@ def parse_element(text, n=None):
         indices = [int(u) for u in match.group("cols").split(",")
                    if u.strip()]
         mono = BasisMonomial(top, bottom, indices)
-        if mono.mask.bit_count() != len(indices):
-            # x_i ^ x_i = 0: a repeated circle is no basis monomial
-            raise ValueError(f"repeated circle index in {match.group(0)}")
         terms[mono] = terms.get(mono, 0) + coeff
     if n is None:
         n = next(iter(terms)).n

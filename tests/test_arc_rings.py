@@ -314,6 +314,18 @@ def test_basis_monomial_rejects_missing_circles():
     assert BasisMonomial("(())", "(())", frozenset({2})).degree() == 2
 
 
+def test_basis_monomial_rejects_repeated_and_non_int_circles():
+    # x_1 ^ x_1 = 0 names no basis monomial; a circle is an int, not a str
+    # or a bool
+    for colored in ([1, 1], (2, 1, 2)):
+        with pytest.raises(ValueError, match="repeated circle index"):
+            BasisMonomial("(())", "(())", colored)
+    for colored in (["1"], [1.0], [True]):
+        with pytest.raises(ValueError, match="is not an int"):
+            BasisMonomial("(())", "(())", colored)
+    assert BasisMonomial("(())", "(())", [2, 1]).mask == 0b11
+
+
 def test_basis_monomial_orders_by_circles_not_by_mask():
     # {1, 4} is mask 0b1001 and {2, 3} is 0b0110; the sorted circles decide
     w = "()()()()"
@@ -459,6 +471,8 @@ def test_parse_errors():
         parse_element("[()()|()()|{1,1}]")  # x1 ^ x1 = 0
     with pytest.raises(ValueError, match="repeated circle index"):
         parse_element("[(())|(())|{2, 1, 2}]")
+    with pytest.raises(ValueError, match="repeated circle index"):
+        parse_element("[(())|(())|{1,1}]")
 
 
 @settings(max_examples=40, deadline=None)

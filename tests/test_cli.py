@@ -54,11 +54,13 @@ def test_mul_even_oracle_exits_2_before_any_product(capsys, monkeypatch):
 
 def test_mul_repeated_circle_index_exits_2(capsys):
     # x1 ^ x1 = 0, so {1,1} names no basis monomial
-    code, out, err = run(capsys, "mul", "--n", "2", "--x",
-                         "[()()|()()|{1,1}]", "--y", "[()()|()()|{}]")
-    assert code == 2
-    assert out == ""
-    assert "repeated circle index" in err
+    for top in ("()()", "(())"):
+        code, out, err = run(capsys, "mul", "--n", "2", "--x",
+                             f"[{top}|{top}|{{1,1}}]", "--y",
+                             f"[{top}|{top}|{{}}]")
+        assert code == 2
+        assert out == ""
+        assert "repeated circle index" in err
 
 
 def test_mul_parse_error(capsys):

@@ -164,3 +164,82 @@ def test_maps_equal_compares_circle_counts_and_signs(theory):
     assert not functors._maps_equal([Birth(2)], [], 1, theory)
     assert functors._maps_equal([Permute(1, 2), Permute(1, 2)], [], 2, theory)
     assert not functors._maps_equal([Permute(1, 2)], [], 2, theory, -1)
+
+
+def _maps_equal_per_state(word1, word2, m, theory, sign):
+    # the reference: one run of each word per basis state
+    (ops1, m1), (ops2, m2) = (functors.compile_word(w, m)
+                              for w in (word1, word2))
+    return m1 == m2 and all(
+        functors.run_word(ops1, {mask: 1}, theory)
+        == {k: sign * c
+            for k, c in functors.run_word(ops2, {mask: 1}, theory).items()}
+        for mask in range(2 ** m))
+
+
+@pytest.mark.parametrize("theory", ["even", "odd"])
+def test_maps_equal_agrees_with_a_per_state_check(theory):
+    # both signs and against the empty word, so that both verdicts occur
+    verdicts = set()
+    for m in range(1, 5):
+        for instances in functors._relations(m).values():
+            for w1, w2, _ in instances:
+                for pair in ((w1, w2), (w1, []), (w2, [])):
+                    for sign in (1, -1):
+                        want = _maps_equal_per_state(*pair, m, theory, sign)
+                        assert functors._maps_equal(*pair, m, theory,
+                                                    sign) == want, (pair, m)
+                        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def _every_op(m):
+    """(op, circles after) of every move the *_op builders accept on m
+    circles."""
+    ps = range(1, m + 1)
+    pairs = [(p, q) for p in ps for q in ps if p != q]
+    return ([(functors.birth_op(m, p), m + 1) for p in range(1, m + 2)]
+            + [(functors.death_op(m, p), m - 1) for p in ps]
+            + [(functors.split_op(m, p, first), m + 1)
+               for p in ps for first in (True, False)]
+            + [(functors.merge_op(m, p, q), m - 1) for p, q in pairs]
+            + [(functors.permute_op(m, p, q), m) for p, q in pairs])
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_every_kernel_carries_a_tag_above_the_circles(odd):
+    # a tag t at any bit T >= m comes out unchanged at T + (after - m)
+    for m in range(1, 5):
+        for (kernel, consts), after in _every_op(m):
+            for mask in range(2 ** m):
+                plain = kernel({mask: 1}, odd, consts)
+                for shift in (m, m + 3):
+                    for t in (1, 0b10110):
+                        tag = t << shift + after - m
+                        assert kernel({mask | t << shift: 1}, odd, consts) \
+                            == {k | tag: c for k, c in plain.items()}
+
+
+def test_a_corrupted_state_is_caught(monkeypatch):
+    # negate what one permutation makes of the key that basis state 0b10110
+    # on 5 circles enters the batched check with: one state in 32 is wrong
+    key, = (k for k in functors._tagged_basis(5) if k & 0b11111 == 0b10110)
+    real = functors._permute
+
+    def corrupted(terms, odd, consts):
+        out = real(terms, odd, consts)
+        if key in terms:
+            (image, c), = real({key: terms[key]}, odd, consts).items()
+            out[image] = -c
+        return out
+
+    monkeypatch.setattr(functors, "_permute", corrupted)
+    assert [name for name, ok in verify_relations(5, "odd").items()
+            if not ok] == ["permutation involution", "permutation braid",
+                           "permutation disjoint commute", "unit permutation",
+                           "counit permutation", "merge permutation",
+                           "split permutation", "commutativity"]
+    # no check on 4 circles meets that key
+    assert all(verify_relations(4, "odd").values())
+    monkeypatch.undo()
+    assert all(verify_relations(5, "odd").values())
