@@ -62,6 +62,10 @@ class BasisMonomial(tuple):
     __slots__ = ()
 
     def __new__(cls, top, bottom, colored):
+        if not (isinstance(top, str) and isinstance(bottom, str)
+                and hasattr(colored, "__iter__")):
+            raise ValueError(f"need two words and an iterable of circles, "
+                             f"not {top!r}, {bottom!r}, {colored!r}")
         if len(top) != len(bottom):
             raise ValueError(f"matching words {top!r} and "
                              f"{bottom!r} differ in length")

@@ -179,9 +179,9 @@ def _verify_cocycle(n, rule):
 def _verify_relations(n, rule):
     from .functors import verify_relations
     # a product at size n passes through at most 2n circles
+    circles = min(2 * n, _m.SIZE_LIMITS["relations"])
     for theory in ("even", "odd"):
-        results = verify_relations(min(2 * n, 5), theory)
-        for name, ok in results.items():
+        for name, ok in verify_relations(circles, theory).items():
             if not ok:
                 return f"{theory} relation failed: {name}"
     return None

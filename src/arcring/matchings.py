@@ -14,18 +14,16 @@ from functools import lru_cache
 
 # Largest n each computation accepts: a matching and the enumeration of all
 # matchings (C_12 = 208,012 words), the ring basis and products (and the
-# CLI's bn and mul), the centers, the odd Springer quotient and its
-# isomorphism check (about 10 s at n = 5), the structure constants of a
-# center (N^3 associativity checks: 5 s at n = 4, N = 70, and 16M triples
-# at n = 5), and the phi0 associator table with everything built on it
-# (38,416 cells in about 30 s at n = 4; n = 5 has 3.1M cells, 81 times as
-# many, each with larger blocks); the largest m of the quantum binomial
+# CLI's bn and mul), the centers and their structure constants (N^2
+# products, 11-14 s at n = 5, N = 252), the odd Springer quotient and its
+# isomorphism check (about 10 s at n = 5), and the phi0 associator table
+# with everything built on it (38,416 cells in about 30 s at n = 4; n = 5
+# has 3.1M cells, 81 times as many); the largest m of the quantum binomial
 # [m choose k] (about 0.2 s at m = 256, k = 128); and the most circles
-# verify_relations instantiates the functor relations on (every state on
-# up to 5 circles).  Entry points call check_size before any work.
+# verify_relations instantiates the functor relations on.  Entry points
+# call check_size before any work.
 SIZE_LIMITS = {"matching": 12, "basis": 5, "center": 5, "springer": 5,
-               "structure_constants": 4, "assoc": 4, "qbinom": 256,
-               "relations": 5}
+               "assoc": 4, "qbinom": 256, "relations": 5}
 
 
 def check_size(what, n):

@@ -14,9 +14,7 @@ import re
 from time import perf_counter
 
 from . import matchings as _m
-from .arc_rings import (BasisMonomial, RingElement, block_monomials,
-                        multiply, unit)
-from .exterior import ExteriorElement, wedge
+from .arc_rings import BasisMonomial, RingElement, multiply, unit
 from .zlinalg import (SparseZ, hnf_columns, hnf_reduce, signed_sum,
                       signed_terms, smith_normal_form)
 
@@ -303,7 +301,7 @@ def _generator_action_holds(q, images, rule):
 
     That is enough: the quotient is generated by the x_i, and both products
     are associative here (the images lie on the diagonal blocks, where the
-    odd product is the wedge product, `_diagonal_wedge_witness`), so by
+    odd product is the wedge product, `diagonal_product_witness`), so by
     induction on the degree of a monomial m = x_i * m', for every y
         phi(m * y) = phi(x_i) * phi(m' * y) = phi(x_i) * (phi(m') * phi(y))
                    = (phi(x_i) * phi(m')) * phi(y) = phi(m) * phi(y)."""
@@ -336,24 +334,6 @@ def _generator_action_holds(q, images, rule):
     return True
 
 
-def _diagonal_wedge_witness(n, rule):
-    """None if every product [a|a|s] . [a|a|t] of `rule` is the wedge s ^ t
-    on the circles of W(a)a, in their order; else the first block a and
-    pair that is not."""
-    for a in _m.enumerate_matchings(n):
-        labels = range(_m.closed_diagram(a, a)[1])
-        monos = block_monomials(a, a)
-        wedges = [ExteriorElement(labels, {x.mask: 1}) for x in monos]
-        for x, wx in zip(monos, wedges):
-            for y, wy in zip(monos, wedges):
-                xy = multiply(rule, RingElement.monomial(x),
-                              RingElement.monomial(y))
-                if {m.mask: c for m, c in xy.terms.items()} != \
-                        wedge(wx, wy).terms:
-                    return {"block": a.word, "pair": [repr(x), repr(y)]}
-    return None
-
-
 def verify_springer_iso(n, rule):
     """Certificate that the quotient presentation and the odd center are
     isomorphic as graded rings, via the evaluation map.  Besides the stage
@@ -363,7 +343,7 @@ def verify_springer_iso(n, rule):
     "witness": the first degree where the quotient's ranks are not the
     Betti numbers, or the first diagonal block and pair whose product is
     not the wedge product."""
-    from .centers import odd_center
+    from .centers import diagonal_product_witness, odd_center
 
     _m.check_size("springer", n)
     cert = {"n": n, "rule": rule.name, "stages": {}, "seconds": {},
@@ -431,7 +411,7 @@ def verify_springer_iso(n, rule):
     # (v) the product on the diagonal blocks, where the center lives, is
     # the wedge product in the circle labels, so it is associative, which
     # the next stage needs
-    wedge_witness = _diagonal_wedge_witness(n, rule)
+    wedge_witness = diagonal_product_witness(n, rule, "odd")
     if wedge_witness is not None:
         cert["witness"] = wedge_witness
     if not check("diagonal_wedge", wedge_witness is None):

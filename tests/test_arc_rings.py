@@ -326,6 +326,15 @@ def test_basis_monomial_rejects_repeated_and_non_int_circles():
     assert BasisMonomial("(())", "(())", [2, 1]).mask == 0b11
 
 
+def test_basis_monomial_rejects_non_str_words_and_non_iterable_circles():
+    # bad input is a ValueError, never a TypeError from len() or iter()
+    for top, bottom, colored in ((5, "(())", []), ("(())", 5, []),
+                                 ("()", ["(", ")"], []), ("(())", "(())", 1)):
+        with pytest.raises(ValueError, match="need two words and an iterable"):
+            BasisMonomial(top, bottom, colored)
+    assert BasisMonomial("(())", "(())", iter([2])).mask == 0b10
+
+
 def test_basis_monomial_orders_by_circles_not_by_mask():
     # {1, 4} is mask 0b1001 and {2, 3} is 0b0110; the sorted circles decide
     w = "()()()()"

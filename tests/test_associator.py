@@ -14,7 +14,7 @@ from arcring.associator import (scission_count, phi0, phi0_table,
                                 rule_sign_ratio, eta_table,
                                 compare_rules, _coboundary, _primitive)
 from arcring.cli import main
-from arcring.centers import (odd_center, even_center,
+from arcring.centers import (odd_center, ring_center, even_center,
                              center_structure_constants)
 
 DEFAULT = BUILTIN_RULES["default"]
@@ -197,9 +197,13 @@ def test_golden_eta_digest():
 
 @pytest.mark.parametrize("n, flavor, want", [
     (2, "odd", "a884adb6a903c909"), (2, "even", "4d3ee29717adbf5e"),
-    (3, "odd", "0906e26c9eebd9b5"), (3, "even", "08552cf0329d05aa")])
+    (3, "odd", "0906e26c9eebd9b5"), (3, "even", "08552cf0329d05aa"),
+    (4, "odd", "9578314b487c3bd2"), (4, "even", "0a761bc8668c14d8"),
+    (4, "odd-ring", "0e33ade9236d9ff3")])
 def test_golden_structure_constant_digests(n, flavor, want):
-    basis = odd_center(n, DEFAULT) if flavor == "odd" else even_center(n)
+    basis = {"odd": lambda: odd_center(n, DEFAULT),
+             "odd-ring": lambda: ring_center(n, DEFAULT),
+             "even": lambda: even_center(n)}[flavor]()
     table = center_structure_constants(basis, DEFAULT)
     assert _digest(repr(sorted(table.items()))) == want
 

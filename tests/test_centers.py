@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from math import comb
 
 import pytest
@@ -132,6 +133,50 @@ def test_structure_constants_closure_and_supercommutativity():
             lhs = multiply(DEFAULT, gi, gj)
             rhs = multiply(DEFAULT, gj, gi).scale((-1) ** (pi * pj))
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("theory", ["odd", "even"])
+def test_structure_constants_check_the_diagonal_product(monkeypatch, theory):
+    """One wrong product on the diagonal block (()): x1 . x2 with its sign
+    flipped (odd), or x1 . x1 nonzero (even).  The structure constants
+    raise before they rely on associativity there, and name the block and
+    the pair."""
+    import arcring.centers as ce
+    basis = (odd_center_cached("default", 2) if theory == "odd"
+             else even_center(2))
+    x1, x2 = (BasisMonomial("(())", "(())", {i}) for i in (1, 2))
+    bad = (x1, x2) if theory == "odd" else (x1, x1)
+    real = ce.multiply
+
+    def corrupt(rule, x, y, kind="odd", **kwargs):
+        out = real(rule, x, y, kind, **kwargs)
+        if (set(x.terms), set(y.terms)) != ({bad[0]}, {bad[1]}):
+            return out
+        return out.scale(-1) if kind == "odd" else RingElement.monomial(x1)
+    monkeypatch.setattr(ce, "multiply", corrupt)
+    want = (f"{theory} product on the diagonal block (()) is wrong at "
+            f"{bad[0]!r} * {bad[1]!r}")
+    with pytest.raises(AssertionError, match=re.escape(want)):
+        center_structure_constants(basis, DEFAULT)
+    assert ce.diagonal_product_witness(2, DEFAULT, theory) == {
+        "block": "(())", "pair": [repr(bad[0]), repr(bad[1])]}
+
+
+def test_structure_constants_make_no_triple_products(monkeypatch):
+    # N^2 generator products plus the diagonal check's C_n * 4^n monomial
+    # products: 20^2 + 5 * 64 at n = 3, with no N^3 associativity loop
+    import arcring.centers as ce
+    oz = odd_center_cached("default", 3)
+    calls = []
+    real = ce.multiply
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(ce, "multiply", counting)
+    center_structure_constants(oz, DEFAULT)
+    assert oz.total_rank() == 20
+    assert len(calls) == 20 ** 2 + 5 * 4 ** 3
 
 
 def test_even_center_ranks():

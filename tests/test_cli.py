@@ -168,7 +168,7 @@ def test_assoc_compare_n3_skips_vanishing_blocks(capsys):
 
 
 def test_verify_relations_follows_n(capsys, monkeypatch):
-    from arcring import functors
+    from arcring import functors, matchings
     asked = []
     real = functors.verify_relations
 
@@ -181,6 +181,12 @@ def test_verify_relations_follows_n(capsys, monkeypatch):
         code, _, _ = run(capsys, "verify", "--n", n, "--suite", "relations")
         assert code == 0
     assert asked == [2, 2, 5, 5]
+    # the cap is the relations size limit, not a literal 5
+    asked.clear()
+    monkeypatch.setitem(matchings.SIZE_LIMITS, "relations", 4)
+    code, _, _ = run(capsys, "verify", "--n", "3", "--suite", "relations")
+    assert code == 0
+    assert asked == [4, 4]
 
 
 def test_verify_catalan_beyond_the_seventh_catalan_number(monkeypatch):

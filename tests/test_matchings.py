@@ -113,7 +113,7 @@ def test_bad_word_rejected():
     ("center", lambda n: centers.odd_center(n, DEFAULT)),
     ("center", lambda n: centers.ring_center(n, DEFAULT)),
     ("center", centers.even_center),
-    ("structure_constants", lambda n: centers.center_structure_constants(
+    ("center", lambda n: centers.center_structure_constants(
         centers.CenterBasis(n, "odd-center"), DEFAULT)),
     ("springer", springer.quotient_presentation),
     ("springer", lambda n: springer.verify_springer_iso(n, DEFAULT)),

@@ -382,16 +382,16 @@ def test_springer_iso_checks_the_diagonal_wedge(monkeypatch):
     """One diagonal product with its sign flipped, x1 . x2 on the block
     (()), fails the wedge stage, before the structure constants rely on
     associativity there, and names the block and the pair."""
-    import arcring.springer as sp
+    import arcring.centers as ce
     from arcring.arc_rings import BasisMonomial
     x1, x2 = (BasisMonomial("(())", "(())", {i}) for i in (1, 2))
-    real = sp.multiply
+    real = ce.multiply
 
     def flipped(rule, x, y, *args, **kwargs):
         out = real(rule, x, y, *args, **kwargs)
         return out.scale(-1) if (set(x.terms), set(y.terms)) == (
             {x1}, {x2}) else out
-    monkeypatch.setattr(sp, "multiply", flipped)
+    monkeypatch.setattr(ce, "multiply", flipped)
     cert = verify_springer_iso(2, DEFAULT)
     assert cert["stages"] == {"generators_vanish": True, "injective": True,
                               "betti_numbers": True, "graded_ranks": True,
