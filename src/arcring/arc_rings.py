@@ -214,12 +214,13 @@ class OrderRule(MultiplicationRule):
 
 
 class FlippedRule(MultiplicationRule):
-    """A base rule with split orientations reversed, either everywhere or on
-    a given set of (c, b, a) word triples."""
+    """A base rule with split orientations reversed, everywhere or on a set
+    of (c, b, a) triples, each a tuple of three words of one size."""
 
     def __init__(self, base, triples=None):
         self.base = base
-        self.triples = None if triples is None else {tuple(t) for t in triples}
+        self.triples = None if triples is None else set(
+            map(_word_triple, triples))
         which = "all" if triples is None else ",".join(
             "|".join(t) for t in sorted(self.triples))
         self.name = f"flip({base.name};{which})"
@@ -258,11 +259,7 @@ class CustomRule(MultiplicationRule):
 
     def _middle(self, key):
         """The matching b of a (c, b, a) key of words of size n."""
-        if (not isinstance(key, tuple) or len(key) != 3
-                or any(_MATCHINGS[w].n != self.n for w in key)):
-            raise ValueError(f"{key!r} is not a triple of words of size "
-                             f"{self.n}")
-        return _MATCHINGS[key[1]]
+        return _MATCHINGS[_word_triple(key, self.n)[1]]
 
     def order(self, c, b, a):
         key = (c.word, b.word, a.word)
@@ -274,6 +271,18 @@ class CustomRule(MultiplicationRule):
             return self.sources[key][frozenset((scan, partner))]
         return self.base.split_source(c, b, a, scan, partner,
                                       key_scan, key_partner)
+
+
+def _word_triple(key, n=None):
+    """The key if it is a tuple (c, b, a) of three words of one size, n if
+    given; ValueError otherwise."""
+    if isinstance(key, tuple) and len(key) == 3 and all(
+            isinstance(w, str) for w in key):
+        size = len(key[0]) // 2 if n is None else n
+        if all(_MATCHINGS[w].n == size for w in key):
+            return key
+    raise ValueError(f"{key!r} is not a triple of words of "
+                     + ("one size" if n is None else f"size {n}"))
 
 
 def _check_admissible(order, b):
@@ -361,6 +370,27 @@ def _resolve_monomials(rule, c, b, a, colored_x, colored_y, theory):
     plan.  Returns {mask: int} over the circles of W(c)a."""
     _, ops, top = _plan_of_words(rule, c.word, b.word, a.word)
     return _f.run_word(ops, {colored_x | colored_y << top: 1}, theory)
+
+
+def block_map(rule, theory, c, b, a):
+    """The product c(.)b x b(.)a -> c(.)a on basis monomials as {(mask_x,
+    mask_y): {mask: coeff}} over the nonzero products: one run of the plan
+    on all start keys mask_x | mask_y << top, each tagged with itself above
+    the circles (`functors._tagged_basis`).  Even uses the default rule."""
+    if theory not in ("odd", "even"):
+        raise ValueError(f"unknown theory {theory!r}")
+    _word_triple((c.word, b.word, a.word))
+    if theory == "even":
+        rule = BUILTIN_RULES["default"]
+    _, ops, top = _plan_of_words(rule, c.word, b.word, a.word)
+    states = _f._tagged_basis(top + _m.closed_diagram(b, a)[1])
+    final = _m.closed_diagram(c, a)[1]
+    out = {}
+    for key, coeff in _f.run_word(ops, states, theory).items():
+        tag = key >> final
+        out.setdefault((tag & (1 << top) - 1, tag >> top), {})[
+            key ^ tag << final] = coeff
+    return out
 
 
 def _block_product(x, y, cache, resolve, rule, *theory):

@@ -13,7 +13,7 @@ from functools import partial
 from itertools import product as _product
 
 from . import matchings as _m
-from .arc_rings import RingElement, basis_pairs, block_monomials, multiply
+from .arc_rings import RingElement, block_map, block_monomials, multiply
 from .zlinalg import solve_f2
 
 
@@ -27,12 +27,11 @@ def scission_count(c, b, a):
 
 
 def _proportionality(triples):
-    """Sign s with left = s * f * right over all (left, right, f) with f =
-    +-1, or None if every pair is zero; raises on any inconsistency.  The
-    term dicts are compared directly, so no scaled copy is built."""
+    """Sign s with left = s * f * right over all (left, right, f), left and
+    right term dicts, compared directly, and f = +-1, or None if every pair
+    is zero; raises on any inconsistency."""
     sign = None
-    for left, right, f in triples:
-        lt, rt = left.terms, right.terms
+    for lt, rt, f in triples:
         if not lt and not rt:
             continue
         if not lt or not rt:
@@ -79,32 +78,27 @@ def phi0(rule, d, c, b, a, *, memo=None, blocks=None):
             for (_, y), yz_row in zip(ys, yzs):
                 xy = multiply(rule, x, y, memo=memo)
                 for (_, z), yz in zip(zs, yz_row):
-                    yield (multiply(rule, xy, z, memo=memo),
-                           multiply(rule, x, yz, memo=memo), phi1)
+                    yield (multiply(rule, xy, z, memo=memo).terms,
+                           multiply(rule, x, yz, memo=memo).terms, phi1)
 
     return _proportionality(triples())
 
 
-def _sign_table(sign, n, k, memo):
+def _sign_table(sign, n, k):
     """{k-cell of words: bit or None} over all k-tuples of matchings, bit = 1
-    iff sign(*cell, memo=memo, blocks=blocks) = -1, None where it is
-    undefined.  The cells share the product memo `memo` and one list of
-    basis elements per block, both dropped with the table's caller."""
+    iff sign(*cell) = -1, None where it is undefined."""
     _m.check_size("assoc", n)
-    table = {}
-    blocks = {}
-    for cell in _product(_m.enumerate_matchings(n), repeat=k):
-        s = sign(*cell, memo=memo, blocks=blocks)
-        table[tuple(m.word for m in cell)] = \
-            None if s is None else (1 - s) // 2
-    return table
+    signs = {tuple(m.word for m in cell): sign(*cell)
+             for cell in _product(_m.enumerate_matchings(n), repeat=k)}
+    return {cell: None if s is None else (1 - s) // 2
+            for cell, s in signs.items()}
 
 
 def phi0_table(rule, n):
     """{(d,c,b,a) words: bit or None}, bit = 1 iff phi0 = -1; None marks
     the cells where the sign is undefined.  The cells share one product
-    memo, dropped on return."""
-    return _sign_table(partial(phi0, rule), n, 4, {})
+    memo and one list of basis elements per block, dropped on return."""
+    return _sign_table(partial(phi0, rule, memo={}, blocks={}), n, 4)
 
 
 def _faces(cell):
@@ -184,38 +178,27 @@ def solve_coboundary(table, n):
     return _primitive(table, [m.word for m in _m.enumerate_matchings(n)], 4)
 
 
-def rule_sign_ratio(rule1, rule2, c, b, a, *, memo=None, blocks=None):
-    """Proportionality sign between the block multiplication maps of the two
-    rules on (c,b,a), or None if both maps vanish identically (this happens
-    in the odd theory, e.g. on ((()))|(())()|()(()) at n = 3).  `memo` is
-    the product memo of `multiply`, `blocks` that of `_block_elements`."""
-    blocks = {} if blocks is None else blocks
-    ys, zs = _block_elements(c, b, blocks), _block_elements(b, a, blocks)
-
-    def triples():
-        for _, y in ys:
-            for _, z in zs:
-                yield (multiply(rule1, y, z, memo=memo),
-                       multiply(rule2, y, z, memo=memo), 1)
-
-    return _proportionality(triples())
+def rule_sign_ratio(rule1, rule2, c, b, a):
+    """Proportionality sign between the odd block maps of the two rules on
+    (c,b,a), or None if both maps vanish identically (this happens, e.g.,
+    on ((()))|(())()|()(()) at n = 3)."""
+    map1, map2 = (block_map(rule, "odd", c, b, a) for rule in (rule1, rule2))
+    return _proportionality((map1.get(pair, {}), map2.get(pair, {}), 1)
+                            for pair in sorted(map1.keys() | map2))
 
 
-def eta_table(rule1, rule2, n, *, memo=None):
+def eta_table(rule1, rule2, n):
     """{(c,b,a) words: bit or None}, bit = 1 iff the two rules' block maps
-    differ by -1; None where both maps vanish, so any sign relates them.
-    The cells share `memo`, or one product memo of their own."""
-    return _sign_table(partial(rule_sign_ratio, rule1, rule2), n, 3,
-                       {} if memo is None else memo)
+    differ by -1; None where both maps vanish, so any sign relates them."""
+    return _sign_table(partial(rule_sign_ratio, rule1, rule2), n, 3)
 
 
 def compare_rules(rule1, rule2, n):
     """(first quadruple, in enumeration order, where the phi0 tables differ,
     or None; a per-pair sign table eps, or None).  If the two rules have the
-    same chronology associator, eps is such that x -> (-1)^eps(block of x) * x
-    is a ring isomorphism, verified on every structure constant; eps is None
-    if the associators differ or no such eps exists.  Equal rules share one
-    phi0 table."""
+    same chronology associator, eps makes x -> (-1)^eps(block of x) * x a
+    ring isomorphism (`_rule_isomorphism`); eps is None if the associators
+    differ or no such eps exists.  Equal rules share one phi0 table."""
     t1 = phi0_table(rule1, n)
     t2 = t1 if rule2 is rule1 else phi0_table(rule2, n)
     diff = next((quad for quad in sorted(t1) if t1[quad] != t2[quad]), None)
@@ -226,33 +209,18 @@ def compare_rules(rule1, rule2, n):
 
 def _rule_isomorphism(rule1, rule2, n, table):
     """The eps of compare_rules for rules with equal associators, `table` the
-    phi0 table of both.  The two associators differ by d(eta) wherever
-    phi0 is defined, so eta must be a 2-cocycle there; where phi0 is
-    undefined both reassociations vanish and d(eta) is free.  Triples where
-    eta is undefined impose nothing on eps: both block maps vanish there.
-    None if no eps solves d(eps) = eta.  The eta table and the verification
-    share one product memo."""
-    memo = {}
-    eta = eta_table(rule1, rule2, n, memo=memo)
+    phi0 table of both, or None if no eps solves d(eps) = eta.  The two
+    associators differ by d(eta) wherever phi0 is defined, so eta must be a
+    2-cocycle there; where phi0 is undefined both reassociations vanish and
+    d(eta) is free.  No product needs checking: x -> (-1)^eps(block of x) * x
+    is a ring map iff the block maps of each triple satisfy B1 =
+    (-1)^d(eps) * B2 on every pair; eta_table certifies B1 = (-1)^eta * B2
+    on every pair, both maps vanishing where eta is undefined, and
+    _primitive certifies d(eps) = eta on every defined triple."""
+    eta = eta_table(rule1, rule2, n)
     words = [m.word for m in _m.enumerate_matchings(n)]
     if any(v and table[quad] is not None
            for quad, v in _coboundary(eta, words, 4).items()):
         raise AssertionError("eta is not a 2-cocycle despite equal "
                              "associators")
-    eps = _primitive(eta, words, 3)
-    if eps is None:
-        return None
-
-    # full structure-constant verification of x -> (-1)^eps * x
-    def theta(elem):
-        return RingElement(elem.n, {
-            mono: -coeff if eps[mono.top, mono.bottom] else coeff
-            for mono, coeff in elem.terms.items()})
-
-    for mx, my in basis_pairs(n):
-        x1, y1 = RingElement.monomial(mx), RingElement.monomial(my)
-        lhs = theta(multiply(rule1, x1, y1, memo=memo))
-        rhs1 = multiply(rule2, theta(x1), theta(y1), memo=memo)
-        if lhs != rhs1:
-            raise AssertionError("sign map is not a ring homomorphism")
-    return eps
+    return _primitive(eta, words, 3)

@@ -4,12 +4,13 @@ suite.  Exit codes: 0 success, 1 verification failure, 2 bad input."""
 
 import argparse
 import sys
+from itertools import product
 from math import comb
 
 from . import matchings as _m
-from .arc_rings import (BUILTIN_RULES, FlippedRule, multiply,
-                        multiply_diagrammatic, parse_element, format_element,
-                        basis_pairs, RingElement)
+from .arc_rings import (BUILTIN_RULES, BasisMonomial, FlippedRule,
+                        block_map, multiply, multiply_diagrammatic,
+                        parse_element, format_element)
 
 
 def _rule(name):
@@ -130,19 +131,19 @@ def _verify_catalan(n):
 
 
 def _verify_mod2(n, rule):
-    for mx, my in basis_pairs(n):
-        x, y = RingElement.monomial(mx), RingElement.monomial(my)
-        odd = multiply(rule, x, y)
-        even = multiply(rule, x, y, "even")
-        for k in odd.terms.keys() | even.terms.keys():
-            if (odd.terms.get(k, 0) - even.terms.get(k, 0)) % 2:
+    for c, b, a in product(_m.enumerate_matchings(n), repeat=3):
+        odd, even = (block_map(rule, t, c, b, a) for t in ("odd", "even"))
+        for pair in sorted(odd.keys() | even):
+            x, y = odd.get(pair, {}), even.get(pair, {})
+            if any((x.get(k, 0) - y.get(k, 0)) % 2 for k in x.keys() | y):
+                mx = tuple.__new__(BasisMonomial, (c.word, b.word, pair[0]))
+                my = tuple.__new__(BasisMonomial, (b.word, a.word, pair[1]))
                 return f"mod-2 mismatch at {mx} * {my}"
     return None
 
 
 def _verify_centers(n, rule):
     from .centers import odd_center
-    from .arc_rings import BUILTIN_RULES
     oz = odd_center(n, rule)
     if oz.total_rank() != comb(2 * n, n):
         return f"odd center rank {oz.total_rank()} != C(2n,n)"

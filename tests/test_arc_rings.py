@@ -12,7 +12,7 @@ from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
                                DefaultRule, FlippedRule, CustomRule,
                                MultiplicationRule, format_element,
                                parse_element, block_monomials,
-                               _plan_of_words)
+                               block_map, _plan_of_words, _resolve_monomials)
 
 DEFAULT = BUILTIN_RULES["default"]
 ORD = BUILTIN_RULES["ord"]
@@ -276,6 +276,80 @@ def test_memo_hit_is_unchanged_by_mutating_a_result():
             out.terms[key] = -out.terms[key]
         out.terms[BasisMonomial("(())", "(())", frozenset())] = 5
     assert multiply(DEFAULT, x.scale(2), y, memo=memo) == want.scale(2)
+
+
+def triples(n):
+    mats = m.enumerate_matchings(n)
+    return [(c, b, a) for c in mats for b in mats for a in mats]
+
+
+def block_maps_agree(rule, theory, n):
+    """Does block_map equal one _resolve_monomials per monomial pair, on
+    every triple of size n?  The even product runs under the default rule,
+    as multiply runs it."""
+    per_pair = rule if theory == "odd" else DEFAULT
+    for c, b, a in triples(n):
+        top = m.closed_diagram(c, b)[1]
+        bottom = m.closed_diagram(b, a)[1]
+        want = {(x, y): prod for x in range(2 ** top)
+                for y in range(2 ** bottom)
+                for prod in [_resolve_monomials(per_pair, c, b, a, x, y,
+                                                theory)] if prod}
+        if block_map(rule, theory, c, b, a) != want:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("theory", ["odd", "even"])
+@pytest.mark.parametrize("rule, n", [
+    (rule, n) for rule in (DEFAULT, ORD, FlippedRule(DEFAULT))
+    for n in (1, 2, 3)] + [(DEFAULT, 4)],
+    ids=lambda v: getattr(v, "name", v))
+def test_block_map_equals_the_per_pair_products(rule, n, theory):
+    assert block_maps_agree(rule, theory, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_map_equals_the_diagrammatic_oracle(n):
+    for rule in (DEFAULT, ORD):
+        for c, b, a in triples(n):
+            got = block_map(rule, "odd", c, b, a)
+            for x in block_monomials(c, b):
+                for y in block_monomials(b, a):
+                    want = multiply_diagrammatic(
+                        rule, RingElement.monomial(x), RingElement.monomial(y))
+                    assert {mono.mask: coeff for mono, coeff in
+                            want.terms.items()} == got.get((x.mask, y.mask), {})
+
+
+def test_block_map_with_the_tag_one_bit_too_low_disagrees(monkeypatch):
+    # the tag must sit above every circle: one bit lower, it overlaps the
+    # last start circle and the decoded pairs go wrong
+    monkeypatch.setattr(functors, "_tagged_basis", lambda k: {
+        mask | mask << k - 1: 1 for mask in range(2 ** k)})
+    assert not block_maps_agree(DEFAULT, "odd", 2)
+    assert not block_maps_agree(DEFAULT, "even", 2)
+
+
+def test_block_map_rejects_bad_input_before_planning():
+    a2, b2, a1 = m.Matching("(())"), m.Matching("()()"), m.Matching("()")
+    plans = _plan_of_words.cache_info().currsize
+    for c, b, a in ((a2, b2, a1), (a1, a2, a2), (a2, a1, b2)):
+        with pytest.raises(ValueError, match="one size"):
+            block_map(DEFAULT, "odd", c, b, a)
+    with pytest.raises(ValueError, match="unknown theory"):
+        block_map(FlippedRule(DEFAULT), "mixed", a2, b2, a2)
+    assert _plan_of_words.cache_info().currsize == plans
+
+
+def test_flipped_rule_rejects_malformed_triples():
+    for triples in (["abc"], [("(())", "()()")],
+                    [("(())", "()()", "()")], [("(())", "()()", "(()")],
+                    [["(())", "()()", "(())"]], [("(())", "()()", 5)]):
+        with pytest.raises(ValueError):
+            FlippedRule(DEFAULT, triples)
+    rule = FlippedRule(DEFAULT, [("(())", "()()", "(())")])
+    assert rule.triples == {("(())", "()()", "(())")}
 
 
 def test_basis_monomial_is_an_immutable_tuple():

@@ -195,6 +195,20 @@ def test_golden_eta_digest():
     assert table_digest(eta_table(DEFAULT, FLIP, 2)) == "c5b364003ffca527"
 
 
+# pinned on the code that built eta from one product per monomial pair
+@pytest.mark.parametrize("rule2, want", [(ORD, "98804e7a9e3eb9a9"),
+                                         (FLIP, "64d871efc12b8174")],
+                         ids=["ord", "flip"])
+def test_golden_eta_digests_n3(rule2, want):
+    assert table_digest(eta_table(DEFAULT, rule2, 3)) == want
+
+
+def test_compare_rules_default_flip_n3():
+    diff, eps = compare_rules(DEFAULT, FLIP, 3)
+    assert diff is None
+    assert len(eps) == 25 and sum(eps.values()) == 12
+
+
 @pytest.mark.parametrize("n, flavor, want", [
     (2, "odd", "a884adb6a903c909"), (2, "even", "4d3ee29717adbf5e"),
     (3, "odd", "0906e26c9eebd9b5"), (3, "even", "08552cf0329d05aa"),
@@ -244,8 +258,9 @@ def test_phi0_table_multiply_calls_n3(monkeypatch):
 
 
 def test_tables_build_each_block_once(monkeypatch):
-    # the 25 blocks of n = 3 are built once per table, not once per cell
-    # (1,875 builds for phi0's 625 cells, 250 for eta's 125)
+    # the 25 blocks of n = 3 are built once per phi0 table, not once per
+    # cell (1,875 builds for its 625 cells); eta reads block maps and
+    # builds no block elements
     calls = []
     real = associator.block_monomials
 
@@ -254,20 +269,25 @@ def test_tables_build_each_block_once(monkeypatch):
         return real(top, bottom)
 
     monkeypatch.setattr(associator, "block_monomials", counting)
-    for table in (lambda: phi0_table(DEFAULT, 3),
-                  lambda: eta_table(DEFAULT, ORD, 3)):
-        calls.clear()
-        table()
-        assert len(calls) == len(set(calls)) == 25
+    phi0_table(DEFAULT, 3)
+    assert len(calls) == len(set(calls)) == 25
+    calls.clear()
+    eta_table(DEFAULT, ORD, 3)
+    assert calls == []
 
 
 def test_proportionality_raises_on_an_inconsistent_sign():
     x, y = [RingElement.monomial(mono) for mono, _ in ring_basis(1)]
-    assert associator._proportionality([(x, x, 1), (y, y, 1)]) == 1
-    assert associator._proportionality([(x, -x, 1), (-y, y, 1)]) == -1
-    assert associator._proportionality([(x, -x, -1), (y, y, 1)]) == 1
-    assert associator._proportionality([(x.scale(0), y.scale(0), 1)]) \
-        is None
+
+    def proportionality(triples):
+        # the maps go in as term dicts, as phi0 and rule_sign_ratio pass them
+        return associator._proportionality(
+            (left.terms, right.terms, f) for left, right, f in triples)
+
+    assert proportionality([(x, x, 1), (y, y, 1)]) == 1
+    assert proportionality([(x, -x, 1), (-y, y, 1)]) == -1
+    assert proportionality([(x, -x, -1), (y, y, 1)]) == 1
+    assert proportionality([(x.scale(0), y.scale(0), 1)]) is None
     for triples, message in (
             ([(x, x, 1), (y, -y, 1)], "inconsistent proportionality sign"),
             ([(x, x, 1), (y, y, -1)], "inconsistent proportionality sign"),
@@ -276,7 +296,7 @@ def test_proportionality_raises_on_an_inconsistent_sign():
             ([(x + y, x - y, 1)], "not proportional by a sign"),
             ([(x, x.scale(0), 1)], "zero pattern mismatch")):
         with pytest.raises(AssertionError, match=message):
-            associator._proportionality(triples)
+            proportionality(triples)
 
 
 def test_eta_undefined_where_block_maps_vanish_n3():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +156,33 @@ def test_verify_all_n2(capsys):
     assert out.count("pass") == 6
 
 
+def test_verify_mod2_fails_on_an_even_split_without_its_second_child(
+        capsys, monkeypatch):
+    # compiled plans keep the kernels they were built with: clear them
+    # around the patch
+    from arcring import functors
+    from arcring.arc_rings import _plan_of_words
+    real = functors._split
+
+    def lopsided(terms, odd, consts):
+        if odd:
+            return real(terms, odd, consts)
+        first, second, low, high, _ = consts
+        return {(k & low) | (k << 1 & high) | first
+                | (second if k & first else 0): c for k, c in terms.items()}
+
+    _plan_of_words.cache_clear()
+    monkeypatch.setattr(functors, "_split", lopsided)
+    try:
+        code, out, _ = run(capsys, "verify", "--n", "2", "--suite", "mod2")
+    finally:
+        monkeypatch.undo()
+        _plan_of_words.cache_clear()
+    assert code == 1
+    assert re.fullmatch(r"mod2: FAIL \(mod-2 mismatch at \[\S+\] \* "
+                        r"\[\S+\]\)\n", out)
+
+
 def test_assoc_compare_n3_skips_vanishing_blocks(capsys):
     # six odd block maps vanish at n = 3; their eta cells impose nothing
     code, out, err = run(capsys, "assoc", "--n", "3", "--compare",
@@ -307,7 +335,7 @@ def patched(module, name, value, call):
     return run
 
 
-def non_cocycle_eta(rule1, rule2, n, memo=None):
+def non_cocycle_eta(rule1, rule2, n):
     eta = {t: 0 for t in A._product(W2, repeat=3)}
     eta[W2[0], W2[0], W2[1]] = 1
     return eta
@@ -324,7 +352,8 @@ for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
             lambda: parse_element("[()()|()()|{1,1}]"),
             lambda: setattr(BasisMonomial("()", "()", frozenset()), "top",
                             "()"),
-            lambda: A._proportionality([(one, one, 1), (one, one, -1)]),
+            lambda: A._proportionality([(one.terms, one.terms, 1),
+                                        (one.terms, one.terms, -1)]),
             lambda: epsilon_generator(2, (1, 2, 9), 1),
             lambda: quotient_presentation(2).basis_coordinates(
                 parse_poly("x1 + x1x2", 4)),
