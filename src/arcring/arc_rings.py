@@ -215,9 +215,14 @@ class OrderRule(MultiplicationRule):
 
 class FlippedRule(MultiplicationRule):
     """A base rule with split orientations reversed, everywhere or on a set
-    of (c, b, a) triples, each a tuple of three words of one size."""
+    of (c, b, a) triples, each a tuple of three words of one size; ValueError
+    for any other base or triples."""
 
     def __init__(self, base, triples=None):
+        if not (isinstance(base, MultiplicationRule) and (
+                triples is None or hasattr(triples, "__iter__"))):
+            raise ValueError(f"need a rule and an iterable of triples, not "
+                             f"{base!r}, {triples!r}")
         self.base = base
         self.triples = None if triples is None else set(
             map(_word_triple, triples))
@@ -239,21 +244,29 @@ class FlippedRule(MultiplicationRule):
 class CustomRule(MultiplicationRule):
     """Explicit per-triple data: orders[(c,b,a) words] -> tuple of basepoints,
     sources[(c,b,a) words] -> {frozenset(arc): source basepoint}.  Missing
-    triples fall back to the given base rule.  Keys that are no triples of
-    words of size n, and malformed orders and sources, raise ValueError."""
+    triples fall back to the given base rule.  A matching size n that
+    `check_size` refuses, a base that is no rule, keys that are no triples
+    of words of size n, and malformed orders and sources raise ValueError."""
 
     name = "custom"
 
     def __init__(self, n, orders=None, sources=None, base=None):
+        _m.check_size("matching", n)
         self.n = n
-        self.orders = orders or {}
-        self.sources = sources or {}
-        self.base = base or DefaultRule()
+        self.orders = {} if orders is None else orders
+        self.sources = {} if sources is None else sources
+        self.base = DefaultRule() if base is None else base
+        if not (isinstance(self.base, MultiplicationRule)
+                and isinstance(self.orders, dict)
+                and isinstance(self.sources, dict)):
+            raise ValueError(f"need a rule and dicts of orders and sources, "
+                             f"not {base!r}, {orders!r}, {sources!r}")
         for key, order in self.orders.items():
             _check_admissible(order, self._middle(key))
         for key, srcs in self.sources.items():
             arcs = {frozenset(arc) for arc in self._middle(key).arcs()}
-            if set(srcs) != arcs or any(srcs[a] not in a for a in arcs):
+            if not isinstance(srcs, dict) or set(srcs) != arcs or any(
+                    srcs[a] not in tuple(a) for a in arcs):
                 raise ValueError(f"sources of {key!r} do not map each arc of "
                                  f"{key[1]} to one of its endpoints")
 
@@ -288,7 +301,9 @@ def _word_triple(key, n=None):
 def _check_admissible(order, b):
     """An order is admissible if for every arc (i, j) of b and every point k
     strictly between them, i or j comes strictly before k."""
-    if sorted(order) != list(range(1, 2 * b.n + 1)):
+    if not (hasattr(order, "__iter__")
+            and all(type(p) is int for p in order)
+            and sorted(order) == list(range(1, 2 * b.n + 1))):
         raise ValueError("order is not a permutation of the basepoints")
     pos = {p: idx for idx, p in enumerate(order)}
     for (i, j) in b.arcs():

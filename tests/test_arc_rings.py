@@ -352,6 +352,29 @@ def test_flipped_rule_rejects_malformed_triples():
     assert rule.triples == {("(())", "()()", "(())")}
 
 
+def test_rule_constructors_reject_malformed_containers():
+    # each fails at construction, not at the first product, and with
+    # ValueError, not a TypeError or AttributeError from inside
+    triple = ("(())", "()()", "(())")
+    for make in (lambda: FlippedRule(DEFAULT, 5),
+                 lambda: FlippedRule(5),
+                 lambda: FlippedRule("default", [triple]),
+                 lambda: CustomRule(2, orders=[1]),
+                 lambda: CustomRule(2, sources=[triple]),
+                 lambda: CustomRule(2, sources={triple: 5}),
+                 lambda: CustomRule(2, sources={("()()", "(())", "()()"): {
+                     frozenset((1, 4)): [1], frozenset((2, 3)): 2}}),
+                 lambda: CustomRule(2, orders={triple: 5}),
+                 lambda: CustomRule(2, orders={triple: (1, "2", 3, 4)}),
+                 lambda: CustomRule(0),
+                 lambda: CustomRule(13),
+                 lambda: CustomRule("2"),
+                 lambda: CustomRule(2, base="default")):
+        with pytest.raises(ValueError):
+            make()
+    assert CustomRule(2, base=ORD).base is ORD
+
+
 def test_basis_monomial_is_an_immutable_tuple():
     x = BasisMonomial("(())", "()()", frozenset({1}))
     assert isinstance(x, tuple)

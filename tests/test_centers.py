@@ -5,14 +5,18 @@ from math import comb
 
 import pytest
 
-from arcring import matchings as m
+from arcring import functors, matchings as m
 from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
-                               multiply, block_monomials, BUILTIN_RULES)
+                               multiply, block_monomials, block_map,
+                               BUILTIN_RULES, CustomRule, FlippedRule,
+                               _plan_of_words)
+from arcring.associator import scission_count
 from arcring.centers import (CenterBasis, odd_center, ring_center,
                              even_center, center_structure_constants)
 from conftest import odd_center_cached, same_lattice
 
 DEFAULT = BUILTIN_RULES["default"]
+ORD = BUILTIN_RULES["ord"]
 
 
 def test_graded_ranks_n2():
@@ -258,3 +262,60 @@ def test_diagonal_blocks_associative(n, rule_name):
                     assert (multiply(rule, prods[i, j], z, memo=memo)
                             == multiply(rule, x, prods[j, k], memo=memo)), \
                         (a.word, i, j, k)
+
+
+def _split_free_disagreements(n):
+    """(number of split-free triples of size n, those among them where the
+    odd block maps of five rules are not all equal): default, ord, both
+    flipped, and a CustomRule that scans every such triple in the reversed
+    order 2n, ..., 1, which is always admissible.  AssertionError if any
+    of their plans has an event other than a merge."""
+    mats = m.enumerate_matchings(n)
+    triples = [(c, b, a) for c in mats for b in mats for a in mats
+               if scission_count(c, b, a) == 0]
+    reverse = tuple(range(2 * n, 0, -1))
+    rules = [DEFAULT, ORD, FlippedRule(DEFAULT), FlippedRule(ORD),
+             CustomRule(n, orders={(c.word, b.word, a.word): reverse
+                                   for c, b, a in triples})]
+    differ = []
+    for c, b, a in triples:
+        maps = []
+        for rule in rules:
+            events = _plan_of_words(rule, c.word, b.word, a.word)[0]
+            assert all(event[0] == "merge" for event in events)
+            maps.append(block_map(rule, "odd", c, b, a))
+        if any(other != maps[0] for other in maps[1:]):
+            differ.append((c.word, b.word, a.word))
+    return len(triples), differ
+
+
+def test_split_free_products_carry_no_choice():
+    # every product of the center systems, the diagonal products and the
+    # Springer certificate lies on a split-free triple, so they are the
+    # same under every rule (the `centers` docstring)
+    assert [_split_free_disagreements(n) for n in (1, 2, 3, 4)] == [
+        (1, []), (6, []), (63, []), (870, [])]
+
+
+def test_split_free_pin_sees_an_order_dependent_merge(monkeypatch):
+    # negating every merge into circle 1 from circle 3 or above makes the
+    # merge sequence's map depend on its order (on 23 of the 70 split-free
+    # triples at n <= 3); compiled plans keep the
+    # kernels they were built with, so clear them around the patch
+    real = functors._merge
+
+    def negated(terms, odd, consts):
+        out = real(terms, odd, consts)
+        lo_bit, hi_bit = consts[:2]
+        if lo_bit == 1 and hi_bit >= 1 << 2:
+            return {k: -c for k, c in out.items()}
+        return out
+
+    _plan_of_words.cache_clear()
+    monkeypatch.setattr(functors, "_merge", negated)
+    try:
+        differ = [_split_free_disagreements(n)[1] for n in (1, 2, 3)]
+    finally:
+        monkeypatch.undo()
+        _plan_of_words.cache_clear()
+    assert sum(map(len, differ)) > 0

@@ -225,29 +225,44 @@ def test_verify_catalan_beyond_the_seventh_catalan_number(monkeypatch):
     assert _verify_catalan(7) is None
 
 
-@pytest.mark.parametrize("doubled, rule", [
-    pytest.param("default", "default", id="default"),
-    pytest.param("ord", "default", id="ord"),
-    pytest.param("default", "ord", id="default-under-ord"),
-    pytest.param("ord", "ord", id="ord-under-ord")])
-def test_verify_centers_rejects_a_sublattice(monkeypatch, doubled, rule):
-    # doubling one degree-1 generator of either center keeps every graded
-    # rank but leaves an index-2 sublattice of the other center; under
-    # either rule the check compares two different rules' centers
+def test_verify_centers_solves_one_center(monkeypatch):
+    # split-free products carry no choice (the `centers` docstring), so
+    # the suite solves the center under its own rule only
     from arcring import centers
     from arcring.arc_rings import BUILTIN_RULES
     from arcring.cli import _verify_centers
+    asked = []
+    real = centers.odd_center
+
+    def spy(n, rule):
+        asked.append((n, rule))
+        return real(n, rule)
+
+    monkeypatch.setattr(centers, "odd_center", spy)
+    for name in ("default", "ord"):
+        rule = BUILTIN_RULES[name]
+        asked.clear()
+        assert _verify_centers(2, rule) is None
+        assert asked == [(2, rule)]
+
+
+@pytest.mark.parametrize("rule", ["default", "ord"])
+def test_verify_iso_rejects_a_center_sublattice(monkeypatch, rule):
+    # doubling one degree-1 generator keeps every graded rank but leaves
+    # an index-2 sublattice, which the Springer images do not span
+    from arcring import centers
+    from arcring.arc_rings import BUILTIN_RULES
+    from arcring.cli import _verify_iso
     real = centers.odd_center
 
     def fake(n, rule):
         basis = real(n, rule)
-        if rule is BUILTIN_RULES[doubled]:
-            basis.generators[1] = basis.generators[1].scale(2)
+        basis.generators[1] = basis.generators[1].scale(2)
         return basis
 
     monkeypatch.setattr(centers, "odd_center", fake)
-    assert _verify_centers(2, BUILTIN_RULES[rule]) == \
-        "odd center lattice rule-dependent in degree 1"
+    assert _verify_iso(2, BUILTIN_RULES[rule]) == \
+        "springer isomorphism failed at spans_center"
 
 
 def test_deterministic_output(capsys):
