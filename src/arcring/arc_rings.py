@@ -408,6 +408,50 @@ def block_map(rule, theory, c, b, a):
     return out
 
 
+def _check_rule(*rules):
+    """ValueError unless every rule given is a MultiplicationRule."""
+    for rule in rules:
+        if not isinstance(rule, MultiplicationRule):
+            raise ValueError(f"{rule!r} is not a multiplication rule")
+
+
+def _transposed(block):
+    """The block map {(sx, sy): product} of a triple (c, b, a) carried by
+    the transpose onto (a, b, c): {(sy, sx): (-1)^(|sx||sy|) * product}."""
+    return {(sy, sx): out if not sx.bit_count() * sy.bit_count() & 1 else
+            {mask: -coeff for mask, coeff in out.items()}
+            for (sx, sy), out in block.items()}
+
+
+def transpose_witness(rule, n):
+    """None if the transpose tau[b|a|s] = [a|b|s] is a super anti-involution
+    of the odd product under `rule` at size n: tau(x.y) = (-1)^(|x||y|)
+    tau(y).tau(x) for every composable basis pair; else {"triple": (c, b,
+    a) words, "pair": [repr(x), repr(y)]} for the first triple, in
+    enumeration order, and pair x.y where it fails.  tau keeps the mask, as
+    W(a)b and W(b)a have the same circles numbered by least point, so the
+    claim is block_map(a,b,c)[(sy, sx)] == (-1)^(|sx||sy|) *
+    block_map(c,b,a)[(sx, sy)], both absent together.  Reads each mirror
+    pair of triples once, and checks a triple with c = a against itself."""
+    _check_rule(rule)
+    _m.check_size("basis", n)
+    mats = _m.enumerate_matchings(n)
+    for i, c in enumerate(mats):
+        for b in mats:
+            for a in mats[i:]:
+                forward = block_map(rule, "odd", c, b, a)
+                back = _transposed(forward if a is c else
+                                   block_map(rule, "odd", a, b, c))
+                if back == forward:
+                    continue
+                sx, sy = min(pair for pair in forward.keys() | back
+                             if forward.get(pair) != back.get(pair))
+                return {"triple": [c.word, b.word, a.word], "pair": [
+                    repr(tuple.__new__(BasisMonomial, (c.word, b.word, sx))),
+                    repr(tuple.__new__(BasisMonomial, (b.word, a.word, sy)))]}
+    return None
+
+
 def _block_product(x, y, cache, resolve, rule, *theory):
     """Bilinear extension of resolve(rule, c, b, a, colored_x, colored_y,
     *theory), the product of two basis monomials as {mask: coeff};

@@ -13,7 +13,8 @@ from functools import partial
 from itertools import product as _product
 
 from . import matchings as _m
-from .arc_rings import RingElement, block_map, block_monomials, multiply
+from .arc_rings import (RingElement, _check_rule, block_map, block_monomials,
+                        multiply, transpose_witness)
 from .zlinalg import solve_f2
 
 
@@ -84,21 +85,51 @@ def phi0(rule, d, c, b, a, *, memo=None, blocks=None):
     return _proportionality(triples())
 
 
-def _sign_table(sign, n, k):
+def _sign_table(sign, n, k, mirrored=False):
     """{k-cell of words: bit or None} over all k-tuples of matchings, bit = 1
-    iff sign(*cell) = -1, None where it is undefined."""
+    iff sign(*cell) = -1, None where it is undefined.  If `mirrored`, sign
+    is known to take one value on a cell and its reverse, so it runs only on
+    the first cell of each reversed pair, the one whose words are <= their
+    reverse (matchings enumerate in word order), and the other is a copy."""
     _m.check_size("assoc", n)
-    signs = {tuple(m.word for m in cell): sign(*cell)
-             for cell in _product(_m.enumerate_matchings(n), repeat=k)}
-    return {cell: None if s is None else (1 - s) // 2
-            for cell, s in signs.items()}
+    table = {}
+    for cell in _product(_m.enumerate_matchings(n), repeat=k):
+        words = tuple(m.word for m in cell)
+        if mirrored and words[::-1] in table:
+            table[words] = table[words[::-1]]
+        else:
+            s = sign(*cell)
+            table[words] = None if s is None else (1 - s) // 2
+    return table
 
 
 def phi0_table(rule, n):
     """{(d,c,b,a) words: bit or None}, bit = 1 iff phi0 = -1; None marks
     the cells where the sign is undefined.  The cells share one product
-    memo and one list of basis elements per block, dropped on return."""
-    return _sign_table(partial(phi0, rule, memo={}, blocks={}), n, 4)
+    memo and one list of basis elements per block, dropped on return.
+
+    Where `transpose_witness(rule, n)` certifies the transpose tau as a
+    super anti-involution, phi0(a,b,c,d) = phi0(d,c,b,a), so phi0 runs on
+    one cell of each reversed pair.  Proof: let x in d(.)c, y in c(.)b and
+    z in b(.)a be basis monomials.  Every term of xy has |xy| = |x| + |y| +
+    S(d,c,b), as a merge keeps the wedge length of a nonzero term and a
+    split adds one; likewise |yz| = |y| + |z| + S(c,b,a).  Apply tau to
+    (xy)z = (-1)^(|x|S(c,b,a)) phi0(d,c,b,a) x(yz), and reassociate the
+    right side by the cell (a,b,c,d) of tau(z), tau(y), tau(x):
+        (-1)^(|xy||z| + |x||y|) tau(z)(tau(y)tau(x))
+          = (-1)^(|x|S(c,b,a) + |x||yz| + |y||z| + |z|S(b,c,d))
+            phi0(d,c,b,a) phi0(a,b,c,d) tau(z)(tau(y)tau(x)).
+    Expanding |xy| and |yz|, the exponents differ by |z|(S(d,c,b) +
+    S(b,c,d)), which is even, so phi0(a,b,c,d) = phi0(d,c,b,a) wherever the
+    maps are nonzero.  tau is a bijection on basis monomials up to sign that
+    carries the (xy)z map of one cell onto the x(yz) map of its reverse and
+    back, so both maps vanish on a cell exactly when they vanish on its
+    reverse, and a proportionality failure on one cell would show on its
+    reverse too.  Without the certificate every cell is computed."""
+    _check_rule(rule)
+    _m.check_size("assoc", n)
+    return _sign_table(partial(phi0, rule, memo={}, blocks={}), n, 4,
+                       mirrored=transpose_witness(rule, n) is None)
 
 
 def _faces(cell):
@@ -190,6 +221,7 @@ def rule_sign_ratio(rule1, rule2, c, b, a):
 def eta_table(rule1, rule2, n):
     """{(c,b,a) words: bit or None}, bit = 1 iff the two rules' block maps
     differ by -1; None where both maps vanish, so any sign relates them."""
+    _check_rule(rule1, rule2)
     return _sign_table(partial(rule_sign_ratio, rule1, rule2), n, 3)
 
 
@@ -199,6 +231,7 @@ def compare_rules(rule1, rule2, n):
     same chronology associator, eps makes x -> (-1)^eps(block of x) * x a
     ring isomorphism (`_rule_isomorphism`); eps is None if the associators
     differ or no such eps exists.  Equal rules share one phi0 table."""
+    _check_rule(rule1, rule2)
     t1 = phi0_table(rule1, n)
     t2 = t1 if rule2 is rule1 else phi0_table(rule2, n)
     diff = next((quad for quad in sorted(t1) if t1[quad] != t2[quad]), None)

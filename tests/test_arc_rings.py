@@ -12,7 +12,8 @@ from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
                                DefaultRule, FlippedRule, CustomRule,
                                MultiplicationRule, format_element,
                                parse_element, block_monomials,
-                               block_map, _plan_of_words, _resolve_monomials)
+                               block_map, transpose_witness,
+                               _plan_of_words, _resolve_monomials)
 
 DEFAULT = BUILTIN_RULES["default"]
 ORD = BUILTIN_RULES["ord"]
@@ -340,6 +341,38 @@ def test_block_map_rejects_bad_input_before_planning():
     with pytest.raises(ValueError, match="unknown theory"):
         block_map(FlippedRule(DEFAULT), "mixed", a2, b2, a2)
     assert _plan_of_words.cache_info().currsize == plans
+
+
+@pytest.mark.parametrize("rule, n", [
+    (rule, n) for rule in (DEFAULT, ORD, FlippedRule(DEFAULT),
+                           FlippedRule(ORD))
+    for n in (1, 2, 3)] + [(DEFAULT, 4)],
+    ids=lambda v: getattr(v, "name", v))
+def test_transpose_is_a_super_anti_involution(rule, n):
+    assert transpose_witness(rule, n) is None
+
+
+def transposed(elem):
+    return RingElement(elem.n, {BasisMonomial(mono.bottom, mono.top,
+                                              mono.colored): coeff
+                                for mono, coeff in elem.terms.items()})
+
+
+def test_transpose_witness_names_a_flipped_triple_and_pair():
+    # one flipped triple breaks the symmetry between it and its mirror; the
+    # named pair fails tau(x.y) = (-1)^(|x||y|) tau(y).tau(x) by multiply
+    triple = ("((()))", "(()())", "()()()")
+    rule = FlippedRule(DEFAULT, [triple])
+    witness = transpose_witness(rule, 3)
+    assert witness["triple"] in (list(triple), list(triple[::-1]))
+    x, y = (parse_element(text, 3) for text in witness["pair"])
+    (mx,), (my,) = x.terms, y.terms
+    assert (mx.top, mx.bottom, my.bottom) == tuple(witness["triple"])
+    sign = (-1) ** (len(mx.colored) * len(my.colored))
+    assert transposed(multiply(rule, x, y)) != multiply(
+        rule, transposed(y), transposed(x)).scale(sign)
+    assert transposed(multiply(DEFAULT, x, y)) == multiply(
+        DEFAULT, transposed(y), transposed(x)).scale(sign)
 
 
 def test_flipped_rule_rejects_malformed_triples():

@@ -5,9 +5,10 @@ from itertools import product
 
 import pytest
 
-from arcring import matchings as m
+from arcring import arc_rings, matchings as m
 from arcring.arc_rings import (RingElement, ring_basis, multiply,
-                               BUILTIN_RULES, FlippedRule, _plan_of_words)
+                               BUILTIN_RULES, FlippedRule, _plan_of_words,
+                               transpose_witness)
 from arcring import associator
 from arcring.associator import (scission_count, phi0, phi0_table,
                                 cocycle_defect, solve_coboundary,
@@ -237,14 +238,17 @@ def test_phi0_table_resolves_each_pair_once_per_call(monkeypatch):
     for _ in range(2):
         calls.clear()
         phi0_table(DEFAULT, 3)
-        assert len(calls) == 2168
-        assert len(set(calls)) == 2168
+        # the pairs of the 325 cells phi0 runs on (see the test below)
+        assert len(calls) == 2144
+        assert len(set(calls)) == 2144
 
 
 def test_phi0_table_multiply_calls_n3(monkeypatch):
-    # y.z is multiplied once per cell, not once per x: 112,080 products
-    # (146,440 with y.z inside the x loop) for the 2,168 resolutions of the
-    # test above; a change in how many products phi0 makes shows up here
+    # y.z is multiplied once per cell, not once per x, and phi0 runs on the
+    # 325 cells whose words are <= their reverse: 61,224 products (112,080
+    # on all 625 cells, 146,440 with y.z inside the x loop) for the 2,144
+    # resolutions of the test above; a change in how many products phi0
+    # makes shows up here
     calls = []
     real = associator.multiply
 
@@ -254,7 +258,7 @@ def test_phi0_table_multiply_calls_n3(monkeypatch):
 
     monkeypatch.setattr(associator, "multiply", counting)
     phi0_table(DEFAULT, 3)
-    assert len(calls) == 112080
+    assert len(calls) == 61224
 
 
 def test_tables_build_each_block_once(monkeypatch):
@@ -274,6 +278,68 @@ def test_tables_build_each_block_once(monkeypatch):
     calls.clear()
     eta_table(DEFAULT, ORD, 3)
     assert calls == []
+
+
+def per_cell_table(rule, n):
+    """phi0 on every cell, without the transpose."""
+    memo, blocks = {}, {}
+    table = {}
+    for cell in product(m.enumerate_matchings(n), repeat=4):
+        s = phi0(rule, *cell, memo=memo, blocks=blocks)
+        words = tuple(x.word for x in cell)
+        table[words] = None if s is None else (1 - s) // 2
+    return table
+
+
+# one flipped triple, not its mirror: the transpose check fails
+ONE_FLIP = FlippedRule(DEFAULT, [("((()))", "(()())", "()()()")])
+
+
+def random_flip(n, seed):
+    rng = random.Random(seed)
+    words = words_of(n)
+    return FlippedRule(DEFAULT, [t for t in product(words, repeat=3)
+                                 if rng.random() < 0.5])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rule_name", ["default", "ord", "random-flip"])
+def test_phi0_table_equals_the_per_cell_table(rule_name, n):
+    # default and ord take the halved table, and so does every flip set at
+    # n = 2, where a triple with a split has c = a and is its own mirror; the
+    # random flip set at n = 3 takes the fallback
+    rule = BUILTIN_RULES.get(rule_name) or random_flip(n, seed=n)
+    halved = rule_name != "random-flip" or n == 2
+    assert (transpose_witness(rule, n) is None) == halved
+    assert phi0_table(rule, n) == per_cell_table(rule, n)
+
+
+def test_phi0_table_falls_back_where_the_transpose_fails(monkeypatch):
+    # without its check the halved table is wrong under ONE_FLIP, so the
+    # transpose witness is load-bearing
+    want = per_cell_table(ONE_FLIP, 3)
+    assert phi0_table(ONE_FLIP, 3) == want
+    monkeypatch.setattr(associator, "transpose_witness", lambda rule, n: None)
+    forced = phi0_table(ONE_FLIP, 3)
+    assert sum(forced[cell] != want[cell] for cell in want) == 5
+
+
+def test_tables_reject_a_rule_that_is_no_rule(monkeypatch):
+    # ValueError before any product or block map, not an AttributeError
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the rule was checked")
+
+    for module in (arc_rings, associator):
+        monkeypatch.setattr(module, "block_map", no_work)
+    monkeypatch.setattr(associator, "phi0", no_work)
+    for call in (lambda: phi0_table("default", 2),
+                 lambda: eta_table(DEFAULT, "ord", 2),
+                 lambda: eta_table(None, DEFAULT, 2),
+                 lambda: compare_rules("default", DEFAULT, 2),
+                 lambda: compare_rules(DEFAULT, "ord", 2),
+                 lambda: transpose_witness("default", 2)):
+        with pytest.raises(ValueError, match="not a multiplication rule"):
+            call()
 
 
 def test_proportionality_raises_on_an_inconsistent_sign():
