@@ -316,6 +316,13 @@ def _check_admissible(order, b):
 BUILTIN_RULES = {"default": DefaultRule(), "ord": OrderRule()}
 
 
+def _check_rule(*rules):
+    """ValueError unless every rule given is a MultiplicationRule."""
+    for rule in rules:
+        if not isinstance(rule, MultiplicationRule):
+            raise ValueError(f"{rule!r} is not a multiplication rule")
+
+
 # ---------------------------------------------------------------------------
 # the resolution plan: geometry only, shared by both products
 
@@ -341,8 +348,11 @@ def _plan_of_words(rule, c, b, a):
                         child that keeps position p first; permutes then
                         carry the other child from the next slot to its own.
 
-    Cached per (rule, c, b, a), so a rule must not be mutated after its
-    first product."""
+    Consecutive merges compile to one merge run (`functors.append_op`), so
+    a split-free plan is one op.  Cached per (rule, c, b, a), so a rule
+    must not be mutated after its first product; ValueError, not cached,
+    unless `rule` is a MultiplicationRule."""
+    _check_rule(rule)
     c, b, a = _MATCHINGS[c], _MATCHINGS[b], _MATCHINGS[a]
     m = 2 * c.n
     # top point k is k and bottom point k is m + k
@@ -361,7 +371,7 @@ def _plan_of_words(rule, c, b, a):
         p = pos[col]
         if p != pos[m + col]:
             events.append(("merge", p, pos[m + col]))
-            ops.append(_f.merge_op(count, p, pos[m + col]))
+            _f.append_op(ops, _f.merge_op(count, p, pos[m + col]))
         else:
             i, j = new[col], new[partner]
             src = rule.split_source(c, b, a, col, partner, i, j)
@@ -406,13 +416,6 @@ def block_map(rule, theory, c, b, a):
         out.setdefault((tag & (1 << top) - 1, tag >> top), {})[
             key ^ tag << final] = coeff
     return out
-
-
-def _check_rule(*rules):
-    """ValueError unless every rule given is a MultiplicationRule."""
-    for rule in rules:
-        if not isinstance(rule, MultiplicationRule):
-            raise ValueError(f"{rule!r} is not a multiplication rule")
 
 
 def _transposed(block):
@@ -460,7 +463,10 @@ def _block_product(x, y, cache, resolve, rule, *theory):
     so each distinct pair is resolved once per cache and a hit builds no
     monomial.  The product's monomials are built without BasisMonomial's
     length check, as their top and bottom come from the operands, and the
-    result without SparseZ.__init__."""
+    result without SparseZ.__init__.  No resolution holds a zero
+    coefficient (merges drop zero sums, splits and permutes are injective),
+    so a first contribution with coefficient 1 is copied into the result as
+    it is; the result never shares a dict with the cache."""
     if x.space != y.space:
         raise ValueError(f"cannot multiply elements for n={x.n} and n={y.n}")
     out = object.__new__(RingElement)
@@ -468,6 +474,7 @@ def _block_product(x, y, cache, resolve, rule, *theory):
     out.terms = terms = {}
     if not (x.terms and y.terms):
         return out
+    new = tuple.__new__
     for mx, cx in x.terms.items():
         top, middle, colored_x = mx
         for my, cy in y.terms.items():
@@ -476,15 +483,18 @@ def _block_product(x, y, cache, resolve, rule, *theory):
             prods = None if cache is None else cache.get((mx, my))
             if prods is None:
                 bottom = my[1]
-                prods = {tuple.__new__(BasisMonomial, (top, bottom, mask)):
-                         coeff
-                         for mask, coeff in resolve(
-                             rule, _MATCHINGS[top], _MATCHINGS[middle],
-                             _MATCHINGS[bottom], colored_x, my[2],
-                             *theory).items()}
+                prods = {}
+                for mask, coeff in resolve(
+                        rule, _MATCHINGS[top], _MATCHINGS[middle],
+                        _MATCHINGS[bottom], colored_x, my[2],
+                        *theory).items():
+                    prods[new(BasisMonomial, (top, bottom, mask))] = coeff
                 if cache is not None:
                     cache[mx, my] = prods
             k = cx * cy
+            if k == 1 and not terms:
+                terms.update(prods)
+                continue
             for mono, coeff in prods.items():
                 cc = terms.get(mono, 0) + k * coeff
                 if cc:

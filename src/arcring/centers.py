@@ -107,23 +107,18 @@ def _add_rows(columns, rows, images):
             col[row] = col.get(row, 0) + sign * coeff
 
 
-def _pair_constraints(n, rule, theory, blocks, columns, rows):
+def _pair_constraints(ones, rule, theory, blocks, columns, rows):
     """Rows of the system {z_a.1_ab - 1_ab.z_b = 0}, one group of rows per
-    ordered pair (a, b): the images live in a(.)b.  Only the unknowns of
-    blocks a and b enter, in index order."""
-    mats = _m.enumerate_matchings(n)
-    for ia, a in enumerate(mats):
-        z_a = blocks.get(a.word, ())
-        for ib, b in enumerate(mats):
-            if ia == ib:
-                continue
-            one_ab = RingElement.monomial(
-                BasisMonomial(a.word, b.word, frozenset()))
-            left = ((j, 1, multiply(rule, z, one_ab, theory)) for j, z in z_a)
-            right = ((j, -1, multiply(rule, one_ab, z, theory))
-                     for j, z in blocks.get(b.word, ()))
-            _add_rows(columns, rows,
-                      chain(left, right) if ia < ib else chain(right, left))
+    ordered pair (a, b), from `ones`, (a before b, a word, b word, 1_ab) per
+    pair: the images live in a(.)b.  Only the unknowns of blocks a and b
+    enter, in index order."""
+    for a_first, a, b, one_ab in ones:
+        left = ((j, 1, multiply(rule, z, one_ab, theory))
+                for j, z in blocks.get(a, ()))
+        right = ((j, -1, multiply(rule, one_ab, z, theory))
+                 for j, z in blocks.get(b, ()))
+        _add_rows(columns, rows,
+                  chain(left, right) if a_first else chain(right, left))
 
 
 def _commutation_constraints(n, rule, blocks, columns, rows):
@@ -139,6 +134,13 @@ def _commutation_constraints(n, rule, blocks, columns, rows):
 
 def _solve(n, rule, theory, flavor):
     basis = CenterBasis(n=n, flavor=flavor)
+    mats = _m.enumerate_matchings(n)
+    # 1_ab per ordered pair a != b, in enumeration order, built once for
+    # every degree
+    ones = [(ia < ib, a.word, b.word, RingElement.monomial(
+                BasisMonomial(a.word, b.word, ())))
+            for ia, a in enumerate(mats) for ib, b in enumerate(mats)
+            if ia != ib]
     for p in range(n + 1):
         unknowns = diagonal_monomials(n, p)
         # {block word: [(j, unknown j as a RingElement, built once)]}
@@ -148,7 +150,7 @@ def _solve(n, rule, theory, flavor):
                 (j, RingElement.monomial(mono)))
         columns = [{} for _ in unknowns]
         rows = count()
-        _pair_constraints(n, rule, theory, blocks, columns, rows)
+        _pair_constraints(ones, rule, theory, blocks, columns, rows)
         # a diagonal block multiplies by merges alone, so z.g = z ^ g =
         # (-1)^p g ^ z for z of degree p: only odd p adds nonzero rows
         if flavor == "odd-ring-center" and p % 2:

@@ -16,10 +16,11 @@ A state is a map {mask: coeff}, bit k - 1 of a mask standing for a generator
 (odd) or a t (even) on circle k, as in `exterior`.  Every move is a few bit
 shifts per monomial; an odd move's sign is the popcount parity of the bits a
 generator crosses.  `compile_word` checks a word of moves once and compiles
-each move to a kernel with precomputed bit constants; `run_word` runs such a
-compiled word, and is the one engine under `apply_word`, `verify_relations`
-and the ring product, whose plans build the same ops through the `*_op`
-builders.
+each move to a kernel with precomputed bit constants, and consecutive merges
+to one merge run, which walks each monomial through all of its merges;
+`run_word` runs such a compiled word, and is the one engine under
+`apply_word`, `verify_relations` and the ring product, whose plans build the
+same ops through the `*_op` builders and `append_op`.
 
 verify_relations instantiates every relation of the one presentation both
 functors satisfy, the odd one up to the chronology sign of each relation, on
@@ -103,32 +104,46 @@ def death_op(m, p):
 
 
 def _merge(terms, odd, consts):
-    # generators p and q both go to min(p, q): two of them multiply to zero,
-    # and one at max(p, q) moves down past the bits in between
-    lo_bit, hi_bit, between, keep, high = consts
+    # a run of merges, one constant tuple per merge, first merge first.  In
+    # each, generators p and q both go to min(p, q): two of them multiply to
+    # zero, and one at max(p, q) moves down past the bits in between.  Each
+    # merge sends a monomial to +-1 monomial or to 0, so every term walks the
+    # whole run on its own and the terms are summed once at the end.
     out = {}
     for k, c in terms.items():
-        if k & hi_bit:
-            if k & lo_bit:
-                continue
-            if odd and (k & between).bit_count() & 1:
-                c = -c
-            k |= lo_bit
-        k = (k & keep) | (k >> 1 & high)
-        c += out.get(k, 0)
-        if c:
-            out[k] = c
+        for lo_bit, hi_bit, between, keep, high in consts:
+            if k & hi_bit:
+                if k & lo_bit:
+                    break
+                if odd and (k & between).bit_count() & 1:
+                    c = -c
+                k |= lo_bit
+            k = (k & keep) | (k >> 1 & high)
         else:
-            del out[k]
+            c += out.get(k, 0)
+            if c:
+                out[k] = c
+            else:
+                del out[k]
     return out
 
 
 def merge_op(m, p, q):
+    """A run of one merge; `append_op` joins it to a run before it."""
     if not (1 <= p <= m and 1 <= q <= m and p != q):
         raise ValueError(f"merge({p}, {q}) invalid on {m} circles")
     lo_bit, hi_bit = 1 << min(p, q) - 1, 1 << max(p, q) - 1
-    return _merge, (lo_bit, hi_bit, hi_bit - (lo_bit << 1), hi_bit - 1,
-                    -hi_bit)
+    return _merge, ((lo_bit, hi_bit, hi_bit - (lo_bit << 1), hi_bit - 1,
+                     -hi_bit),)
+
+
+def append_op(ops, op):
+    """Append op to the list ops, joining a merge run to the run that ends
+    ops, so that consecutive merges compile to one op."""
+    if op[0] is _merge and ops and ops[-1][0] is _merge:
+        ops[-1] = (_merge, ops[-1][1] + op[1])
+    else:
+        ops.append(op)
 
 
 def _split(terms, odd, consts):
@@ -203,7 +218,7 @@ def compile_word(word, m):
         if type(move) not in _BUILDERS:
             raise ValueError(f"{move!r} is not a move")
         build, circles = _BUILDERS[type(move)]
-        ops.append(build(m, *vars(move).values()))
+        append_op(ops, build(m, *vars(move).values()))
         m += circles
     return tuple(ops), m
 

@@ -11,6 +11,18 @@ def odd_center_cached(rule_name, n):
     return odd_center(n, BUILTIN_RULES[rule_name])
 
 
+def per_merge(real, mutate):
+    """A merge-run kernel that runs each merge of a run on its own, as a run
+    of one through `real`, and replaces its output by mutate(out, odd,
+    constants of that merge): a mutation of the merge kernel that reaches
+    every merge inside a run."""
+    def kernel(terms, odd, consts):
+        for merge in consts:
+            terms = mutate(real(terms, odd, (merge,)), odd, merge)
+        return terms
+    return kernel
+
+
 def same_lattice(a, b):
     """Do two CenterBasis objects span the same lattice (each contains the
     other's generators)?"""

@@ -14,6 +14,7 @@ from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
                                parse_element, block_monomials,
                                block_map, transpose_witness,
                                _plan_of_words, _resolve_monomials)
+from conftest import per_merge
 
 DEFAULT = BUILTIN_RULES["default"]
 ORD = BUILTIN_RULES["ord"]
@@ -112,19 +113,22 @@ def fresh_plans():
     clear()
 
 
-@pytest.mark.parametrize("module, name", [(functors, "_merge"),
-                                          (arc_rings, "_diagram_merge")],
-                         ids=["kernel", "oracle"])
+@pytest.mark.parametrize("side", ["kernel", "oracle"])
 def test_a_merge_sign_flip_on_one_side_breaks_the_agreement(
-        monkeypatch, fresh_plans, module, name):
+        monkeypatch, fresh_plans, side):
     # the oracle shares the plan's events, never the kernels' signs: negating
-    # every merge of one side must show on some n = 3 pair
-    real = getattr(module, name)
+    # every merge of one side, each merge of a kernel run included, must show
+    # on some n = 3 pair
+    def negated(out, *_):
+        return {k: -c for k, c in out.items()}
 
-    def negated(terms, *rest):
-        return {k: -c for k, c in real(terms, *rest).items()}
-
-    monkeypatch.setattr(module, name, negated)
+    if side == "kernel":
+        monkeypatch.setattr(functors, "_merge",
+                            per_merge(functors._merge, negated))
+    else:
+        real = arc_rings._diagram_merge
+        monkeypatch.setattr(arc_rings, "_diagram_merge",
+                            lambda terms, consts: negated(real(terms, consts)))
     pairs = [(RingElement.monomial(x), RingElement.monomial(y))
              for x, y in basis_pairs(3)]
     assert any(multiply(DEFAULT, x, y) != multiply_diagrammatic(DEFAULT, x, y)
@@ -330,6 +334,47 @@ def test_block_map_with_the_tag_one_bit_too_low_disagrees(monkeypatch):
         mask | mask << k - 1: 1 for mask in range(2 ** k)})
     assert not block_maps_agree(DEFAULT, "odd", 2)
     assert not block_maps_agree(DEFAULT, "even", 2)
+
+
+def test_consecutive_merges_compile_to_one_run():
+    # under default, n = 3 plans hold 229 ops (382 with one op per merge)
+    # and n = 4 plans 6,913 (11,442); each split-free plan is one run
+    for n, ops_total in ((3, 229), (4, 6913)):
+        mats = m.enumerate_matchings(n)
+        plans = [_plan_of_words(DEFAULT, c.word, b.word, a.word)
+                 for c in mats for b in mats for a in mats]
+        assert sum(len(ops) for _, ops, _ in plans) == ops_total
+        assert all(len(ops) == 1 for events, ops, _ in plans
+                   if all(event[0] == "merge" for event in events))
+
+
+@pytest.mark.parametrize("rule", [DEFAULT, ORD, FlippedRule(DEFAULT)],
+                         ids=["default", "ord", "flip-default"])
+def test_no_plan_holds_two_adjacent_merge_ops(rule):
+    for n in (1, 2, 3, 4):
+        mats = m.enumerate_matchings(n)
+        for c in mats:
+            for b in mats:
+                for a in mats:
+                    kernels = [kernel for kernel, _ in _plan_of_words(
+                        rule, c.word, b.word, a.word)[1]]
+                    assert not any(
+                        first is second is functors._merge
+                        for first, second in zip(kernels, kernels[1:]))
+
+
+def test_products_reject_a_rule_that_is_no_rule():
+    # ValueError, not AttributeError, from the plan; the error is not
+    # cached, and a rule still multiplies the same words afterwards
+    x, y = mono("(())", "()()", [1]), mono("()()", "(())")
+    a2, b2 = m.Matching("(())"), m.Matching("()()")
+    for call in (lambda: multiply("default", x, y),
+                 lambda: multiply_diagrammatic("default", x, y),
+                 lambda: block_map("default", "odd", a2, b2, a2)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a multiplication rule"):
+                call()
+    assert multiply(DEFAULT, x, y) == multiply_diagrammatic(DEFAULT, x, y)
 
 
 def test_block_map_rejects_bad_input_before_planning():

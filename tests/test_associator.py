@@ -342,6 +342,15 @@ def test_tables_reject_a_rule_that_is_no_rule(monkeypatch):
             call()
 
 
+def test_cells_reject_a_rule_that_is_no_rule():
+    # ValueError, not AttributeError, from the plan of the first product
+    for call in (lambda: phi0("default", A2, B2, A2, B2),
+                 lambda: rule_sign_ratio("default", DEFAULT, A2, B2, A2),
+                 lambda: rule_sign_ratio(DEFAULT, "ord", A2, B2, A2)):
+        with pytest.raises(ValueError, match="not a multiplication rule"):
+            call()
+
+
 def test_proportionality_raises_on_an_inconsistent_sign():
     x, y = [RingElement.monomial(mono) for mono, _ in ring_basis(1)]
 

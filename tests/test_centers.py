@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from arcring import functors, matchings as m
+from arcring import centers, functors, matchings as m
 from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
                                multiply, block_monomials, block_map,
                                BUILTIN_RULES, CustomRule, FlippedRule,
@@ -13,7 +13,7 @@ from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
 from arcring.associator import scission_count
 from arcring.centers import (CenterBasis, odd_center, ring_center,
                              even_center, center_structure_constants)
-from conftest import odd_center_cached, same_lattice
+from conftest import odd_center_cached, per_merge, same_lattice
 
 DEFAULT = BUILTIN_RULES["default"]
 ORD = BUILTIN_RULES["ord"]
@@ -297,22 +297,35 @@ def test_split_free_products_carry_no_choice():
         (1, []), (6, []), (63, []), (870, [])]
 
 
+def test_a_center_solve_builds_each_pair_unit_once(monkeypatch):
+    # 1_ab for each ordered pair a != b is built once per solve, not once
+    # per degree: 14 * 13 = 182 at n = 4, over its 5 degrees
+    real, built = centers.BasisMonomial, []
+
+    def counted(top, bottom, colored):
+        built.append((top, bottom))
+        return real(top, bottom, colored)
+
+    monkeypatch.setattr(centers, "BasisMonomial", counted)
+    odd_center(4, DEFAULT)
+    assert len(built) == len(set(built)) == 182
+
+
 def test_split_free_pin_sees_an_order_dependent_merge(monkeypatch):
     # negating every merge into circle 1 from circle 3 or above makes the
     # merge sequence's map depend on its order (on 23 of the 70 split-free
-    # triples at n <= 3); compiled plans keep the
+    # triples at n <= 3); a split-free plan is one merge run, so the
+    # mutation must reach each merge inside it, and compiled plans keep the
     # kernels they were built with, so clear them around the patch
-    real = functors._merge
-
-    def negated(terms, odd, consts):
-        out = real(terms, odd, consts)
-        lo_bit, hi_bit = consts[:2]
+    def negated(out, odd, merge):
+        lo_bit, hi_bit = merge[:2]
         if lo_bit == 1 and hi_bit >= 1 << 2:
             return {k: -c for k, c in out.items()}
         return out
 
     _plan_of_words.cache_clear()
-    monkeypatch.setattr(functors, "_merge", negated)
+    monkeypatch.setattr(functors, "_merge", per_merge(functors._merge,
+                                                      negated))
     try:
         differ = [_split_free_disagreements(n)[1] for n in (1, 2, 3)]
     finally:

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 from arcring import functors
 from arcring.exterior import ExteriorElement, EvenTensorElement
 from arcring.functors import (Birth, Death, Merge, Split, Permute,
-                              apply_word,
+                              apply_word, run_word,
                               euler_characteristic, verify_relations)
+from conftest import per_merge
 
 
 def test_even_sphere_and_torus():
@@ -87,17 +90,16 @@ def test_both_theories_report_the_same_relations():
 
 def test_odd_merge_sign_breaks_the_odd_presentation(monkeypatch):
     # an extra -1 on the odd merges away from circle 1 keeps every relation
-    # with the same merge on both sides, and breaks the others
-    # the merge kernel's first constant is the bit of circle min(p, q)
-    real = functors._merge
-
-    def merge_away_from_one_negated(terms, odd, consts):
-        out = real(terms, odd, consts)
-        if odd and consts[0] >= 2:
+    # with the same merge on both sides, and breaks the others; a merge's
+    # first constant is the bit of circle min(p, q), and the mutation
+    # reaches each merge of a run (associativity compiles to a run of two)
+    def away_from_one_negated(out, odd, merge):
+        if odd and merge[0] >= 2:
             return {k: -c for k, c in out.items()}
         return out
 
-    monkeypatch.setattr(functors, "_merge", merge_away_from_one_negated)
+    monkeypatch.setattr(functors, "_merge",
+                        per_merge(functors._merge, away_from_one_negated))
     results = verify_relations(4, "odd")
     assert [name for name, ok in results.items() if not ok] == \
         ["associativity", "Frobenius", "unit"]
@@ -127,13 +129,11 @@ def test_degree_law_checks_every_position(monkeypatch):
 def test_degree_law_checks_the_theory_asked_for(monkeypatch):
     # an even merge that puts a t on circle 1 raises the degree; the odd
     # merge is untouched
-    real = functors._merge
-
-    def even_merge_adds_t(terms, odd, consts):
-        out = real(terms, odd, consts)
+    def even_adds_t(out, odd, merge):
         return out if odd else {k | 1: c for k, c in out.items()}
 
-    monkeypatch.setattr(functors, "_merge", even_merge_adds_t)
+    monkeypatch.setattr(functors, "_merge",
+                        per_merge(functors._merge, even_adds_t))
     assert not verify_relations(3, "even")["degree law"]
     assert verify_relations(3, "odd")["degree law"]
 
@@ -218,6 +218,60 @@ def test_every_kernel_carries_a_tag_above_the_circles(odd):
                         tag = t << shift + after - m
                         assert kernel({mask | t << shift: 1}, odd, consts) \
                             == {k | tag: c for k, c in plain.items()}
+
+
+def _merge_sequences(m, k):
+    """Every sequence of k merges (p, q), each valid on the circles it
+    meets, from m circles."""
+    if k == 0:
+        return [[]]
+    return [[(p, q)] + rest for p in range(1, m + 1)
+            for q in range(1, m + 1) if p != q
+            for rest in _merge_sequences(m - 1, k - 1)]
+
+
+def _run_and_singles(m, merges):
+    """(the merges compiled to one run, the same merges as runs of one)."""
+    ops, singles = [], []
+    for p, q in merges:
+        op = functors.merge_op(m, p, q)
+        functors.append_op(ops, op)
+        singles.append(op)
+        m -= 1
+    return ops, singles
+
+
+@pytest.mark.parametrize("theory", ["even", "odd"])
+def test_a_merge_run_equals_its_merges_one_at_a_time(theory):
+    # every sequence of merges from m <= 5 circles and a seeded sample of
+    # 300 from 6, on every tagged basis state at once
+    rng = random.Random(25)
+    sequences = [(m, seq) for m in range(2, 6) for k in range(1, m)
+                 for seq in _merge_sequences(m, k)]
+    for _ in range(300):
+        seq, m = [], 6
+        for _ in range(rng.randrange(2, 6)):
+            seq.append(tuple(rng.sample(range(1, m + 1), 2)))
+            m -= 1
+        sequences.append((6, seq))
+    for m, seq in sequences:
+        run, singles = _run_and_singles(m, seq)
+        assert len(run) == 1 and len(run[0][1]) == len(seq)
+        states = functors._tagged_basis(m)
+        assert run_word(run, states, theory) == \
+            run_word(singles, states, theory), (m, seq)
+
+
+@pytest.mark.parametrize("theory", ["even", "odd"])
+def test_a_merge_run_sums_terms_that_meet_at_its_end(theory):
+    # x1 - x3 on 3 circles: Merge(1, 2) twice takes both terms to x1 only
+    # at the second merge, so the run's single sum must cancel them; x1 -
+    # x2 + x3 cancels after the first merge, and x3 survives as x1
+    run, singles = _run_and_singles(3, [(1, 2), (1, 2)])
+    for state, want in (({0b001: 1, 0b100: -1}, {}),
+                        ({0b001: 1, 0b010: -1, 0b100: 1}, {0b1: 1})):
+        assert run_word(run, state, theory) == want
+        assert run_word(singles, state, theory) == want
 
 
 def test_a_corrupted_state_is_caught(monkeypatch):
