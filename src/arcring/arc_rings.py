@@ -401,11 +401,13 @@ def block_map(rule, theory, c, b, a):
     """The product c(.)b x b(.)a -> c(.)a on basis monomials as {(mask_x,
     mask_y): {mask: coeff}} over the nonzero products: one run of the plan
     on all start keys mask_x | mask_y << top, each tagged with itself above
-    the circles (`functors._tagged_basis`).  Even uses the default rule."""
+    the circles (`functors._tagged_basis`).  Even checks the rule, then
+    uses the default one."""
     if theory not in ("odd", "even"):
         raise ValueError(f"unknown theory {theory!r}")
     _word_triple((c.word, b.word, a.word))
     if theory == "even":
+        _check_rule(rule)
         rule = BUILTIN_RULES["default"]
     _, ops, top = _plan_of_words(rule, c.word, b.word, a.word)
     states = _f._tagged_basis(top + _m.closed_diagram(b, a)[1])
@@ -506,14 +508,17 @@ def _block_product(x, y, cache, resolve, rule, *theory):
 
 def multiply(rule, x, y, theory="odd", *, memo=None):
     """Bilinear product; zero across non-matching blocks.  For the even
-    theory the rule is ignored (the product is order-independent and carries
-    no orientations); the usual left-to-right scan is used.
+    theory the rule must still be a MultiplicationRule but is otherwise
+    ignored (the product is order-independent and carries no orientations);
+    the usual left-to-right scan is used.
 
     `memo` is an optional dict owned by the caller: products resolve each
     monomial pair once per memo instead of once per call.  One memo may
     serve several rules and both theories, since it keeps one table per
     (rule, theory); the caller drops it when done, so nothing outlives it."""
     if theory == "even":
+        if not isinstance(rule, MultiplicationRule):
+            _check_rule(rule)  # raises; tested inline to spare a call
         rule = BUILTIN_RULES["default"]
     cache = None
     if memo is not None:

@@ -7,6 +7,7 @@ variables flips the sign, while squares x_i^2 are kept literally (they die
 only in the quotient).  Degrees below count variables per monomial.
 """
 
+from bisect import bisect_left, bisect_right
 from itertools import combinations, combinations_with_replacement
 from math import comb
 from operator import attrgetter
@@ -23,6 +24,8 @@ def _normalize(indices):
     """Sort an index word; sign = parity of inversions between distinct
     indices (equal indices commute freely here: they anticommute only
     formally with each other, and x_i x_i is kept as a single symbol)."""
+    if all(a <= b for a, b in zip(indices, indices[1:])):
+        return tuple(indices), 1
     arr = list(indices)
     sign = 1
     for i in range(len(arr)):
@@ -53,13 +56,17 @@ class OddPolynomial(SparseZ):
         return OddPolynomial(nvars, {(i,): 1})
 
     def __mul__(self, other):
+        """Both monomials are sorted, so the sign is the parity of the pairs
+        x > y across them, counted per y by bisection."""
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
         out = OddPolynomial(self.nvars)
         for mx, cx in self.terms.items():
             for my, cy in other.terms.items():
-                norm, sign = _normalize(mx + my)
-                c = out.terms.get(norm, 0) + sign * cx * cy
+                norm = tuple(sorted(mx + my))
+                swaps = len(mx) * len(my) - sum(bisect_right(mx, y)
+                                                for y in my)
+                c = out.terms.get(norm, 0) + (-cx if swaps & 1 else cx) * cy
                 if c:
                     out.terms[norm] = c
                 else:
@@ -115,10 +122,12 @@ def epsilon_generator(n, I, r):
         raise ValueError(f"|I| = {len(I)} must be n+k with 1 <= k <= n")
     if not n - k + 1 <= r <= n + k:
         raise ValueError(f"r = {r} out of range [{n-k+1}, {n+k}]")
-    pos = {i: j for j, i in enumerate(sorted(I))}
-    return OddPolynomial(nvars, {
-        combo: (-1) ** sum(pos[i] for i in combo)
-        for combo in combinations(sorted(I), r)})
+    # the terms are sorted, distinct and in range: no normal form needed
+    I = sorted(I)
+    out = OddPolynomial(nvars)
+    out.terms = {tuple(I[j] for j in combo): (-1) ** sum(combo)
+                 for combo in combinations(range(len(I)), r)}
+    return out
 
 
 def _degree_monomials(nvars, d):
@@ -143,7 +152,8 @@ def ideal_slice(n, d, side="left"):
             continue
         eps = epsilon_generator(n, I, r)
         for mono in _degree_monomials(nvars, d - r):
-            m = OddPolynomial(nvars, {mono: 1})
+            m = OddPolynomial(nvars)
+            m.terms = {mono: 1}
             out.append(m * eps if side == "left" else eps * m)
     return out
 
@@ -160,8 +170,8 @@ def _slice_columns(n, d, previous):
         for i in range(1, 2 * n + 1):
             out = {}
             for mono, c in col.items():
-                norm, sign = _normalize((i,) + mono)
-                out[norm] = sign * c
+                k = bisect_left(mono, i)
+                out[mono[:k] + (i,) + mono[k:]] = -c if k & 1 else c
             cols.append(out)
     cols.extend(epsilon_generator(n, I, r).terms
                 for I, r in _eps_indices(n) if r == d)
@@ -266,7 +276,9 @@ def quotient_presentation(n):
 
 def map_s(p, n):
     """x_{i_1}...x_{i_r} -> Sum_a a_{i_1} ^ ... ^ a_{i_r}, where a_i is the
-    circle of W(a)a through basepoint i."""
+    circle of W(a)a through basepoint i.  Each term builds its circle mask
+    in order: a circle already set kills it, and each circle set above the
+    new one is a transposition, a sign."""
     if p.nvars != 2 * n:
         raise ValueError(f"polynomial in {p.nvars} variables, need {2 * n} "
                          f"for n = {n}")
@@ -274,12 +286,17 @@ def map_s(p, n):
     for a in _m.enumerate_matchings(n):
         pos = _m.closed_diagram(a, a)[0]
         for mono, coeff in p.terms.items():
-            labels = [pos[i] for i in mono]
-            if len(set(labels)) != len(labels):
-                continue
-            norm, sign = _normalize(labels)
-            key = BasisMonomial(a.word, a.word, norm)
-            terms[key] = terms.get(key, 0) + sign * coeff
+            mask = 0
+            for i in mono:
+                c = pos[i]
+                if mask >> c - 1 & 1:
+                    break
+                if (mask >> c).bit_count() & 1:
+                    coeff = -coeff
+                mask |= 1 << c - 1
+            else:
+                key = tuple.__new__(BasisMonomial, (a.word, a.word, mask))
+                terms[key] = terms.get(key, 0) + coeff
     return RingElement(n, terms)
 
 

@@ -6,11 +6,12 @@ membership, coordinates, rank).  `hnf_columns` brings sparse integer columns
 vector modulo the lattice of such an echelon, which decides membership and,
 when every column carries a tag row of its own, leaves the coordinates in
 the tag rows; `kernel_basis_Z` reads a saturated kernel off the echelon of
-sparse columns stacked on the identity.  Two adapters take dense matrices,
-lists of row lists of Python ints: `column_hnf` wraps `hnf_columns`, and
-`smith_normal_form` (invariant factors, for torsion) is built on it by
-alternating `hnf_columns` passes over the columns and the rows.  Besides
-them: GF(2) elimination on bitset rows (`solve_f2`).
+sparse columns stacked on the identity.  Two adapters take and return dense
+matrices, lists of row lists of Python ints, and are sparse inside:
+`column_hnf` wraps `hnf_columns`, and `smith_normal_form` (invariant
+factors, for torsion) is built on it by alternating `hnf_columns` passes
+over the columns and the rows, with D, U and V kept as sparse vectors until
+it returns.  Besides them: GF(2) elimination on bitset rows (`solve_f2`).
 
 SparseZ is the common base of the sparse integer combinations (ring
 elements, exterior and tensor states, odd polynomials); `signed_sum` writes
@@ -215,55 +216,65 @@ def column_hnf(M):
     column lattice of M."""
     if not M:
         return []
-    echelon = hnf_columns(dict(enumerate(col)) for col in zip(*M))
+    echelon = hnf_columns({i: x for i, x in enumerate(col) if x}
+                          for col in zip(*M))
     return [[col.get(i, 0) for col in echelon.values()]
             for i in range(len(M))]
 
 
 def smith_normal_form(M):
     """(U, D, V) with U*M*V = D diagonal, d1 | d2 | ... nonnegative with the
-    zeros last, U and V unimodular.
+    zeros last, U and V unimodular, all three dense.
 
     Alternating Hermite forms (Kannan-Bachem): a column pass brings the
     columns of D stacked on those of V to `hnf_columns` form, and a row pass
     does the same for the rows of D beside those of U, until D is diagonal.
     Where d_i does not divide d_{i+1}, row i+1 is added to row i, which the
     next column pass lowers to gcd(d_i, d_{i+1}); a column add would not
-    help, as the column pass restores the diagonal lattice unchanged."""
+    help, as the column pass restores the diagonal lattice unchanged.
+    Between the passes D, U and V stay sparse (D as rows or columns, U as
+    rows, V as columns); the dense matrices are built once, on return."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
-    U, D, V = _identity(rows), [list(r) for r in M], _identity(cols)
     if not rows or not cols:
-        return U, D, V
+        return _identity(rows), [list(r) for r in M], _identity(cols)
+    D = [{j: x for j, x in enumerate(row) if x} for row in M]
+    U = [{i: 1} for i in range(rows)]
+    V = [{j: 1} for j in range(cols)]
+
+    def transpose(X, k):
+        out = [{} for _ in range(k)]
+        for i, vec in enumerate(X):
+            for j, x in vec.items():
+                out[j][i] = x
+        return out
+
+    def hnf_pass(lines, tags, m):
+        # hnf_columns of each line with its tag shifted past the m line
+        # entries, split back into (lines, tags) in pivot order; the tags
+        # are the rows of a unimodular matrix, so no vector is lost
+        echelon = hnf_columns({**line, **{m + k: x for k, x in tag.items()}}
+                              for line, tag in zip(lines, tags))
+        return ([{k: x for k, x in v.items() if k < m}
+                 for v in echelon.values()],
+                [{k - m: x for k, x in v.items() if k >= m}
+                 for v in echelon.values()])
+
     while True:
-        D, V = map(_transpose, _hnf_pass(_transpose(D), _transpose(V)))
-        D, U = _hnf_pass(D, U)
-        if any(x for i, row in enumerate(D) for j, x in enumerate(row)
-               if i != j):
+        D, V = hnf_pass(transpose(D, cols), V, rows)
+        D, U = hnf_pass(transpose(D, rows), U, cols)
+        if any(row.keys() - {i} for i, row in enumerate(D)):
             continue
-        diag = [D[i][i] for i in range(min(rows, cols))]
+        diag = [D[i].get(i, 0) for i in range(min(rows, cols))]
         i = next((i for i in range(len(diag) - 1)
                   if diag[i] and diag[i + 1] % diag[i]), None)
         if i is None:
-            return U, D, V
-        D[i] = [a + b for a, b in zip(D[i], D[i + 1])]
-        U[i] = [a + b for a, b in zip(U[i], U[i + 1])]
-
-
-def _hnf_pass(lines, tags):
-    """`hnf_columns` of the vectors lines[k] + tags[k], split back into
-    dense (lines, tags) in pivot order.  The tags are the rows of a
-    unimodular matrix, so no vector is lost."""
-    m = len(lines[0])
-    echelon = hnf_columns(dict(enumerate(line + tag))
-                          for line, tag in zip(lines, tags))
-    dense = [[col.get(i, 0) for i in range(m + len(tags))]
-             for col in echelon.values()]
-    return [v[:m] for v in dense], [v[m:] for v in dense]
-
-
-def _transpose(X):
-    return [list(col) for col in zip(*X)]
+            return ([[u.get(k, 0) for k in range(rows)] for u in U],
+                    [[row.get(j, 0) for j in range(cols)] for row in D],
+                    [[v.get(k, 0) for v in V] for k in range(cols)])
+        # D is diagonal, so row i+1 adds the single entry d_{i+1}
+        D[i][i + 1] = diag[i + 1]
+        _add_multiple(U[i], 1, U[i + 1])
 
 
 def kernel_basis_Z(columns):

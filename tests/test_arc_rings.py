@@ -377,6 +377,18 @@ def test_products_reject_a_rule_that_is_no_rule():
     assert multiply(DEFAULT, x, y) == multiply_diagrammatic(DEFAULT, x, y)
 
 
+def test_even_products_reject_a_rule_that_is_no_rule():
+    # the even theory plans under `default` whatever the rule, but a rule
+    # that is no MultiplicationRule is still an error, as in the odd theory
+    x, y = mono("(())", "()()", [1]), mono("()()", "(())")
+    a2, b2 = m.Matching("(())"), m.Matching("()()")
+    for call in (lambda: multiply("default", x, y, "even"),
+                 lambda: block_map(None, "even", a2, b2, a2)):
+        with pytest.raises(ValueError, match="not a multiplication rule"):
+            call()
+    assert multiply(ORD, x, y, "even") == multiply(DEFAULT, x, y, "even")
+
+
 def test_block_map_rejects_bad_input_before_planning():
     a2, b2, a1 = m.Matching("(())"), m.Matching("()()"), m.Matching("()")
     plans = _plan_of_words.cache_info().currsize

@@ -1,18 +1,23 @@
+import random
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 
-from arcring.arc_rings import BUILTIN_RULES, RingElement, multiply
+from arcring import matchings
+from arcring.arc_rings import (BUILTIN_RULES, BasisMonomial, RingElement,
+                               multiply)
 from arcring.springer import (OddPolynomial, format_poly, parse_poly,
                               epsilon_generator, quotient_presentation,
                               ideal_slice, map_s, verify_springer_iso,
                               even_presentation_check, qint, qbinom,
                               format_laurent, _degree_monomials,
-                              _eps_indices, _generator_action_holds)
+                              _eps_indices, _generator_action_holds,
+                              _slice_columns)
 from arcring.zlinalg import column_hnf, hnf_columns
 from conftest import odd_center_cached
 
@@ -75,6 +80,84 @@ def test_normal_form_sign_consistency(word):
     for i in word:
         p = p * OddPolynomial.generator(4, i)
     assert p == OddPolynomial(4, {tuple(word): 1})
+
+
+def inversion_sign(word):
+    """(-1)^(pairs i < j with word[i] > word[j]): the plain O(r^2) count
+    that every odd-polynomial sign is checked against."""
+    sign = 1
+    for i in range(len(word)):
+        for j in range(i + 1, len(word)):
+            if word[i] > word[j]:
+                sign = -sign
+    return sign
+
+
+def random_polys(seed, count, nvars, max_len=10, terms=3):
+    """Seeded polynomials of up to `terms` words of up to `max_len` indices
+    in 1..nvars, repeats allowed, each sorted with coefficient 1..3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield OddPolynomial(nvars, {
+            tuple(sorted(rng.randint(1, nvars)
+                         for _ in range(rng.randint(0, max_len)))):
+            rng.randint(1, 3) for _ in range(rng.randint(1, terms))})
+
+
+def reference_product(p, q):
+    terms = Counter()
+    for mx, cx in p.terms.items():
+        for my, cy in q.terms.items():
+            terms[tuple(sorted(mx + my))] += inversion_sign(mx + my) * cx * cy
+    return {m: c for m, c in terms.items() if c}
+
+
+def test_product_signs_match_inversion_count():
+    polys = list(random_polys(1, 200, 6))
+    for p, q in zip(polys, polys[1:]):
+        assert (p * q).terms == reference_product(p, q)
+
+
+def test_slice_column_signs_match_inversion_count():
+    # degree 11 has no eps^I_r at n = 3, so every column is some x_i * col
+    previous = [p.terms for p in random_polys(2, 40, 6)]
+    assert _slice_columns(3, 11, previous) == [
+        {tuple(sorted((i,) + m)): inversion_sign((i,) + m) * c
+         for m, c in col.items()}
+        for col in previous for i in range(1, 7)]
+
+
+def test_epsilon_signs_match_inversion_count():
+    # eps^I_r is the degree-r part of prod_{i in I, increasing} (1 + y_i),
+    # y_i = (-1)^(pos_I(i) - 1) x_i, multiplied out by the reference product;
+    # I is passed unsorted
+    rng = random.Random(3)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, n)
+        I = rng.sample(range(1, 2 * n + 1), n + k)
+        r = rng.randint(n - k + 1, n + k)
+        full = {(): 1}
+        for pos, i in enumerate(sorted(I)):
+            full = reference_product(
+                OddPolynomial(2 * n, full),
+                OddPolynomial(2 * n, {(): 1, (i,): (-1) ** pos}))
+        assert epsilon_generator(n, I, r).terms == {
+            m: c for m, c in full.items() if len(m) == r}, (n, I, r)
+
+
+def test_map_s_signs_match_inversion_count():
+    for n in (2, 3, 4, 5):
+        for p in random_polys(4 + n, 30, 2 * n, n + 1, 4):
+            want = Counter()
+            for a in matchings.enumerate_matchings(n):
+                pos = matchings.closed_diagram(a, a)[0]
+                for mono, coeff in p.terms.items():
+                    labels = [pos[i] for i in mono]
+                    if len(set(labels)) == len(labels):
+                        want[BasisMonomial(a.word, a.word, labels)] += (
+                            inversion_sign(labels) * coeff)
+            assert map_s(p, n) == RingElement(n, want), p
 
 
 def test_poly_parse_format_roundtrip():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -281,6 +282,40 @@ def test_fuzz_snf_kernel_solve():
         echelon = hnf_columns(dict(enumerate(col)) for col in zip(*M))
         assert len(echelon) == r
         assert hnf_reduce(echelon, dict(enumerate(mat_vec(M, x)))) == {}
+
+
+def snf_digest(matrices):
+    """sha256 over repr((U, D, V)) of each matrix, in order."""
+    h = hashlib.sha256()
+    for M in matrices:
+        h.update(repr(smith_normal_form(M)).encode())
+    return h.hexdigest()
+
+
+def n4_slices():
+    """The n = 4 ideal slices of degree d <= 3, each followed by its
+    column_hnf, as the lattice benchmark passes them."""
+    for d in range(4):
+        M = slice_matrix(4, d)
+        yield M
+        yield column_hnf(M)
+
+
+# Recorded from the dense-pass Smith form: not only D but the exact U and V
+# must not change, as the passes see the same vectors in the same order.
+SNF_DIGESTS = {
+    "fuzzed": ("f567a7cf342ee8ec90deb244e4fea18b"
+               "1a3b8a3bbda89a6dcf2e3f700afba5d8"),
+    "slices": ("de3e138d2298742c32256122b45795e6"
+               "245280b30e35145ec3b0eef0b7b70bb1"),
+}
+
+
+@pytest.mark.parametrize("name, matrices", [
+    ("fuzzed", lambda: fuzzed_matrices(9, 2000, 9, 10)),
+    ("slices", n4_slices)])
+def test_snf_digest(name, matrices):
+    assert snf_digest(matrices()) == SNF_DIGESTS[name]
 
 
 def test_hnf_canonical_for_lattice():
