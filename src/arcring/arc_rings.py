@@ -5,8 +5,9 @@ Multiplication of x in c(.)b by y in b(.)a stacks the closed diagram W(c)b on
 top of W(b)a and resolves one bridge per arc of b, scanning basepoints in the
 order prescribed by the multiplication rule.  The geometry of that resolution
 is computed once per (rule, c, b, a) by `_plan_of_words`, as merge and split
-events on circle positions, and compiled there into the bit-constant kernels
-of `functors`.  Two independent interpretations of the plan are provided:
+events on circle positions, and compiled into the bit-constant kernels of
+`functors` once per event sequence, which many triples share.  Two
+independent interpretations of the plan are provided:
 
   multiply              runs the odd/even surface functor on the plan's
                         compiled merge/split/permute ops (normative);
@@ -348,42 +349,82 @@ def _plan_of_words(rule, c, b, a):
                         child that keeps position p first; permutes then
                         carry the other child from the next slot to its own.
 
-    Consecutive merges compile to one merge run (`functors.append_op`), so
-    a split-free plan is one op.  Cached per (rule, c, b, a), so a rule
+    The starting positions are those of the cached closed diagrams W(c)b
+    and W(b)a.  Two arguments spare the walks of the stacked diagram after
+    a resolution:
+      - a merge leaves every other circle as it was, and the merged
+        circle's least point is the lesser of the two, so the positions are
+        relabelled: max(p, q) becomes min(p, q) and each slot above it
+        moves down by one;
+      - once every arc of b is resolved the circles are those of W(c)a, so
+        the last resolution, if it splits, reads its children's positions
+        off the cached closed_diagram(c, a).
+    Only a split before the last resolution walks the diagram.
+
+    The ops are compiled from the events and the starting circle count,
+    once per such pair (`_PLAN_OPS`), so triples with equal events share one
+    events tuple and one op tuple.  Cached per (rule, c, b, a), so a rule
     must not be mutated after its first product; ValueError, not cached,
     unless `rule` is a MultiplicationRule."""
     _check_rule(rule)
     c, b, a = _MATCHINGS[c], _MATCHINGS[b], _MATCHINGS[a]
     m = 2 * c.n
+    upper, top = _m.closed_diagram(c, b)
+    lower, bottom = _m.closed_diagram(b, a)
     # top point k is k and bottom point k is m + k
+    pos = list(upper) + [top + k for k in lower[1:]]
     outer = c.partner + [m + k for k in a.partner[1:]]
     inner = b.partner + [m + k for k in b.partner[1:]]
-    pos, count = _m.circle_positions(outer, inner)
-    top = max(pos[1:m + 1])
-    events, ops = [], []
+    left = c.n  # arcs of b still to resolve
+    events = []
     for col in rule.order(c, b, a):
         if inner[col] == m + col:
             continue
         partner = b.partner[col]
         for k in (col, partner):
             inner[k], inner[m + k] = m + k, k
-        new, new_count = _m.circle_positions(outer, inner)
-        p = pos[col]
-        if p != pos[m + col]:
-            events.append(("merge", p, pos[m + col]))
-            _f.append_op(ops, _f.merge_op(count, p, pos[m + col]))
-        else:
-            i, j = new[col], new[partner]
-            src = rule.split_source(c, b, a, col, partner, i, j)
-            if src not in (col, partner):
-                raise ValueError(f"split source {src!r} is not an endpoint "
-                                 f"of the arc ({col}, {partner}) of {b.word}")
-            events.append(("split", p, i, j, src == col))
-            ops.append(_f.split_op(count, p, (src == col) == (i == p)))
-            ops.extend(_f.permute_op(new_count, k, k + 1)
-                       for k in range(p + 1, max(i, j)))
-        pos, count = new, new_count
-    return tuple(events), tuple(ops), top
+        left -= 1
+        p, q = pos[col], pos[m + col]
+        if p != q:
+            events.append(("merge", p, q))
+            lo, hi = (p, q) if p < q else (q, p)
+            pos = [x if x < hi else lo if x == hi else x - 1 for x in pos]
+            continue
+        new = (_m.circle_positions(outer, inner)[0] if left
+               else _m.closed_diagram(c, a)[0])
+        i, j = new[col], new[partner]
+        src = rule.split_source(c, b, a, col, partner, i, j)
+        if src not in (col, partner):
+            raise ValueError(f"split source {src!r} is not an endpoint "
+                             f"of the arc ({col}, {partner}) of {b.word}")
+        events.append(("split", p, i, j, src == col))
+        pos = new
+    events, ops = _PLAN_OPS[tuple(events), top + bottom]
+    return events, ops, top
+
+
+def _compile_plan(key):
+    """(events, ops) for a key (events, starting circle count): the key's
+    events, which every plan with equal events then shares, and their
+    functor ops."""
+    events, count = key
+    ops = []
+    for event in events:
+        if event[0] == "merge":
+            _f.append_op(ops, _f.merge_op(count, event[1], event[2]))
+            count -= 1
+            continue
+        _, p, i, j, scan_is_source = event
+        ops.append(_f.split_op(count, p, scan_is_source == (i == p)))
+        count += 1
+        ops.extend(_f.permute_op(count, k, k + 1)
+                   for k in range(p + 1, max(i, j)))
+    return key[0], tuple(ops)
+
+
+# (events, starting circle count) -> (events, ops); 555 event sequences at
+# n = 4 under default serve the 2,744 triples
+_PLAN_OPS = _Cache(_compile_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +551,19 @@ def multiply(rule, x, y, theory="odd", *, memo=None):
     """Bilinear product; zero across non-matching blocks.  For the even
     theory the rule must still be a MultiplicationRule but is otherwise
     ignored (the product is order-independent and carries no orientations);
-    the usual left-to-right scan is used.
+    the usual left-to-right scan is used.  A rule that is no
+    MultiplicationRule and a theory other than "odd" and "even" raise
+    ValueError before any work, whatever the operands.
 
     `memo` is an optional dict owned by the caller: products resolve each
     monomial pair once per memo instead of once per call.  One memo may
     serve several rules and both theories, since it keeps one table per
     (rule, theory); the caller drops it when done, so nothing outlives it."""
-    if theory == "even":
-        if not isinstance(rule, MultiplicationRule):
-            _check_rule(rule)  # raises; tested inline to spare a call
+    if not isinstance(rule, MultiplicationRule):
+        _check_rule(rule)  # raises; tested inline to spare a call
+    if theory != "odd":
+        if theory != "even":
+            raise ValueError(f"unknown theory {theory!r}")
         rule = BUILTIN_RULES["default"]
     cache = None
     if memo is not None:
@@ -631,6 +676,8 @@ def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
 def multiply_diagrammatic(rule, x, y):
     """Same contract as multiply (odd theory), via the colored-diagram sign
     tables."""
+    if not isinstance(rule, MultiplicationRule):
+        _check_rule(rule)  # raises; tested inline to spare a call
     return _block_product(x, y, None, _resolve_diagrammatic, rule)
 
 

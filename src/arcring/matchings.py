@@ -16,7 +16,7 @@ from functools import lru_cache
 # matchings (C_12 = 208,012 words), the ring basis and products (and the
 # CLI's bn and mul), the centers and their structure constants (N^2
 # products, 11-14 s at n = 5, N = 252), the odd Springer quotient and its
-# isomorphism check (about 10 s at n = 5), and the phi0 associator table
+# isomorphism check (about 3-4 s at n = 5), and the phi0 associator table
 # with everything built on it (38,416 cells in about 14 s at n = 4; n = 5
 # has 3.1M cells, 81 times as many); the largest m of the quantum binomial
 # [m choose k] (about 0.2 s at m = 256, k = 128); and the most circles

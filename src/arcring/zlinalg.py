@@ -142,7 +142,8 @@ def hnf_columns(columns):
     live column drops its floor quotient of it, and this repeats until the
     pivot is alone.  That keeps the coefficients small, where pairwise
     Euclid-and-swap let them grow; a unit pivot clears its row in one
-    pass."""
+    pass.  Once every row is cleared, `_back_reduce` brings the earlier
+    columns into range."""
     lead = {}  # row -> live columns whose first nonzero entry is in it
     for col in columns:
         col = {r: v for r, v in col.items() if v}
@@ -175,13 +176,39 @@ def hnf_columns(columns):
         if piv[r] < 0:
             for k in piv:
                 piv[k] = -piv[k]
+        echelon[r] = piv
+    _back_reduce(echelon)
+    return echelon
+
+
+def _back_reduce(echelon):
+    """Bring the entries of the earlier columns in each pivot row into
+    [0, pivot), in place: pivot by pivot in increasing order, each earlier
+    column with an entry in the pivot row drops its floor quotient of the
+    pivot column.  The forward elimination never reads echelon columns, and
+    a pivot column meets no later pivot before it reduces the earlier ones,
+    so this gives the reduction interleaved with the elimination.  Only the
+    columns in the pivot row's index are visited: the index starts from the
+    entries of each column below its own pivot, and a reduced column joins
+    the index of every later pivot row of the pivot column."""
+    cols = list(echelon.values())
+    holders = {r: set() for r in echelon}  # pivot row -> earlier columns in it
+    for j, (r, col) in enumerate(echelon.items()):
+        for s in col:
+            if s != r and s in holders:
+                holders[s].add(j)
+    for r, piv in echelon.items():
         p = piv[r]
-        for prev in echelon.values():
+        later = None
+        for j in holders.pop(r):
+            prev = cols[j]
             q = prev.get(r, 0) // p
             if q:
                 _add_multiple(prev, -q, piv)
-        echelon[r] = piv
-    return echelon
+                if later is None:
+                    later = [s for s in piv if s != r and s in holders]
+                for s in later:
+                    holders[s].add(j)
 
 
 def hnf_reduce(echelon, v):

@@ -2,6 +2,7 @@ import functools
 
 import pytest
 
+from arcring import arc_rings
 from arcring.arc_rings import BUILTIN_RULES
 
 
@@ -9,6 +10,15 @@ from arcring.arc_rings import BUILTIN_RULES
 def odd_center_cached(rule_name, n):
     from arcring.centers import odd_center
     return odd_center(n, BUILTIN_RULES[rule_name])
+
+
+def clear_plans():
+    """Drop the cached plans, their shared compiled ops and the oracle's
+    compiled steps: all three keep the kernels they were built with, so a
+    test that patches a kernel clears them around the patch."""
+    arc_rings._plan_of_words.cache_clear()
+    arc_rings._PLAN_OPS.clear()
+    arc_rings._DIAGRAM_STEPS.clear()
 
 
 def per_merge(real, mutate):

@@ -14,7 +14,7 @@ from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
                                parse_element, block_monomials,
                                block_map, transpose_witness,
                                _plan_of_words, _resolve_monomials)
-from conftest import per_merge
+from conftest import clear_plans, per_merge
 
 DEFAULT = BUILTIN_RULES["default"]
 ORD = BUILTIN_RULES["ord"]
@@ -104,13 +104,11 @@ def test_diagrammatic_oracle_agrees(rule, n):
 
 @pytest.fixture
 def fresh_plans():
-    # compiled plans and oracle steps keep the kernels they were built with
-    def clear():
-        _plan_of_words.cache_clear()
-        arc_rings._DIAGRAM_STEPS.clear()
-    clear()
+    # compiled plans, their shared ops and the oracle steps keep the kernels
+    # they were built with
+    clear_plans()
     yield
-    clear()
+    clear_plans()
 
 
 @pytest.mark.parametrize("side", ["kernel", "oracle"])
@@ -350,6 +348,43 @@ def test_consecutive_merges_compile_to_one_run():
 
 @pytest.mark.parametrize("rule", [DEFAULT, ORD, FlippedRule(DEFAULT)],
                          ids=["default", "ord", "flip-default"])
+def test_plan_ops_are_a_fresh_compile_of_their_events(rule):
+    # the shared ops of every plan equal its events compiled anew, one
+    # functors builder per event, from the starting circle count
+    for n in (1, 2, 3, 4):
+        for c, b, a in triples(n):
+            events, ops, top = _plan_of_words(rule, c.word, b.word, a.word)
+            count = top + m.closed_diagram(b, a)[1]
+            want = []
+            for event in events:
+                if event[0] == "merge":
+                    functors.append_op(want, functors.merge_op(
+                        count, event[1], event[2]))
+                    count -= 1
+                    continue
+                _, p, i, j, scan_is_source = event
+                want.append(functors.split_op(count, p,
+                                              scan_is_source == (i == p)))
+                count += 1
+                want += [functors.permute_op(count, k, k + 1)
+                         for k in range(p + 1, max(i, j))]
+            assert ops == tuple(want)
+            assert count == m.closed_diagram(c, a)[1]
+
+
+def test_triples_with_equal_events_share_one_op_tuple():
+    # under default, 45 distinct event sequences at n = 3 and 555 at n = 4,
+    # each compiled once and kept as one events tuple
+    for n, distinct in ((3, 45), (4, 555)):
+        plans = [_plan_of_words(DEFAULT, c.word, b.word, a.word)
+                 for c, b, a in triples(n)]
+        assert len({events for events, _, _ in plans}) == distinct
+        assert len({id(events) for events, _, _ in plans}) == distinct
+        assert len({id(ops) for _, ops, _ in plans}) == distinct
+
+
+@pytest.mark.parametrize("rule", [DEFAULT, ORD, FlippedRule(DEFAULT)],
+                         ids=["default", "ord", "flip-default"])
 def test_no_plan_holds_two_adjacent_merge_ops(rule):
     for n in (1, 2, 3, 4):
         mats = m.enumerate_matchings(n)
@@ -387,6 +422,25 @@ def test_even_products_reject_a_rule_that_is_no_rule():
         with pytest.raises(ValueError, match="not a multiplication rule"):
             call()
     assert multiply(ORD, x, y, "even") == multiply(DEFAULT, x, y, "even")
+
+
+def test_products_check_rule_and_theory_before_any_work():
+    # a zero operand or blocks that do not meet give no pair to resolve,
+    # yet a bad rule or theory still raises, and the memo stays untouched
+    x, y = mono("(())", "()()", [1]), mono("()()", "(())")
+    zero, apart = RingElement.zero(2), mono("(())", "(())")
+    for left, right in ((zero, y), (x, zero), (x, apart)):
+        for theory in ("odd", "even"):
+            with pytest.raises(ValueError, match="not a multiplication rule"):
+                multiply("default", left, right, theory)
+        with pytest.raises(ValueError, match="not a multiplication rule"):
+            multiply_diagrammatic("default", left, right)
+        memo = {}
+        with pytest.raises(ValueError, match="unknown theory"):
+            multiply(DEFAULT, left, right, "bogus", memo=memo)
+        assert memo == {}
+        assert multiply(DEFAULT, left, right, memo=memo).is_zero()
+        assert multiply_diagrammatic(DEFAULT, left, right).is_zero()
 
 
 def test_block_map_rejects_bad_input_before_planning():

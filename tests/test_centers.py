@@ -13,7 +13,8 @@ from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
 from arcring.associator import scission_count
 from arcring.centers import (CenterBasis, odd_center, ring_center,
                              even_center, center_structure_constants)
-from conftest import odd_center_cached, per_merge, same_lattice
+from conftest import (clear_plans, odd_center_cached, per_merge,
+                      same_lattice)
 
 DEFAULT = BUILTIN_RULES["default"]
 ORD = BUILTIN_RULES["ord"]
@@ -315,20 +316,21 @@ def test_split_free_pin_sees_an_order_dependent_merge(monkeypatch):
     # negating every merge into circle 1 from circle 3 or above makes the
     # merge sequence's map depend on its order (on 23 of the 70 split-free
     # triples at n <= 3); a split-free plan is one merge run, so the
-    # mutation must reach each merge inside it, and compiled plans keep the
-    # kernels they were built with, so clear them around the patch
+    # mutation must reach each merge inside it, and compiled plans and their
+    # shared ops keep the kernels they were built with, so clear them around
+    # the patch
     def negated(out, odd, merge):
         lo_bit, hi_bit = merge[:2]
         if lo_bit == 1 and hi_bit >= 1 << 2:
             return {k: -c for k, c in out.items()}
         return out
 
-    _plan_of_words.cache_clear()
+    clear_plans()
     monkeypatch.setattr(functors, "_merge", per_merge(functors._merge,
                                                       negated))
     try:
         differ = [_split_free_disagreements(n)[1] for n in (1, 2, 3)]
     finally:
         monkeypatch.undo()
-        _plan_of_words.cache_clear()
+        clear_plans()
     assert sum(map(len, differ)) > 0

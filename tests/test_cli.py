@@ -158,10 +158,10 @@ def test_verify_all_n2(capsys):
 
 def test_verify_mod2_fails_on_an_even_split_without_its_second_child(
         capsys, monkeypatch):
-    # compiled plans keep the kernels they were built with: clear them
-    # around the patch
+    # compiled plans and their shared ops keep the kernels they were built
+    # with: clear them around the patch
     from arcring import functors
-    from arcring.arc_rings import _plan_of_words
+    from conftest import clear_plans
     real = functors._split
 
     def lopsided(terms, odd, consts):
@@ -171,13 +171,13 @@ def test_verify_mod2_fails_on_an_even_split_without_its_second_child(
         return {(k & low) | (k << 1 & high) | first
                 | (second if k & first else 0): c for k, c in terms.items()}
 
-    _plan_of_words.cache_clear()
+    clear_plans()
     monkeypatch.setattr(functors, "_split", lopsided)
     try:
         code, out, _ = run(capsys, "verify", "--n", "2", "--suite", "mod2")
     finally:
         monkeypatch.undo()
-        _plan_of_words.cache_clear()
+        clear_plans()
     assert code == 1
     assert re.fullmatch(r"mod2: FAIL \(mod-2 mismatch at \[\S+\] \* "
                         r"\[\S+\]\)\n", out)

@@ -172,6 +172,70 @@ def test_hnf_column_order_keeps_coefficients_small():
     assert len(hnfs[0][0]) == 120 - 28
 
 
+def full_scan_hnf_columns(columns):
+    """Reference: `hnf_columns` with the back-reduction interleaved in the
+    elimination, each new pivot scanning every earlier echelon column."""
+    lead = {}
+    for col in columns:
+        col = {r: v for r, v in col.items() if v}
+        if col:
+            lead.setdefault(min(col), []).append(col)
+    echelon = {}
+    while lead:
+        r = min(lead)
+        group = lead.pop(r)
+        while len(group) > 1:
+            piv = min(group, key=lambda col: (abs(col[r]), len(col)))
+            kept = [piv]
+            for col in group:
+                if col is not piv:
+                    zlinalg._add_multiple(col, -(col[r] // piv[r]), piv)
+                    if r in col:
+                        kept.append(col)
+                    elif col:
+                        lead.setdefault(min(col), []).append(col)
+            group = kept
+        piv = group[0]
+        if piv[r] < 0:
+            for k in piv:
+                piv[k] = -piv[k]
+        for prev in echelon.values():
+            q = prev.get(r, 0) // piv[r]
+            if q:
+                zlinalg._add_multiple(prev, -q, piv)
+        echelon[r] = piv
+    return echelon
+
+
+def random_sparse_columns(rng):
+    """Sparse columns on non-contiguous rows, negative ones included, with
+    non-unit and negative entries, explicit zeros, empty and duplicate
+    columns."""
+    rows = rng.sample(range(-6, 60), rng.randint(1, 14))
+    columns = []
+    for _ in range(rng.randint(0, 16)):
+        roll = rng.random()
+        if roll < 0.08:
+            columns.append(rng.choice([{}, {rows[0]: 0}]))
+        elif roll < 0.2 and columns:
+            columns.append(dict(rng.choice(columns)))
+        else:
+            columns.append({r: rng.choice([-9, -4, -3, -2, -1, 0, 1, 1, 2,
+                                           3, 5, 6, 12])
+                            for r in rng.sample(rows, rng.randint(
+                                1, len(rows)))})
+    return columns
+
+
+def test_hnf_back_reduction_equals_the_full_scan():
+    rng = random.Random(27)
+    for _ in range(2000):
+        columns = random_sparse_columns(rng)
+        want = full_scan_hnf_columns([dict(col) for col in columns])
+        got = hnf_columns([dict(col) for col in columns])
+        assert list(got.items()) == list(want.items())
+
+
 def test_hnf_reduce_decides_membership():
     """v lies in the column lattice L(M) iff appending it as a column leaves
     the HNF unchanged (through sympy)."""
