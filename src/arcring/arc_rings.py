@@ -36,21 +36,6 @@ from . import matchings as _m
 from .zlinalg import SparseZ, signed_sum, signed_terms
 
 
-class _Cache(dict):
-    """{key: convert(key)}, filled on first lookup."""
-
-    def __init__(self, convert):
-        self.convert = convert
-
-    def __missing__(self, key):
-        value = self[key] = self.convert(key)
-        return value
-
-
-# one Matching per word, shared by monomials, rules, plans and products
-_MATCHINGS = _Cache(_m.Matching)
-
-
 # ---------------------------------------------------------------------------
 # basis monomials and ring elements
 
@@ -70,7 +55,7 @@ class BasisMonomial(tuple):
         if len(top) != len(bottom):
             raise ValueError(f"matching words {top!r} and "
                              f"{bottom!r} differ in length")
-        count = _m.closed_diagram(_MATCHINGS[top], _MATCHINGS[bottom])[1]
+        count = _m.closed_diagram(_m.MATCHINGS[top], _m.MATCHINGS[bottom])[1]
         mask = 0
         for i in colored:
             if type(i) is not int:
@@ -97,8 +82,8 @@ class BasisMonomial(tuple):
         return len(self.top) // 2
 
     def degree(self):
-        count = _m.closed_diagram(_MATCHINGS[self.top],
-                                  _MATCHINGS[self.bottom])[1]
+        count = _m.closed_diagram(_m.MATCHINGS[self.top],
+                                  _m.MATCHINGS[self.bottom])[1]
         return 2 * self.mask.bit_count() - count + self.n
 
     def sort_key(self):
@@ -273,7 +258,7 @@ class CustomRule(MultiplicationRule):
 
     def _middle(self, key):
         """The matching b of a (c, b, a) key of words of size n."""
-        return _MATCHINGS[_word_triple(key, self.n)[1]]
+        return _m.MATCHINGS[_word_triple(key, self.n)[1]]
 
     def order(self, c, b, a):
         key = (c.word, b.word, a.word)
@@ -293,7 +278,7 @@ def _word_triple(key, n=None):
     if isinstance(key, tuple) and len(key) == 3 and all(
             isinstance(w, str) for w in key):
         size = len(key[0]) // 2 if n is None else n
-        if all(_MATCHINGS[w].n == size for w in key):
+        if all(_m.MATCHINGS[w].n == size for w in key):
             return key
     raise ValueError(f"{key!r} is not a triple of words of "
                      + ("one size" if n is None else f"size {n}"))
@@ -367,7 +352,7 @@ def _plan_of_words(rule, c, b, a):
     must not be mutated after its first product; ValueError, not cached,
     unless `rule` is a MultiplicationRule."""
     _check_rule(rule)
-    c, b, a = _MATCHINGS[c], _MATCHINGS[b], _MATCHINGS[a]
+    c, b, a = _m.MATCHINGS[c], _m.MATCHINGS[b], _m.MATCHINGS[a]
     m = 2 * c.n
     upper, top = _m.closed_diagram(c, b)
     lower, bottom = _m.closed_diagram(b, a)
@@ -424,7 +409,7 @@ def _compile_plan(key):
 
 # (events, starting circle count) -> (events, ops); 555 event sequences at
 # n = 4 under default serve the 2,744 triples
-_PLAN_OPS = _Cache(_compile_plan)
+_PLAN_OPS = _m._Cache(_compile_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +495,9 @@ def _block_product(x, y, cache, resolve, rule, *theory):
     coefficient (merges drop zero sums, splits and permutes are injective),
     so a first contribution with coefficient 1 is copied into the result as
     it is; the result never shares a dict with the cache."""
+    if not (type(x) is RingElement and type(y) is RingElement):
+        raise ValueError(f"cannot multiply {type(x).__name__} by "
+                         f"{type(y).__name__}: need two RingElements")
     if x.space != y.space:
         raise ValueError(f"cannot multiply elements for n={x.n} and n={y.n}")
     out = object.__new__(RingElement)
@@ -517,7 +505,7 @@ def _block_product(x, y, cache, resolve, rule, *theory):
     out.terms = terms = {}
     if not (x.terms and y.terms):
         return out
-    new = tuple.__new__
+    new, matching = tuple.__new__, _m.MATCHINGS
     for mx, cx in x.terms.items():
         top, middle, colored_x = mx
         for my, cy in y.terms.items():
@@ -528,9 +516,8 @@ def _block_product(x, y, cache, resolve, rule, *theory):
                 bottom = my[1]
                 prods = {}
                 for mask, coeff in resolve(
-                        rule, _MATCHINGS[top], _MATCHINGS[middle],
-                        _MATCHINGS[bottom], colored_x, my[2],
-                        *theory).items():
+                        rule, matching[top], matching[middle],
+                        matching[bottom], colored_x, my[2], *theory).items():
                     prods[new(BasisMonomial, (top, bottom, mask))] = coeff
                 if cache is not None:
                     cache[mx, my] = prods
@@ -552,8 +539,8 @@ def multiply(rule, x, y, theory="odd", *, memo=None):
     theory the rule must still be a MultiplicationRule but is otherwise
     ignored (the product is order-independent and carries no orientations);
     the usual left-to-right scan is used.  A rule that is no
-    MultiplicationRule and a theory other than "odd" and "even" raise
-    ValueError before any work, whatever the operands.
+    MultiplicationRule, a theory other than "odd" and "even" and an
+    operand that is no RingElement raise ValueError before any work.
 
     `memo` is an optional dict owned by the caller: products resolve each
     monomial pair once per memo instead of once per call.  One memo may
@@ -659,7 +646,7 @@ def _diagram_step(event):
 
 
 # plan event -> its step; few distinct events (28 at n = 4 under default)
-_DIAGRAM_STEPS = _Cache(_diagram_step)
+_DIAGRAM_STEPS = _m._Cache(_diagram_step)
 
 
 def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
@@ -710,7 +697,7 @@ def parse_element(text, n=None):
     terms = {}
     for coeff, match in signed_terms(s, _TERM_RE):
         top, bottom = match.group("top"), match.group("bottom")
-        tm, bm = _MATCHINGS[top], _MATCHINGS[bottom]
+        tm, bm = _m.MATCHINGS[top], _m.MATCHINGS[bottom]
         if tm.n != bm.n or (n is not None and tm.n != n):
             raise ValueError("matching sizes disagree")
         indices = [int(u) for u in match.group("cols").split(",")

@@ -191,11 +191,11 @@ def cocycle_defect(rule, n, table=None, twisted=True):
     _m.check_size("assoc", n)
     if table is None:
         table = phi0_table(rule, n)
-    of = {m.word: m for m in _m.enumerate_matchings(n)}
+    words = [m.word for m in _m.enumerate_matchings(n)]
     defects = {}
-    for cell, v in _coboundary(table, list(of), 5).items():
+    for cell, v in _coboundary(table, words, 5).items():
         if twisted:
-            e, d, c, b, a = (of[w] for w in cell)
+            e, d, c, b, a = (_m.MATCHINGS[w] for w in cell)
             v ^= (scission_count(e, d, c) * scission_count(c, b, a)) & 1
         if v:
             defects[cell] = v

@@ -34,48 +34,68 @@ def check_size(what, n):
                          f"need 1 <= n <= {limit}")
 
 
+class _Cache(dict):
+    """{key: convert(key)}, filled on first lookup."""
+
+    def __init__(self, convert):
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
 class Matching:
-    """A crossingless perfect matching of {1, ..., 2n}."""
+    """A crossingless perfect matching of {1, ..., 2n}: one per word, kept
+    in `MATCHINGS`, so matchings compare and hash by identity, in C."""
 
     __slots__ = ("n", "word", "partner")
 
-    def __init__(self, word):
-        if not isinstance(word, str) or len(word) % 2 != 0:
+    def __new__(cls, word):
+        if not isinstance(word, str):
             raise ValueError(f"bad matching word: {word!r}")
-        n = len(word) // 2
-        check_size("matching", n)
-        partner = [0] * (len(word) + 1)
-        stack = []
-        for pos, ch in enumerate(word, start=1):
-            if ch == "(":
-                stack.append(pos)
-            elif ch == ")":
-                if not stack:
-                    raise ValueError(f"unbalanced word: {word!r}")
-                opener = stack.pop()
-                partner[opener] = pos
-                partner[pos] = opener
-            else:
-                raise ValueError(f"bad character in {word!r}")
-        if stack:
-            raise ValueError(f"unbalanced word: {word!r}")
-        self.n = n
-        self.word = word
-        self.partner = partner
+        return MATCHINGS[word]
 
     def arcs(self):
         """Arcs (i, j) with i < j, sorted."""
         return [(i, self.partner[i]) for i in range(1, 2 * self.n + 1)
                 if self.partner[i] > i]
 
-    def __eq__(self, other):
-        return isinstance(other, Matching) and self.word == other.word
-
-    def __hash__(self):
-        return hash(self.word)
-
     def __repr__(self):
         return f"Matching({self.word!r})"
+
+
+def _matching(word):
+    """The Matching of a str word; ValueError, registering nothing, if the
+    word is unbalanced or of a size `check_size` refuses."""
+    if len(word) % 2 != 0:
+        raise ValueError(f"bad matching word: {word!r}")
+    n = len(word) // 2
+    check_size("matching", n)
+    partner = [0] * (len(word) + 1)
+    stack = []
+    for pos, ch in enumerate(word, start=1):
+        if ch == "(":
+            stack.append(pos)
+        elif ch == ")":
+            if not stack:
+                raise ValueError(f"unbalanced word: {word!r}")
+            opener = stack.pop()
+            partner[opener] = pos
+            partner[pos] = opener
+        else:
+            raise ValueError(f"bad character in {word!r}")
+    if stack:
+        raise ValueError(f"unbalanced word: {word!r}")
+    self = object.__new__(Matching)
+    self.n = n
+    self.word = word
+    self.partner = partner
+    return self
+
+
+# word -> its one Matching, shared by every module
+MATCHINGS = _Cache(_matching)
 
 
 @lru_cache(maxsize=None)
@@ -86,20 +106,15 @@ def enumerate_matchings(n):
     words = []
 
     def build(prefix, opened, closed):
-        if opened == n and closed == n:
-            words.append("".join(prefix))
-            return
+        if closed == n:
+            words.append(prefix)
         if opened < n:
-            prefix.append("(")
-            build(prefix, opened + 1, closed)
-            prefix.pop()
+            build(prefix + "(", opened + 1, closed)
         if closed < opened:
-            prefix.append(")")
-            build(prefix, opened, closed + 1)
-            prefix.pop()
+            build(prefix + ")", opened, closed + 1)
 
-    build([], 0, 0)
-    return tuple(Matching(w) for w in words)
+    build("", 0, 0)
+    return tuple(MATCHINGS[w] for w in words)
 
 
 def circle_positions(outer, inner):
@@ -142,8 +157,6 @@ def is_arrow(a, b):
     a and (i,l),(j,k) arcs of b, all other arcs shared."""
     if a.n != b.n:
         raise ValueError("size mismatch")
-    if a == b:
-        return False
     diff_a = sorted(set(a.arcs()) - set(b.arcs()))
     diff_b = sorted(set(b.arcs()) - set(a.arcs()))
     if len(diff_a) != 2 or len(diff_b) != 2:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcring import arc_rings, functors, matchings as m
+from arcring.exterior import ExteriorElement
 from arcring.arc_rings import (BasisMonomial, RingElement, ring_basis,
                                basis_pairs, unit, multiply,
                                multiply_diagrammatic, BUILTIN_RULES,
@@ -443,6 +444,24 @@ def test_products_check_rule_and_theory_before_any_work():
         assert multiply_diagrammatic(DEFAULT, left, right).is_zero()
 
 
+def test_products_reject_operands_that_are_no_ring_elements():
+    # ValueError before any work, on either side, in both theories and the
+    # oracle; not an AttributeError from .space, or from .n while the size
+    # mismatch message is built
+    x = mono("(())", "()()", [1])
+    plans = _plan_of_words.cache_info().currsize
+    memo = {}
+    for other in (0, "[(())|()()|{1}]", ExteriorElement.generator((1, 2), 1)):
+        for left, right in ((other, x), (x, other)):
+            for call in (lambda: multiply(DEFAULT, left, right, memo=memo),
+                         lambda: multiply(DEFAULT, left, right, "even"),
+                         lambda: multiply_diagrammatic(DEFAULT, left, right)):
+                with pytest.raises(ValueError, match="need two RingElements"):
+                    call()
+    assert _plan_of_words.cache_info().currsize == plans
+    assert all(not table for table in memo.values())
+
+
 def test_block_map_rejects_bad_input_before_planning():
     a2, b2, a1 = m.Matching("(())"), m.Matching("()()"), m.Matching("()")
     plans = _plan_of_words.cache_info().currsize
@@ -461,6 +480,21 @@ def test_block_map_rejects_bad_input_before_planning():
     ids=lambda v: getattr(v, "name", v))
 def test_transpose_is_a_super_anti_involution(rule, n):
     assert transpose_witness(rule, n) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_even_transpose_is_an_anti_involution(n):
+    # tau(x.y) = tau(y).tau(x), no sign in the even theory: the block map
+    # of (a, b, c) is that of (c, b, a) with each pair swapped, both absent
+    # together
+    mats = m.enumerate_matchings(n)
+    for c in mats:
+        for b in mats:
+            for a in mats:
+                forward = block_map(DEFAULT, "even", c, b, a)
+                back = block_map(DEFAULT, "even", a, b, c)
+                assert back == {(sy, sx): out
+                                for (sx, sy), out in forward.items()}
 
 
 def transposed(elem):

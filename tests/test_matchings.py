@@ -99,6 +99,40 @@ def test_lower_arc_identity():
         assert total == comb(2 * n, n)
 
 
+def test_one_matching_per_word():
+    # Matching(w) is the registry's object, the one enumeration holds, so
+    # matchings compare by identity
+    for n in range(1, 5):
+        for a in m.enumerate_matchings(n):
+            assert m.Matching(a.word) is m.Matching(a.word) is a
+            assert m.MATCHINGS[a.word] is a
+    assert "__eq__" not in vars(m.Matching)
+    assert "__hash__" not in vars(m.Matching)
+
+
+def test_refused_words_are_not_registered():
+    bad = ("(()", "))((", "(x)", "()" * 13, "")
+    for word in bad + (5, ["()"], None):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                m.Matching(word)
+    assert not set(bad) & set(m.MATCHINGS)
+
+
+def test_closed_diagram_cache_meets_constructed_matchings():
+    mats = [a for n in range(1, 5) for a in m.enumerate_matchings(n)]
+    for b in mats:
+        for a in mats:
+            if a.n == b.n:
+                m.closed_diagram(b, a)
+    size = m.closed_diagram.cache_info().currsize
+    for b in mats:
+        for a in mats:
+            if a.n == b.n:
+                m.closed_diagram(m.Matching(b.word), m.Matching(a.word))
+    assert m.closed_diagram.cache_info().currsize == size
+
+
 def test_bad_word_rejected():
     with pytest.raises(ValueError):
         m.Matching("(()")

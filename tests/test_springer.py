@@ -230,6 +230,20 @@ def test_standard_monomials_are_the_greedy_basis(n):
         assert q.basis[d] == greedy_basis(n, d), d
 
 
+def ballot_monomials(n, d):
+    """x_{i_1}...x_{i_d} with i_1 < ... < i_d and i_{d-k} <= 2n - 2k - 1
+    for k = 0..d-1, in combinations order."""
+    return [m for m in combinations(range(1, 2 * n + 1), d)
+            if all(m[d - 1 - k] <= 2 * n - 2 * k - 1 for k in range(d))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_standard_monomials_are_the_ballot_monomials(n):
+    q = quotient_cached(n)
+    for d in range(n + 2):
+        assert q.basis[d] == ballot_monomials(n, d), d
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_slice_pivots_are_units(n):
     # unit pivots make every slice saturated, so the quotient has no torsion
