@@ -350,7 +350,8 @@ def _plan_of_words(rule, c, b, a):
     once per such pair (`_PLAN_OPS`), so triples with equal events share one
     events tuple and one op tuple.  Cached per (rule, c, b, a), so a rule
     must not be mutated after its first product; ValueError, not cached,
-    unless `rule` is a MultiplicationRule."""
+    unless `rule` is a MultiplicationRule whose order names points in
+    1..2n only and resolves every arc of b."""
     _check_rule(rule)
     c, b, a = _m.MATCHINGS[c], _m.MATCHINGS[b], _m.MATCHINGS[a]
     m = 2 * c.n
@@ -363,6 +364,8 @@ def _plan_of_words(rule, c, b, a):
     left = c.n  # arcs of b still to resolve
     events = []
     for col in rule.order(c, b, a):
+        if not 1 <= col <= m:
+            raise ValueError(f"scan point {col!r} is not in 1..{m}")
         if inner[col] == m + col:
             continue
         partner = b.partner[col]
@@ -384,6 +387,8 @@ def _plan_of_words(rule, c, b, a):
                              f"of the arc ({col}, {partner}) of {b.word}")
         events.append(("split", p, i, j, src == col))
         pos = new
+    if left:
+        raise ValueError(f"the scan leaves an arc of {b.word} unresolved")
     events, ops = _PLAN_OPS[tuple(events), top + bottom]
     return events, ops, top
 

@@ -176,9 +176,19 @@ def _primitive(cochain, words, k):
     return lam
 
 
-def cocycle_defect(rule, n, table=None, twisted=True):
-    """Defect of the chronology cocycle identity on all quintuples whose
-    five faces are defined; empty dict iff the identity holds there.
+def _table_words(table, n):
+    """The words of size n; ValueError unless the keys are their 4-cells."""
+    _m.check_size("assoc", n)
+    words = [m.word for m in _m.enumerate_matchings(n)]
+    if len(table) != len(words) ** 4 or not all(
+            cell in table for cell in _product(words, repeat=4)):
+        raise ValueError(f"table keys are not the 4-cells of size {n}")
+    return words
+
+
+def cocycle_defect(table, n):
+    """Defect of the chronology cocycle identity of a phi0 table on all
+    quintuples whose five faces are defined; empty dict iff it holds there.
 
     The pentagon relates the five reassociations of 1.1.1.1, but the face
     through the composed pair carries x = 1.1 whose wedge length is the
@@ -186,27 +196,19 @@ def cocycle_defect(rule, n, table=None, twisted=True):
     identity that actually holds is therefore the twisted one
         d^3(phi0)(g,h,k,l) = S(g,h) * S(k,l)  (mod 2),
     which reduces to the plain cocycle condition exactly where the cup
-    square of S vanishes (e.g. everywhere it is testable at n <= 2).  Pass
-    twisted=False to check the plain condition instead."""
-    _m.check_size("assoc", n)
-    if table is None:
-        table = phi0_table(rule, n)
-    words = [m.word for m in _m.enumerate_matchings(n)]
+    square of S vanishes (e.g. everywhere it is testable at n <= 2)."""
     defects = {}
-    for cell, v in _coboundary(table, words, 5).items():
-        if twisted:
-            e, d, c, b, a = (_m.MATCHINGS[w] for w in cell)
-            v ^= (scission_count(e, d, c) * scission_count(c, b, a)) & 1
-        if v:
-            defects[cell] = v
+    for cell, v in _coboundary(table, _table_words(table, n), 5).items():
+        e, d, c, b, a = (_m.MATCHINGS[w] for w in cell)
+        if v != (scission_count(e, d, c) * scission_count(c, b, a)) & 1:
+            defects[cell] = 1
     return defects
 
 
 def solve_coboundary(table, n):
     """lambda0 over matching triples with d^2(lambda0) = table over F2 on
     every defined cell, or None.  Canonical solution: free variables zero."""
-    _m.check_size("assoc", n)
-    return _primitive(table, [m.word for m in _m.enumerate_matchings(n)], 4)
+    return _primitive(table, _table_words(table, n), 4)
 
 
 def rule_sign_ratio(rule1, rule2, c, b, a):

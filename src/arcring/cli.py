@@ -98,7 +98,7 @@ def _cmd_assoc(args):
         return 0
     table = phi0_table(args.rule, args.n)
     if args.cocycle:
-        defects = cocycle_defect(args.rule, args.n, table)
+        defects = cocycle_defect(table, args.n)
         if defects:
             for quint in sorted(defects):
                 print("defect: " + "|".join(quint))
@@ -162,7 +162,7 @@ def _verify_iso(n, rule):
 def _verify_cocycle(n, rule):
     from .associator import phi0_table, cocycle_defect
     table = phi0_table(rule, n)
-    defects = cocycle_defect(rule, n, table)
+    defects = cocycle_defect(table, n)
     if defects:
         quint = "|".join(sorted(defects)[0])
         return f"chronology cocycle defect at {quint}"

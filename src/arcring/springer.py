@@ -16,8 +16,7 @@ from time import perf_counter
 
 from . import matchings as _m
 from .arc_rings import BasisMonomial, RingElement, multiply, unit
-from .zlinalg import (SparseZ, hnf_columns, hnf_reduce, signed_sum,
-                      signed_terms, smith_normal_form)
+from .zlinalg import SparseZ, hnf_columns, hnf_reduce, signed_sum, signed_terms
 
 
 def _normalize(indices):
@@ -142,19 +141,16 @@ def _eps_indices(n):
                 yield I, r
 
 
-def ideal_slice(n, d, side="left"):
+def ideal_slice(n, d):
     """Spanning set of the degree-d slice of the defining ideal:
-    all m * eps^I_r (or eps^I_r * m) with deg m + r = d."""
+    all m * eps^I_r with deg m + r = d."""
     nvars = 2 * n
     out = []
     for I, r in _eps_indices(n):
-        if r > d:
-            continue
-        eps = epsilon_generator(n, I, r)
-        for mono in _degree_monomials(nvars, d - r):
-            m = OddPolynomial(nvars)
-            m.terms = {mono: 1}
-            out.append(m * eps if side == "left" else eps * m)
+        if r <= d:
+            eps = epsilon_generator(n, I, r)
+            out.extend(OddPolynomial(nvars, {mono: 1}) * eps
+                       for mono in _degree_monomials(nvars, d - r))
     return out
 
 
@@ -184,12 +180,14 @@ class QuotientPresentation:
     Each ideal slice is brought to column Hermite normal form in one pass,
     with row i of degree d the monomial ambient[d][-1 - i] (reverse monomial
     order); its columns are x_i times the columns of the degree-(d-1)
-    echelon, plus the eps of degree d (`_slice_columns`).  The standard
-    monomials, the non-pivot rows, form the basis of the quotient: a
-    monomial is a pivot row exactly when some ideal element has it as its
-    last monomial, so they are the greedy basis that keeps each monomial, in
-    order, that is independent of the ideal and of the monomials kept
-    before it."""
+    echelon, plus the eps of degree d (`_slice_columns`).  Every pivot is 1
+    (AssertionError names a degree where one is not; none does for n <= 6),
+    so reduction clears the pivot rows and the standard monomials, the
+    non-pivot rows, form a Z-basis of the quotient; a pivot of 2 can leave
+    a monomial without coordinates (x2 modulo x1 + 2*x2).  A monomial is a
+    pivot row exactly when some ideal element has it as its last monomial,
+    so they are the greedy basis that keeps each monomial, in order, that is
+    independent of the ideal and of the monomials kept before it."""
 
     def __init__(self, n):
         _m.check_size("springer", n)
@@ -209,14 +207,9 @@ class QuotientPresentation:
             cols = _slice_columns(n, d, previous)
             H = hnf_columns({row[m]: c for m, c in col.items()}
                             for col in cols)
-            # unit pivots make the lattice saturated; otherwise the quotient
-            # is torsion-free iff every invariant factor of the slice is 1
             if any(col[r] != 1 for r, col in H.items()):
-                _, D, _ = smith_normal_form(
-                    [[col.get(i, 0) for col in H.values()]
-                     for i in range(len(monos))])
-                if any(D[i][i] != 1 for i in range(len(H))):
-                    raise AssertionError("torsion in quotient")
+                raise AssertionError(f"the ideal slice of degree {d} has a "
+                                     f"pivot other than 1")
             self.ambient[d] = monos
             self.ideal_hnf[d] = H
             self.slice_shape[d] = (len(monos), len(cols))
@@ -241,6 +234,7 @@ class QuotientPresentation:
 
     def reduces_to_zero(self, p):
         """Ideal membership, degree slice by degree slice (homogeneous)."""
+        _check_nvars(p, self.n)
         by_deg = {}
         for mono, coeff in p.terms.items():
             by_deg.setdefault(len(mono), {})[mono] = coeff
@@ -252,18 +246,17 @@ class QuotientPresentation:
 
     def basis_coordinates(self, p):
         """Coordinates of a homogeneous p in the full concatenated monomial
-        basis (all degrees) mod the ideal, or None if outside the span."""
+        basis (all degrees) mod the ideal: its remainder, which the unit
+        pivots leave on the standard monomials; zero above degree n."""
+        _check_nvars(p, self.n)
         degs = {len(m) for m in p.terms} or {0}
         if len(degs) != 1:
             raise ValueError(f"{p!r} is not homogeneous")
         d = degs.pop()
         sizes = [len(self.basis[e]) for e in range(self.n + 1)]
         if d > self.n:
-            return (0,) * sum(sizes) if self.reduces_to_zero(p) else None
+            return (0,) * sum(sizes)
         rem = self._remainder(d, p.terms)
-        H = self.ideal_hnf[d]
-        if any(r in H for r in rem):
-            return None  # a pivot above 1 leaves a residue the basis misses
         row = self._row[d]
         return tuple([0] * sum(sizes[:d])
                      + [rem.get(row[m], 0) for m in self.basis[d]]
@@ -274,14 +267,18 @@ def quotient_presentation(n):
     return QuotientPresentation(n)
 
 
+def _check_nvars(p, n):
+    if p.nvars != 2 * n:
+        raise ValueError(f"polynomial in {p.nvars} variables, need {2 * n} "
+                         f"for n = {n}")
+
+
 def map_s(p, n):
     """x_{i_1}...x_{i_r} -> Sum_a a_{i_1} ^ ... ^ a_{i_r}, where a_i is the
     circle of W(a)a through basepoint i.  Each term builds its circle mask
     in order: a circle already set kills it, and each circle set above the
     new one is a transposition, a sign."""
-    if p.nvars != 2 * n:
-        raise ValueError(f"polynomial in {p.nvars} variables, need {2 * n} "
-                         f"for n = {n}")
+    _check_nvars(p, n)
     terms = {}
     for a in _m.enumerate_matchings(n):
         pos = _m.closed_diagram(a, a)[0]
@@ -326,11 +323,8 @@ def _generator_action_holds(q, images, rule):
     nvars = 2 * n
 
     def phi(p):
-        coords = q.basis_coordinates(p)
-        if coords is None:
-            return None
         terms = {}
-        for c, img in zip(coords, images):
+        for c, img in zip(q.basis_coordinates(p), images):
             if c:
                 for mono, coeff in img.terms.items():
                     terms[mono] = terms.get(mono, 0) + c * coeff
@@ -345,8 +339,7 @@ def _generator_action_holds(q, images, rule):
         x = OddPolynomial.generator(nvars, i)
         phi_x = phi(x)
         for b, img in zip(basis_polys, images):
-            lhs = phi(x * b)
-            if lhs is None or lhs != multiply(rule, phi_x, img, memo=memo):
+            if phi(x * b) != multiply(rule, phi_x, img, memo=memo):
                 return False
     return True
 

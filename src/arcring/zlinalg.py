@@ -6,12 +6,11 @@ membership, coordinates, rank).  `hnf_columns` brings sparse integer columns
 vector modulo the lattice of such an echelon, which decides membership and,
 when every column carries a tag row of its own, leaves the coordinates in
 the tag rows; `kernel_basis_Z` reads a saturated kernel off the echelon of
-sparse columns stacked on the identity.  Two adapters take and return dense
-matrices, lists of row lists of Python ints, and are sparse inside:
-`column_hnf` wraps `hnf_columns`, and `smith_normal_form` (invariant
-factors, for torsion) is built on it by alternating `hnf_columns` passes
-over the columns and the rows, with D, U and V kept as sparse vectors until
-it returns.  Besides them: GF(2) elimination on bitset rows (`solve_f2`).
+sparse columns stacked on the identity.  Two dense adapters, which no src
+module calls (the lattice4 benchmark and the tests do), take and return lists
+of row lists of Python ints and are sparse inside: `column_hnf` wraps
+`hnf_columns`, and `smith_normal_form` alternates `hnf_columns` passes over
+columns and rows.  Besides them: GF(2) elimination on bitset rows (`solve_f2`).
 
 SparseZ is the common base of the sparse integer combinations (ring
 elements, exterior and tensor states, odd polynomials); `signed_sum` writes
@@ -251,7 +250,8 @@ def column_hnf(M):
 
 def smith_normal_form(M):
     """(U, D, V) with U*M*V = D diagonal, d1 | d2 | ... nonnegative with the
-    zeros last, U and V unimodular, all three dense.
+    zeros last, U and V unimodular, all three dense.  No src module calls
+    it; the lattice4 benchmark and the tests do.
 
     Alternating Hermite forms (Kannan-Bachem): a column pass brings the
     columns of D stacked on those of V to `hnf_columns` form, and a row pass

@@ -413,6 +413,35 @@ def test_products_reject_a_rule_that_is_no_rule():
     assert multiply(DEFAULT, x, y) == multiply_diagrammatic(DEFAULT, x, y)
 
 
+class ScanOrder(DefaultRule):
+    """The default rule with one fixed scan order for every triple."""
+
+    def __init__(self, points):
+        self.points = points
+
+    def order(self, c, b, a):
+        return self.points
+
+
+@pytest.mark.parametrize("points, match", [
+    ((1,), "leaves an arc of \\(\\)\\(\\) unresolved"),
+    ((1, 2, 3, 4, 9), "scan point 9 is not in 1..4"),
+    ((0, 1, 2, 3, 4), "scan point 0 is not in 1..4"),
+    ((-1, 1, 2, 3, 4), "scan point -1 is not in 1..4"),
+], ids=["arc-unresolved", "point-9", "point-0", "point-minus-1"])
+def test_plans_reject_an_order_off_the_points_or_the_arcs(points, match):
+    # (1,) left the arc (3, 4) unresolved and gave 1*[(())|(())|{}], 9 an
+    # IndexError; the error is not cached, and every arc resolved once is
+    # enough: (1, 3) names one endpoint of each
+    x, y = mono("(())", "()()"), mono("()()", "(())")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match):
+            multiply(ScanOrder(points), x, y)
+    want = parse_element("-1*[(())|(())|{1}] + 1*[(())|(())|{2}]")
+    assert multiply(DEFAULT, x, y) == want
+    assert multiply(ScanOrder((1, 3)), x, y) == want
+
+
 def test_even_products_reject_a_rule_that_is_no_rule():
     # the even theory plans under `default` whatever the rule, but a rule
     # that is no MultiplicationRule is still an error, as in the odd theory

@@ -99,15 +99,51 @@ def test_full_associator_identity_n2():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_twisted_cocycle(rule_name, n):
     table = phi0_table(BUILTIN_RULES[rule_name], n)
-    assert not cocycle_defect(BUILTIN_RULES[rule_name], n, table)
+    assert not cocycle_defect(table, n)
+
+
+def _plain_defects_and_odd_twists(rule_name, n):
+    """The 5-cells where d(phi0) is 1, and the defined 5-cells (e,d,c,b,a)
+    where S(e,d,c) * S(c,b,a) is odd."""
+    table = phi0_table(BUILTIN_RULES[rule_name], n)
+    d5 = _coboundary(table, [x.word for x in m.enumerate_matchings(n)], 5)
+    odd = {cell for cell in d5
+           if scission_count(*map(m.Matching, cell[:3]))
+           * scission_count(*map(m.Matching, cell[2:])) & 1}
+    return {cell for cell, v in d5.items() if v}, odd
 
 
 def test_plain_cocycle_holds_at_n2():
     # the cup-square twist vanishes on all defined cells for n <= 2
     for rule_name in ("default", "ord"):
-        table = phi0_table(BUILTIN_RULES[rule_name], 2)
-        assert not cocycle_defect(BUILTIN_RULES[rule_name], 2, table,
-                                  twisted=False)
+        assert _plain_defects_and_odd_twists(rule_name, 2) == (set(), set())
+
+
+@pytest.mark.parametrize("rule_name", ["default", "ord"])
+def test_plain_cocycle_fails_on_18_quintuples_at_n3(rule_name):
+    # exactly where the twist is odd, so the twisted identity holds
+    plain, odd = _plain_defects_and_odd_twists(rule_name, 3)
+    assert plain == odd and len(plain) == 18
+
+
+def test_cochain_checks_reject_a_table_of_another_size(monkeypatch):
+    # ValueError before any work unless the keys are exactly the 4-cells
+    # of size n; an n = 2 table at n = 3 raised KeyError
+    table = phi0_table(DEFAULT, 2)
+    missing = dict(table)
+    del missing[next(iter(table))]
+    swapped = {**missing, ("()",) * 4: 0}
+
+    def no_work(*args):
+        raise AssertionError("work done before the table was checked")
+
+    monkeypatch.setattr(associator, "_coboundary", no_work)
+    monkeypatch.setattr(associator, "_primitive", no_work)
+    for bad, n in ((table, 3), (table, 1), (missing, 2), (swapped, 2),
+                   ({}, 1)):
+        for call in (cocycle_defect, solve_coboundary):
+            with pytest.raises(ValueError, match="4-cells of size"):
+                call(bad, n)
 
 
 def test_coboundary_solution_n2():

@@ -327,13 +327,21 @@ import arcring.associator as A
 import arcring.matchings as M
 from arcring.arc_rings import BUILTIN_RULES
 from arcring.exterior import EvenTensorElement, ExteriorElement
-from arcring.arc_rings import MultiplicationRule, _plan_of_words
+from arcring.arc_rings import DefaultRule, MultiplicationRule, _plan_of_words
 from arcring.functors import Birth, Split, apply_word, compile_word, merge_op
 
 
 class OffArc(MultiplicationRule):
     def split_source(self, c, b, a, scan, partner, *keys):
         return 0
+
+
+class ScanOrder(DefaultRule):
+    def __init__(self, points):
+        self.points = points
+
+    def order(self, c, b, a):
+        return self.points
 
 DEFAULT = BUILTIN_RULES["default"]
 W2 = [a.word for a in M.enumerate_matchings(2)]
@@ -372,6 +380,10 @@ for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
             lambda: epsilon_generator(2, (1, 2, 9), 1),
             lambda: quotient_presentation(2).basis_coordinates(
                 parse_poly("x1 + x1x2", 4)),
+            lambda: quotient_presentation(2).basis_coordinates(
+                parse_poly("x1", 2)),
+            lambda: quotient_presentation(2).reduces_to_zero(
+                parse_poly("x5", 6)),
             lambda: map_s(x1, 3),
             lambda: qint(-1),
             lambda: _div_one_minus([1], 0),
@@ -392,7 +404,12 @@ for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
             eta_not_a_cocycle,
             lambda: _plan_of_words(OffArc(), "()()", "(())", "()()"),
             lambda: merge_op(2, 1, 3),
-            lambda: compile_word([Birth(1), Split(3)], 1)):
+            lambda: compile_word([Birth(1), Split(3)], 1),
+            lambda: A.cocycle_defect(A.phi0_table(DEFAULT, 2), 3),
+            lambda: A.solve_coboundary({}, 2),
+            lambda: _plan_of_words(ScanOrder((1,)), "()()", "()()", "()()"),
+            lambda: _plan_of_words(ScanOrder((1, 2, 3, 4, 9)), "()()",
+                                   "()()", "()()")):
     try:
         bad()
     except (ValueError, AttributeError, AssertionError) as exc:
@@ -400,6 +417,17 @@ for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
 """)
     assert proc.stdout.split() == (
         ["False"] + ["ValueError"] * 2 + ["AttributeError"]
-        + ["AssertionError"] + ["ValueError"] * 3 + ["AssertionError"] * 4
+        + ["AssertionError"] + ["ValueError"] * 5 + ["AssertionError"] * 4
         + ["ValueError"] * 2 + ["AssertionError"] * 2 + ["None"]
-        + ["AssertionError"] * 2 + ["ValueError"] * 3), proc.stderr
+        + ["AssertionError"] * 2 + ["ValueError"] * 7), proc.stderr
+
+
+def test_non_unit_pivot_raises_under_optimize():
+    proc = _run_optimized("-c", """
+import arcring.springer as S
+S._slice_columns = lambda n, d, previous: [{(2,): 2}] if d == 1 else []
+S.QuotientPresentation(1)
+""")
+    assert proc.returncode == 1
+    assert proc.stderr.endswith("AssertionError: the ideal slice of degree 1 "
+                                "has a pivot other than 1\n"), proc.stderr

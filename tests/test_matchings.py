@@ -153,7 +153,7 @@ def test_bad_word_rejected():
     ("springer", lambda n: springer.verify_springer_iso(n, DEFAULT)),
     ("springer", springer.even_presentation_check),
     ("assoc", lambda n: associator.phi0_table(DEFAULT, n)),
-    ("assoc", lambda n: associator.cocycle_defect(DEFAULT, n)),
+    ("assoc", lambda n: associator.cocycle_defect({}, n)),
     ("assoc", lambda n: associator.solve_coboundary({}, n)),
     ("relations", lambda n: functors.verify_relations(n, "odd")),
 ])

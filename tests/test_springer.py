@@ -263,24 +263,29 @@ def test_basis_coordinates_reduce_mod_ideal():
 
 def test_non_unit_pivots(monkeypatch):
     """A degree-1 slice whose HNF pivot is 2 (the real slices have unit
-    pivots): a saturated one keeps its quotient, whose standard monomial
-    x1 does not span x2, and a torsion one is rejected by the Smith form.
-    The other degrees come from the `ideal_slice` oracle."""
+    pivots) is refused with its degree named: a saturated one, where the
+    standard monomial x1 would leave x2 without coordinates, and a torsion
+    one.  The other degrees come from the `ideal_slice` oracle."""
     import arcring.springer as sp
 
-    def with_degree_1(text):
-        monkeypatch.setattr(sp, "_slice_columns", lambda n, d, previous: (
-            [parse_poly(text, 2).terms] if d == 1
-            else [p.terms for p in ideal_slice(n, d)]))
+    for text in ("x1 + 2*x2", "2*x1 - 2*x2"):
+        monkeypatch.setattr(sp, "_slice_columns",
+                            lambda n, d, previous, text=text: (
+                                [parse_poly(text, 2).terms] if d == 1
+                                else [p.terms for p in ideal_slice(n, d)]))
+        with pytest.raises(AssertionError, match="degree 1 has a pivot"):
+            sp.QuotientPresentation(1)
 
-    with_degree_1("x1 + 2*x2")
-    q = sp.QuotientPresentation(1)
-    assert q.basis[1] == [(1,)]
-    assert q.basis_coordinates(parse_poly("x1", 2)) == (0, 1)
-    assert q.basis_coordinates(parse_poly("x2", 2)) is None
-    with_degree_1("2*x1 - 2*x2")
-    with pytest.raises(AssertionError, match="torsion"):
-        sp.QuotientPresentation(1)
+
+def test_quotient_rejects_polynomials_of_another_size():
+    # x1 of OPol_2 is no element of OPol_4 (it was read as x1 of OPol_4),
+    # and x5 of OPol_6 and x1x1x2 of OPol_2 raised KeyError
+    q = quotient_cached(2)
+    for p in (parse_poly("x1", 2), parse_poly("x5", 6),
+              parse_poly("x1x1x2", 2)):
+        for call in (q.basis_coordinates, q.reduces_to_zero):
+            with pytest.raises(ValueError, match="variables, need 4"):
+                call(p)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -296,15 +301,17 @@ def test_incremental_slices_match_ideal_slice(n):
 
 
 def test_left_ideal_equals_right_ideal():
+    # ideal_slice spans the left ideal by the m * eps; the eps * m span the
+    # same lattice
     for n in (1, 2):
         nvars = 2 * n
         for d in range(n + 2):
             monos = _degree_monomials(nvars, d)
             row_of = {mo: i for i, mo in enumerate(monos)}
 
-            def mat(side):
+            def mat(polys):
                 cols = []
-                for p in ideal_slice(n, d, side):
+                for p in polys:
                     col = [0] * len(monos)
                     for mo, c in p.terms.items():
                         col[row_of[mo]] = c
@@ -312,7 +319,12 @@ def test_left_ideal_equals_right_ideal():
                 return ([[c[i] for c in cols] for i in range(len(monos))]
                         if cols else [[] for _ in monos])
 
-            assert column_hnf(mat("left")) == column_hnf(mat("right"))
+            right = [epsilon_generator(n, I, r) * OddPolynomial(nvars,
+                                                                 {mo: 1})
+                     for I, r in _eps_indices(n) if r <= d
+                     for mo in _degree_monomials(nvars, d - r)]
+            assert column_hnf(mat(ideal_slice(n, d))) == column_hnf(
+                mat(right))
 
 
 def test_mod2_basis_stability():
