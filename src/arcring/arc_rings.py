@@ -436,6 +436,7 @@ def block_map(rule, theory, c, b, a):
     uses the default one."""
     if theory not in ("odd", "even"):
         raise ValueError(f"unknown theory {theory!r}")
+    _m.check_matchings(c, b, a)
     _word_triple((c.word, b.word, a.word))
     if theory == "even":
         _check_rule(rule)

@@ -229,33 +229,31 @@ def eta_table(rule1, rule2, n):
 
 def compare_rules(rule1, rule2, n):
     """(first quadruple, in enumeration order, where the phi0 tables differ,
-    or None; a per-pair sign table eps, or None).  If the two rules have the
-    same chronology associator, eps makes x -> (-1)^eps(block of x) * x a
-    ring isomorphism (`_rule_isomorphism`); eps is None if the associators
-    differ or no such eps exists.  Equal rules share one phi0 table."""
-    _check_rule(rule1, rule2)
-    t1 = phi0_table(rule1, n)
-    t2 = t1 if rule2 is rule1 else phi0_table(rule2, n)
-    diff = next((quad for quad in sorted(t1) if t1[quad] != t2[quad]), None)
-    if diff is not None:
-        return diff, None
-    return None, _rule_isomorphism(rule1, rule2, n, t1)
+    or None; a per-pair sign table eps, or None).  eps is None unless the
+    associators agree and _primitive finds d(eps) = eta on every defined
+    triple; then x -> (-1)^eps(block of x) * x is a ring isomorphism, as
+    eta_table certifies B1 = (-1)^eta * B2 on every pair of each triple's
+    block maps, both vanishing where eta is undefined.
 
-
-def _rule_isomorphism(rule1, rule2, n, table):
-    """The eps of compare_rules for rules with equal associators, `table` the
-    phi0 table of both, or None if no eps solves d(eps) = eta.  The two
-    associators differ by d(eta) wherever phi0 is defined, so eta must be a
-    2-cocycle there; where phi0 is undefined both reassociations vanish and
-    d(eta) is free.  No product needs checking: x -> (-1)^eps(block of x) * x
-    is a ring map iff the block maps of each triple satisfy B1 =
-    (-1)^d(eps) * B2 on every pair; eta_table certifies B1 = (-1)^eta * B2
-    on every pair, both maps vanishing where eta is undefined, and
-    _primitive certifies d(eps) = eta on every defined triple."""
-    eta = eta_table(rule1, rule2, n)
+    Hence, for x in d(.)c, y in c(.)b and z in b(.)a, (x.2y).2z =
+    (-1)^(eta(d,c,b) + eta(d,b,a)) (x.1y).1z and x.2(y.2z) =
+    (-1)^(eta(c,b,a) + eta(d,c,a)) x.1(y.1z).  The phi1 factor does not
+    depend on the rule, so phi0 under rule2 is phi0 under rule1 times
+    (-1)^d(eta), given rule1's associator (`phi0_table` checks it); a cell
+    with an undefined eta face has a reassociation vanishing under both
+    rules, so phi0 is undefined there under both.  No phi0 table is built:
+    the first cell with d(eta) = 1 and phi0 defined is the difference,
+    checked under rule2."""
+    eta = eta_table(rule1, rule2, n)  # checks both rules and n first
     words = [m.word for m in _m.enumerate_matchings(n)]
-    if any(v and table[quad] is not None
-           for quad, v in _coboundary(eta, words, 4).items()):
-        raise AssertionError("eta is not a 2-cocycle despite equal "
-                             "associators")
-    return _primitive(eta, words, 3)
+    memo, blocks = {}, {}
+    for cell, bit in _coboundary(eta, words, 4).items():  # sorted order
+        if bit:
+            quad = [_m.MATCHINGS[w] for w in cell]
+            sign = phi0(rule1, *quad, memo=memo, blocks=blocks)
+            if sign is not None:
+                if phi0(rule2, *quad, memo=memo, blocks=blocks) != -sign:
+                    raise AssertionError(f"phi0 keeps its sign at "
+                                         f"{'|'.join(cell)}, where d(eta) = 1")
+                return cell, None
+    return None, _primitive(eta, words, 3)

@@ -209,6 +209,8 @@ def center_structure_constants(basis, rule):
     blocks multiply to 0, and within one block a(.)a the product is the
     wedge (odd) or tensor (even) product on the circles of W(a)a, which
     `diagonal_product_witness` checks first; both are associative."""
+    if not isinstance(basis, CenterBasis):
+        raise ValueError(f"{basis!r} is not a CenterBasis")
     _m.check_size("center", basis.n)
     theory = "even" if basis.flavor == "even-center" else "odd"
     witness = diagonal_product_witness(basis.n, rule, theory)

@@ -27,11 +27,19 @@ SIZE_LIMITS = {"matching": 12, "basis": 5, "center": 5, "springer": 5,
 
 
 def check_size(what, n):
-    """Raise ValueError unless 1 <= n <= SIZE_LIMITS[what]."""
+    """Raise ValueError unless n is an int, not a bool, with 1 <= n <=
+    SIZE_LIMITS[what]."""
     limit = SIZE_LIMITS[what]
-    if not isinstance(n, int) or not 1 <= n <= limit:
-        raise ValueError(f"n={n} out of range for {what}: "
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= limit:
+        raise ValueError(f"n={n!r} out of range for {what}: "
                          f"need 1 <= n <= {limit}")
+
+
+def check_matchings(*args):
+    """Raise ValueError unless every argument is a Matching."""
+    for a in args:
+        if type(a) is not Matching:
+            raise ValueError(f"{a!r} is not a Matching")
 
 
 class _Cache(dict):
@@ -98,7 +106,7 @@ def _matching(word):
 MATCHINGS = _Cache(_matching)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True is no cache hit for 1
 def enumerate_matchings(n):
     """All matchings of 2n points, in lexicographic word order ('(' < ')')."""
     check_size("matching", n)
@@ -140,7 +148,9 @@ def circle_positions(outer, inner):
 @lru_cache(maxsize=None)
 def closed_diagram(b, a):
     """(pos, count) of the closed diagram W(b)a: pos[i], a tuple, is the
-    circle through basepoint i, numbered by least basepoint."""
+    circle through basepoint i, numbered by least basepoint.  Checked in
+    the body, so a cache hit pays nothing for it."""
+    check_matchings(b, a)
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.word} vs {b.word}")
     pos, count = circle_positions(a.partner, b.partner)
@@ -149,12 +159,14 @@ def closed_diagram(b, a):
 
 def distance(a, b):
     """d(a, b) = n - number of circles of W(b)a."""
-    return a.n - closed_diagram(b, a)[1]
+    circles = closed_diagram(b, a)[1]  # checks a and b before a.n is read
+    return a.n - circles
 
 
 def is_arrow(a, b):
     """True iff a -> b: exactly one quadruple i<j<k<l with (i,j),(k,l) arcs of
     a and (i,l),(j,k) arcs of b, all other arcs shared."""
+    check_matchings(a, b)
     if a.n != b.n:
         raise ValueError("size mismatch")
     diff_a = sorted(set(a.arcs()) - set(b.arcs()))
@@ -169,6 +181,7 @@ def is_arrow(a, b):
 
 def lower_arc_count(a):
     """t(a): number of outermost arcs = '(' at nesting depth 0."""
+    check_matchings(a)
     depth = 0
     count = 0
     for ch in a.word:

@@ -15,7 +15,8 @@ import re
 from time import perf_counter
 
 from . import matchings as _m
-from .arc_rings import BasisMonomial, RingElement, multiply, unit
+from .arc_rings import (BasisMonomial, RingElement, _check_rule, multiply,
+                        unit)
 from .zlinalg import SparseZ, hnf_columns, hnf_reduce, signed_sum, signed_terms
 
 
@@ -178,22 +179,22 @@ class QuotientPresentation:
     """Per-degree data of OPol_{2n} / (the eps-generated ideal).
 
     Each ideal slice is brought to column Hermite normal form in one pass,
-    with row i of degree d the monomial ambient[d][-1 - i] (reverse monomial
-    order); its columns are x_i times the columns of the degree-(d-1)
-    echelon, plus the eps of degree d (`_slice_columns`).  Every pivot is 1
-    (AssertionError names a degree where one is not; none does for n <= 6),
-    so reduction clears the pivot rows and the standard monomials, the
-    non-pivot rows, form a Z-basis of the quotient; a pivot of 2 can leave
-    a monomial without coordinates (x2 modulo x1 + 2*x2).  A monomial is a
-    pivot row exactly when some ideal element has it as its last monomial,
-    so they are the greedy basis that keeps each monomial, in order, that is
-    independent of the ideal and of the monomials kept before it."""
+    with row i of degree d the i-th monomial of degree d counted from the
+    last (reverse monomial order); its columns are x_i times the columns of
+    the degree-(d-1) echelon, plus the eps of degree d (`_slice_columns`).
+    Every pivot is 1 (AssertionError names a degree where one is not; none
+    does for n <= 6), so reduction clears the pivot rows and the standard
+    monomials, the non-pivot rows, form a Z-basis of the quotient; a pivot
+    of 2 can leave a monomial without coordinates (x2 modulo x1 + 2*x2).  A
+    monomial is a pivot row exactly when some ideal element has it as its
+    last monomial, so they are the greedy basis that keeps each monomial, in
+    order, that is independent of the ideal and of the monomials kept
+    before it."""
 
     def __init__(self, n):
         _m.check_size("springer", n)
         self.n = n
         nvars = 2 * n
-        self.ambient = {}      # degree -> list of monomial tuples
         self.ideal_hnf = {}    # degree -> hnf_columns echelon of the slice
         self.slice_shape = {}  # degree -> (monomials, columns eliminated)
         self.graded_rank = {}
@@ -210,7 +211,6 @@ class QuotientPresentation:
             if any(col[r] != 1 for r, col in H.items()):
                 raise AssertionError(f"the ideal slice of degree {d} has a "
                                      f"pivot other than 1")
-            self.ambient[d] = monos
             self.ideal_hnf[d] = H
             self.slice_shape[d] = (len(monos), len(cols))
             self.graded_rank[d] = len(monos) - len(H)
@@ -268,6 +268,8 @@ def quotient_presentation(n):
 
 
 def _check_nvars(p, n):
+    if not isinstance(p, OddPolynomial):
+        raise ValueError(f"{p!r} is not an OddPolynomial")
     if p.nvars != 2 * n:
         raise ValueError(f"polynomial in {p.nvars} variables, need {2 * n} "
                          f"for n = {n}")
@@ -355,6 +357,7 @@ def verify_springer_iso(n, rule):
     not the wedge product."""
     from .centers import diagonal_product_witness, odd_center
 
+    _check_rule(rule)
     _m.check_size("springer", n)
     cert = {"n": n, "rule": rule.name, "stages": {}, "seconds": {},
             "passed": False}

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -474,18 +475,108 @@ def test_primitive_solves_the_n4_nerve_system():
     assert _coboundary(prim, words, 4) == dlam
 
 
-@pytest.mark.parametrize("other, tables", [("flip-default", 2),
-                                           ("default", 1)])
-def test_compare_builds_each_phi0_table_once(monkeypatch, capsys, other,
-                                             tables):
+def _two_table_compare(rule1, rule2, n):
+    """compare_rules as it was built on both phi0 tables: the first cell
+    where they differ, else eps from eta, which must be a 2-cocycle
+    wherever the shared table is defined."""
+    t1, t2 = _phi0_tables(rule1, n), _phi0_tables(rule2, n)
+    diff = next((quad for quad in sorted(t1) if t1[quad] != t2[quad]), None)
+    if diff is not None:
+        return diff, None
+    eta, words = eta_table(rule1, rule2, n), words_of(n)
+    assert not any(v and t1[quad] is not None
+                   for quad, v in _coboundary(eta, words, 4).items())
+    return None, _primitive(eta, words, 3)
+
+
+def _half_flip(base, seed):
+    """base with split orientations reversed on a seeded half of the
+    triples of sizes 1..3."""
+    triples = [t for n in (1, 2, 3) for t in product(words_of(n), repeat=3)]
+    rng = random.Random(seed)
+    return FlippedRule(base, rng.sample(triples, len(triples) // 2))
+
+
+SIX_RULES = {"default": DEFAULT, "ord": ORD, "flip-default": FLIP,
+             "flip-ord": FlippedRule(ORD),
+             "half-default": _half_flip(DEFAULT, 1),
+             "half-ord": _half_flip(ORD, 2)}
+_phi0_tables = lru_cache(maxsize=None)(phi0_table)
+
+
+@pytest.mark.parametrize("n, rule1, rule2", [
+    (n, r1, r2) for n in (1, 2) for r1 in SIX_RULES for r2 in SIX_RULES] + [
+    (3, "default", "ord"), (3, "default", "flip-default"),
+    (3, "default", "half-default"), (3, "ord", "flip-ord"),
+    (3, "half-ord", "ord"), (3, "half-default", "half-ord"),
+    (3, "flip-ord", "default")])
+def test_compare_rules_matches_the_two_table_oracle(n, rule1, rule2):
+    rules = SIX_RULES[rule1], SIX_RULES[rule2]
+    assert compare_rules(*rules, n) == _two_table_compare(*rules, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("rule_name", sorted(SIX_RULES))
+def test_phi0_differs_between_rules_by_d_eta(n, rule_name):
+    # phi0 under a rule is phi0 under the default times (-1)^d(eta), and
+    # undefined on the same cells, d(eta) being defined wherever phi0 is
+    eta = eta_table(DEFAULT, SIX_RULES[rule_name], n)
+    d = _coboundary(eta, words_of(n), 4)
+    want = {cell: None if v is None else v ^ d[cell]
+            for cell, v in _phi0_tables(DEFAULT, n).items()}
+    assert _phi0_tables(SIX_RULES[rule_name], n) == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_compare_rules_catches_a_negated_eta_bit(monkeypatch, n):
+    # default and flip-default are isomorphic, so eta is a 2-cocycle; with
+    # one bit negated, the first cell where d(eta) = 1 and phi0 is defined
+    # must be named, as phi0 there keeps its sign under the flipped rule;
+    # where there is none, no difference is found
+    words, table = words_of(n), _phi0_tables(DEFAULT, n)
+    real = eta_table(DEFAULT, FLIP, n)
+    caught = 0
+    for triple in sorted(t for t, v in real.items() if v is not None):
+        eta = dict(real)
+        eta[triple] ^= 1
+        monkeypatch.setattr(associator, "eta_table", lambda *args: eta)
+        want = next((cell for cell, v in _coboundary(eta, words, 4).items()
+                     if v and table[cell] is not None), None)
+        if want is None:
+            assert compare_rules(DEFAULT, FLIP, n)[0] is None
+            continue
+        with pytest.raises(AssertionError) as info:
+            compare_rules(DEFAULT, FLIP, n)
+        assert str(info.value) == (f"phi0 keeps its sign at "
+                                   f"{'|'.join(want)}, where d(eta) = 1")
+        caught += 1
+    assert caught >= len(real) // 2
+
+
+@pytest.mark.parametrize("other", ["flip-default", "default", "ord"])
+def test_compare_builds_no_phi0_table(monkeypatch, capsys, other):
+    def no_table(rule, n):
+        raise AssertionError("compare built a phi0 table")
+
+    monkeypatch.setattr(associator, "phi0_table", no_table)
+    want = 1 if other == "ord" else 0
+    assert main(["assoc", "--n", "3", "--compare", other]) == want
+    assert "associators " in capsys.readouterr().out
+
+
+def test_compare_runs_phi0_on_the_first_difference_only(monkeypatch):
+    # between default and ord at n = 3, phi0 under default runs on the
+    # cells where d(eta) is 1 until it is defined, on the third, and under
+    # ord on that one only; isomorphic rules need no phi0 at all
     calls = []
-    real = associator.phi0_table
+    real = associator.phi0
 
-    def counting(rule, n):
+    def counting(rule, *cell, **kwargs):
         calls.append(rule)
-        return real(rule, n)
+        return real(rule, *cell, **kwargs)
 
-    monkeypatch.setattr(associator, "phi0_table", counting)
-    assert main(["assoc", "--n", "2", "--compare", other]) == 0
-    assert "verified isomorphism" in capsys.readouterr().out
-    assert len(calls) == tables
+    monkeypatch.setattr(associator, "phi0", counting)
+    assert compare_rules(DEFAULT, FLIP, 3)[0] is None and calls == []
+    assert compare_rules(DEFAULT, ORD, 3)[0] == (
+        "((()))", "(()())", "(())()", "((()))")
+    assert calls == [DEFAULT] * 3 + [ORD]

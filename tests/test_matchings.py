@@ -140,9 +140,13 @@ def test_bad_word_rejected():
         m.Matching("))((")
 
 
+# a bool is no size, but "()" * True is a word of size 1
+WORD_OF_SIZE = lambda n: m.Matching("()" * n)  # noqa: E731
+
+
 @pytest.mark.parametrize("what, call", [
     ("matching", m.enumerate_matchings),
-    ("matching", lambda n: m.Matching("()" * n)),
+    ("matching", WORD_OF_SIZE),
     ("basis", arc_rings.ring_basis),
     ("center", lambda n: centers.odd_center(n, DEFAULT)),
     ("center", lambda n: centers.ring_center(n, DEFAULT)),
@@ -158,7 +162,36 @@ def test_bad_word_rejected():
     ("relations", lambda n: functors.verify_relations(n, "odd")),
 ])
 def test_size_limits_raise(what, call):
-    # n = limit + 1 would run for minutes or more if it were not rejected
-    for n in (0, m.SIZE_LIMITS[what] + 1):
-        with pytest.raises(ValueError, match="out of range"):
+    # n = limit + 1 would run for minutes or more if it were not rejected;
+    # isinstance(True, int) holds, yet True is no size either
+    bools = () if call is WORD_OF_SIZE else (True, False)
+    for n in (0, m.SIZE_LIMITS[what] + 1, *bools):
+        with pytest.raises(ValueError, match=f"n={n!r} out of range"):
             call(n)
+
+
+def test_wrong_typed_arguments_raise_value_error():
+    # words, strings and rule names where a Matching, a polynomial, a center
+    # basis or a rule belongs: ValueError, not AttributeError or TypeError
+    a, b = "(())", "()()"
+    A, B = m.Matching(a), m.Matching(b)
+    for call in (lambda: associator.phi0(DEFAULT, a, b, a, b),
+                 lambda: associator.scission_count(a, b, a),
+                 lambda: m.closed_diagram(b, a),
+                 lambda: m.closed_diagram(B, a),
+                 lambda: m.distance(a, b),
+                 lambda: m.distance(A, b),
+                 lambda: m.is_arrow(a, b),
+                 lambda: m.lower_arc_count(a),
+                 lambda: arc_rings.block_monomials(a, b),
+                 lambda: arc_rings.block_map(DEFAULT, "odd", a, b, a),
+                 lambda: arc_rings.block_map(DEFAULT, "even", A, B, a),
+                 lambda: associator.rule_sign_ratio(DEFAULT, DEFAULT,
+                                                    a, b, a),
+                 lambda: springer.verify_springer_iso(2, "default"),
+                 lambda: centers.center_structure_constants("x", DEFAULT),
+                 lambda: springer.map_s("x1", 1)):
+        with pytest.raises(ValueError, match="is not a"):
+            call()
+    # and on Matchings the checked functions still work
+    assert m.distance(A, B) == 1 and m.lower_arc_count(B) == 2

@@ -332,7 +332,7 @@ def test_mod2_basis_stability():
     for n in (1, 2):
         q = quotient_presentation(n)
         for d in range(n + 1):
-            monos = q.ambient[d]
+            monos = _degree_monomials(2 * n, d)
             # row i of the echelon is the monomial monos[-1 - i]
             cols = [[col.get(len(monos) - 1 - i, 0) for i in range(len(monos))]
                     for col in q.ideal_hnf[d].values()]
