@@ -82,8 +82,8 @@ class BasisMonomial(tuple):
         return len(self.top) // 2
 
     def degree(self):
-        count = _m.closed_diagram(_m.MATCHINGS[self.top],
-                                  _m.MATCHINGS[self.bottom])[1]
+        count = _m._closed_diagram(_m.MATCHINGS[self.top],
+                                   _m.MATCHINGS[self.bottom])[1]
         return 2 * self.mask.bit_count() - count + self.n
 
     def sort_key(self):
@@ -126,7 +126,7 @@ class RingElement(SparseZ):
 def block_monomials(top, bottom):
     """The basis monomials [top|bottom|s] of one block, ordered by |s| and
     then by the sorted circle indices of s."""
-    k = _m.closed_diagram(top, bottom)[1]
+    k = _m._closed_diagram(top, bottom)[1]
     return [tuple.__new__(BasisMonomial, (top.word, bottom.word,
                                           sum(1 << i for i in s)))
             for p in range(k + 1) for s in combinations(range(k), p)]
@@ -355,8 +355,8 @@ def _plan_of_words(rule, c, b, a):
     _check_rule(rule)
     c, b, a = _m.MATCHINGS[c], _m.MATCHINGS[b], _m.MATCHINGS[a]
     m = 2 * c.n
-    upper, top = _m.closed_diagram(c, b)
-    lower, bottom = _m.closed_diagram(b, a)
+    upper, top = _m._closed_diagram(c, b)
+    lower, bottom = _m._closed_diagram(b, a)
     # top point k is k and bottom point k is m + k
     pos = list(upper) + [top + k for k in lower[1:]]
     outer = c.partner + [m + k for k in a.partner[1:]]
@@ -379,7 +379,7 @@ def _plan_of_words(rule, c, b, a):
             pos = [x if x < hi else lo if x == hi else x - 1 for x in pos]
             continue
         new = (_m.circle_positions(outer, inner)[0] if left
-               else _m.closed_diagram(c, a)[0])
+               else _m._closed_diagram(c, a)[0])
         i, j = new[col], new[partner]
         src = rule.split_source(c, b, a, col, partner, i, j)
         if src not in (col, partner):
@@ -442,8 +442,8 @@ def block_map(rule, theory, c, b, a):
         _check_rule(rule)
         rule = BUILTIN_RULES["default"]
     _, ops, top = _plan_of_words(rule, c.word, b.word, a.word)
-    states = _f._tagged_basis(top + _m.closed_diagram(b, a)[1])
-    final = _m.closed_diagram(c, a)[1]
+    states = _f._tagged_basis(top + _m._closed_diagram(b, a)[1])
+    final = _m._closed_diagram(c, a)[1]
     out = {}
     for key, coeff in _f.run_word(ops, states, theory).items():
         tag = key >> final

@@ -17,9 +17,10 @@ the circle map: OZ, Z(OH^n), the diagonal products and the Springer
 certificate are the same under every rule (pinned for n <= 4 in the tests).
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count
+from itertools import count
 
 from . import matchings as _m
 from .arc_rings import (BUILTIN_RULES, BasisMonomial, RingElement,
@@ -93,46 +94,38 @@ class CenterBasis:
         return self.coordinates(elem) is not None
 
 
-def _add_rows(columns, rows, images):
-    """Add the rows of the constraint Sum_j x_j sign_j image_j = 0 to the
-    per-unknown sparse columns, from (j, sign_j, image_j): one row per output
-    monomial in order of first appearance, numbered by the counter `rows`."""
-    row_of = {}
-    for j, sign, image in images:
-        col = columns[j]
-        for out_mono, coeff in image.terms.items():
-            row = row_of.get(out_mono)
-            if row is None:
-                row = row_of[out_mono] = next(rows)
-            col[row] = col.get(row, 0) + sign * coeff
-
-
 def _pair_constraints(ones, rule, theory, blocks, columns, rows):
-    """Rows of the system {z_a.1_ab - 1_ab.z_b = 0}, one group of rows per
-    ordered pair (a, b), from `ones`, (a before b, a word, b word, 1_ab) per
-    pair: the images live in a(.)b.  Only the unknowns of blocks a and b
-    enter, in index order."""
+    """Rows of {z_a.1_ab - 1_ab.z_b = 0}, one group per (a before b, word a,
+    word b, 1_ab) in `ones`: a row per monomial of a(.)b in order of first
+    appearance, numbered by `rows`; each unknown of a or b in fresh rows."""
     for a_first, a, b, one_ab in ones:
-        left = ((j, 1, multiply(rule, z, one_ab, theory))
-                for j, z in blocks.get(a, ()))
-        right = ((j, -1, multiply(rule, one_ab, z, theory))
-                 for j, z in blocks.get(b, ()))
-        _add_rows(columns, rows,
-                  chain(left, right) if a_first else chain(right, left))
+        row_of = defaultdict(rows.__next__)
+        for word, sign in ((a, 1), (b, -1)) if a_first else ((b, -1), (a, 1)):
+            for j, z in blocks.get(word, ()):
+                col = columns[j]
+                image = (multiply(rule, z, one_ab, theory) if sign == 1 else
+                         multiply(rule, one_ab, z, theory))
+                for out_mono, coeff in image.terms.items():
+                    col[row_of[out_mono]] = sign * coeff
 
 
 def _commutation_constraints(n, rule, blocks, columns, rows):
-    """Rows of {z_a ^ g - g ^ z_a = 0} for degree-1 diagonal generators g,
-    one group of rows per g; only the unknowns of g's block enter."""
+    """Rows of {z_a ^ g - g ^ z_a = 0}, one group per degree-1 diagonal
+    generator g, numbered as in `_pair_constraints`: g's block alone."""
     for gen in diagonal_monomials(n, 1):
         g = RingElement.monomial(gen)
-        _add_rows(columns, rows, (
-            term for j, z in blocks.get(gen.top, ())
-            for term in ((j, 1, multiply(rule, z, g)),
-                         (j, -1, multiply(rule, g, z)))))
+        row_of = defaultdict(rows.__next__)
+        for j, z in blocks.get(gen.top, ()):
+            col = columns[j]
+            zg, gz = multiply(rule, z, g), multiply(rule, g, z)
+            for sign, image in ((1, zg), (-1, gz)):
+                for out_mono, coeff in image.terms.items():
+                    row = row_of[out_mono]
+                    col[row] = col.get(row, 0) + sign * coeff
 
 
 def _solve(n, rule, theory, flavor):
+    _m.check_size("center", n)
     basis = CenterBasis(n=n, flavor=flavor)
     mats = _m.enumerate_matchings(n)
     # 1_ab per ordered pair a != b, in enumeration order, built once for
@@ -165,19 +158,16 @@ def _solve(n, rule, theory, flavor):
 
 def odd_center(n, rule):
     """OZ(OH^n): elements with z_a.1_ab = 1_ab.z_b, solved over Z."""
-    _m.check_size("center", n)
     return _solve(n, rule, "odd", "odd-center")
 
 
 def ring_center(n, rule):
     """Z(OH^n): the odd-center system plus strict commutation with the
     degree-1 diagonal generators."""
-    _m.check_size("center", n)
     return _solve(n, rule, "odd", "odd-ring-center")
 
 
 def even_center(n):
-    _m.check_size("center", n)
     return _solve(n, BUILTIN_RULES["default"], "even", "even-center")
 
 

@@ -106,11 +106,14 @@ def _matching(word):
 MATCHINGS = _Cache(_matching)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: True is no cache hit for 1
 def enumerate_matchings(n):
     """All matchings of 2n points, in lexicographic word order ('(' < ')')."""
-    check_size("matching", n)
+    check_size("matching", n)  # before the cache lookup hashes n
+    return _enumerate_matchings(n)
 
+
+@lru_cache(maxsize=None)
+def _enumerate_matchings(n):
     words = []
 
     def build(prefix, opened, closed):
@@ -145,11 +148,16 @@ def circle_positions(outer, inner):
     return pos, count
 
 
-@lru_cache(maxsize=None)
 def closed_diagram(b, a):
-    """(pos, count) of the closed diagram W(b)a: pos[i], a tuple, is the
-    circle through basepoint i, numbered by least basepoint.  Checked in
-    the body, so a cache hit pays nothing for it."""
+    """`_closed_diagram`, checked before the cache lookup hashes b and a."""
+    check_matchings(b, a)
+    return _closed_diagram(b, a)
+
+
+@lru_cache(maxsize=None)
+def _closed_diagram(b, a):
+    """(pos, count) of the closed diagram W(b)a: pos[i], a tuple, is the circle
+    through basepoint i, numbered by least basepoint; checked on a miss."""
     check_matchings(b, a)
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.word} vs {b.word}")
@@ -159,8 +167,9 @@ def closed_diagram(b, a):
 
 def distance(a, b):
     """d(a, b) = n - number of circles of W(b)a."""
-    circles = closed_diagram(b, a)[1]  # checks a and b before a.n is read
-    return a.n - circles
+    if type(a) is not Matching or type(b) is not Matching:
+        check_matchings(a, b)  # raises before the cache lookup hashes them
+    return a.n - _closed_diagram(b, a)[1]
 
 
 def is_arrow(a, b):
@@ -174,9 +183,7 @@ def is_arrow(a, b):
     if len(diff_a) != 2 or len(diff_b) != 2:
         return False
     (i, j), (k, l) = diff_a
-    if not (i < j < k < l):
-        return False
-    return diff_b == [(i, l), (j, k)]
+    return i < j < k < l and diff_b == [(i, l), (j, k)]
 
 
 def lower_arc_count(a):

@@ -283,7 +283,7 @@ def map_s(p, n):
     _check_nvars(p, n)
     terms = {}
     for a in _m.enumerate_matchings(n):
-        pos = _m.closed_diagram(a, a)[0]
+        pos = _m._closed_diagram(a, a)[0]
         for mono, coeff in p.terms.items():
             mask = 0
             for i in mono:

@@ -125,10 +125,6 @@ def signed_terms(text, term_re):
         pos = match.end()
 
 
-def _identity(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
 def hnf_columns(columns):
     """Column Hermite normal form of the lattice spanned by sparse integer
     columns {row: int} (rows are any sortable keys, read in increasing order).
@@ -136,13 +132,18 @@ def hnf_columns(columns):
     Returns {pivot row: column} in increasing pivot order: column j is zero
     above its positive pivot, and every later pivot row holds entries in
     [0, pivot) in the earlier columns.  Canonical for the lattice.  Rows are
-    cleared one at a time: the live column with the smallest |entry| in the
-    row, the shortest among equals (less fill-in), is the pivot, every other
-    live column drops its floor quotient of it, and this repeats until the
-    pivot is alone.  That keeps the coefficients small, where pairwise
-    Euclid-and-swap let them grow; a unit pivot clears its row in one
-    pass.  Once every row is cleared, `_back_reduce` brings the earlier
-    columns into range."""
+    cleared one at a time (`_eliminate`): the live column with the smallest
+    |entry| in the row, the shortest among equals (less fill-in), is the
+    pivot, every other live column drops its floor quotient of it, and this
+    repeats until the pivot is alone.  That keeps the coefficients small,
+    where pairwise Euclid-and-swap let them grow; a unit pivot clears its
+    row in one pass.  Once every row is cleared, `_back_reduce` brings the
+    earlier columns into range."""
+    return _back_reduce(_eliminate(columns))
+
+
+def _eliminate(columns):
+    """The echelon of `hnf_columns` before `_back_reduce`."""
     lead = {}  # row -> live columns whose first nonzero entry is in it
     for col in columns:
         col = {r: v for r, v in col.items() if v}
@@ -176,20 +177,19 @@ def hnf_columns(columns):
             for k in piv:
                 piv[k] = -piv[k]
         echelon[r] = piv
-    _back_reduce(echelon)
     return echelon
 
 
 def _back_reduce(echelon):
     """Bring the entries of the earlier columns in each pivot row into
-    [0, pivot), in place: pivot by pivot in increasing order, each earlier
-    column with an entry in the pivot row drops its floor quotient of the
-    pivot column.  The forward elimination never reads echelon columns, and
-    a pivot column meets no later pivot before it reduces the earlier ones,
-    so this gives the reduction interleaved with the elimination.  Only the
-    columns in the pivot row's index are visited: the index starts from the
-    entries of each column below its own pivot, and a reduced column joins
-    the index of every later pivot row of the pivot column."""
+    [0, pivot), in place, and return the echelon: pivot by pivot in order,
+    each earlier column with an entry in the pivot row drops its quotient.
+    The forward elimination never reads echelon columns, and a pivot column
+    meets no later pivot before it reduces the earlier ones, so this gives
+    the reduction interleaved with the elimination.  Only the columns in
+    the pivot row's index are visited: the index starts from the entries of
+    each column below its own pivot, and a reduced column joins the index
+    of every later pivot row of the pivot column."""
     cols = list(echelon.values())
     holders = {r: set() for r in echelon}  # pivot row -> earlier columns in it
     for j, (r, col) in enumerate(echelon.items()):
@@ -208,6 +208,7 @@ def _back_reduce(echelon):
                     later = [s for s in piv if s != r and s in holders]
                 for s in later:
                     holders[s].add(j)
+    return echelon
 
 
 def hnf_reduce(echelon, v):
@@ -240,8 +241,6 @@ def column_hnf(M):
     not returned) in column echelon form with positive pivots, entries to the
     right of each pivot reduced, zero columns trimmed.  Canonical for the
     column lattice of M."""
-    if not M:
-        return []
     echelon = hnf_columns({i: x for i, x in enumerate(col) if x}
                           for col in zip(*M))
     return [[col.get(i, 0) for col in echelon.values()]
@@ -263,8 +262,6 @@ def smith_normal_form(M):
     rows, V as columns); the dense matrices are built once, on return."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
-    if not rows or not cols:
-        return _identity(rows), [list(r) for r in M], _identity(cols)
     D = [{j: x for j, x in enumerate(row) if x} for row in M]
     U = [{i: 1} for i in range(rows)]
     V = [{j: 1} for j in range(cols)]
@@ -287,7 +284,7 @@ def smith_normal_form(M):
                 [{k - m: x for k, x in v.items() if k >= m}
                  for v in echelon.values()])
 
-    while True:
+    while rows and cols:
         D, V = hnf_pass(transpose(D, cols), V, rows)
         D, U = hnf_pass(transpose(D, rows), U, cols)
         if any(row.keys() - {i} for i, row in enumerate(D)):
@@ -296,12 +293,13 @@ def smith_normal_form(M):
         i = next((i for i in range(len(diag) - 1)
                   if diag[i] and diag[i + 1] % diag[i]), None)
         if i is None:
-            return ([[u.get(k, 0) for k in range(rows)] for u in U],
-                    [[row.get(j, 0) for j in range(cols)] for row in D],
-                    [[v.get(k, 0) for v in V] for k in range(cols)])
+            break
         # D is diagonal, so row i+1 adds the single entry d_{i+1}
         D[i][i + 1] = diag[i + 1]
         _add_multiple(U[i], 1, U[i + 1])
+    return ([[u.get(k, 0) for k in range(rows)] for u in U],
+            [[row.get(j, 0) for j in range(cols)] for row in D],
+            [[v.get(k, 0) for v in V] for k in range(cols)])
 
 
 def kernel_basis_Z(columns):
@@ -311,12 +309,17 @@ def kernel_basis_Z(columns):
     One `hnf_columns` pass over the columns stacked on the identity, whose
     tag rows lie below the system's: the echelon columns that pivot in a tag
     row are zero on the system, and their tag part is a kernel basis,
-    saturated because column operations are unimodular, and in column HNF."""
+    saturated because column operations are unimodular, and in column HNF.
+    Only that kernel block is back-reduced, which gives the same columns: a
+    pivot changes only the columns of earlier pivots, by its own column,
+    still as the forward pass left it, so a kernel column, zero on the
+    system rows, is changed only at the kernel pivots after its own, by the
+    same columns in the same order as in the whole echelon."""
     columns = [{i: x for i, x in col.items() if x} for col in columns]
     tag = 1 + max((i for col in columns for i in col), default=-1)
-    echelon = hnf_columns({**col, tag + j: 1} for j, col in enumerate(columns))
-    kernel = [{r - tag: x for r, x in col.items()}
-              for p, col in echelon.items() if p >= tag]
+    echelon = _eliminate({**col, tag + j: 1} for j, col in enumerate(columns))
+    block = _back_reduce({p: col for p, col in echelon.items() if p >= tag})
+    kernel = [{r - tag: x for r, x in col.items()} for col in block.values()]
     for vec in kernel:
         image = {}
         for j, x in vec.items():

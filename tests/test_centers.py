@@ -246,6 +246,28 @@ def test_center_systems_multiply_once_per_pair_and_unknown(monkeypatch):
         "14920e2b88f993c0"
 
 
+def test_center_systems_digest(monkeypatch):
+    # sha256 over repr(columns) of every system the odd, even and ring
+    # center solves for n <= 4 pass to kernel_basis_Z, in that order: the
+    # rows, their numbering and each column's entry order; pinned on the
+    # code that added each pair's rows through one call over a chain of
+    # (unknown, sign, image) triples
+    digest = hashlib.sha256()
+    real = centers.kernel_basis_Z
+
+    def recording(columns):
+        digest.update(repr(columns).encode())
+        return real(columns)
+
+    monkeypatch.setattr(centers, "kernel_basis_Z", recording)
+    for n in (1, 2, 3, 4):
+        odd_center(n, DEFAULT)
+        even_center(n)
+        ring_center(n, DEFAULT)
+    assert digest.hexdigest() == ("6187da4b19043879cbf33f94728aa9b5"
+                                  "578d38abfaa468043baea85e2087f770")
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("rule_name", ["default", "ord"])
 def test_diagonal_blocks_associative(n, rule_name):

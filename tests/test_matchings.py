@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -125,12 +129,12 @@ def test_closed_diagram_cache_meets_constructed_matchings():
         for a in mats:
             if a.n == b.n:
                 m.closed_diagram(b, a)
-    size = m.closed_diagram.cache_info().currsize
+    size = m._closed_diagram.cache_info().currsize
     for b in mats:
         for a in mats:
             if a.n == b.n:
                 m.closed_diagram(m.Matching(b.word), m.Matching(a.word))
-    assert m.closed_diagram.cache_info().currsize == size
+    assert m._closed_diagram.cache_info().currsize == size
 
 
 def test_bad_word_rejected():
@@ -195,3 +199,37 @@ def test_wrong_typed_arguments_raise_value_error():
             call()
     # and on Matchings the checked functions still work
     assert m.distance(A, B) == 1 and m.lower_arc_count(B) == 2
+
+
+UNHASHABLE_CALLS = """
+from arcring import associator, matchings as m
+from arcring.arc_rings import BUILTIN_RULES
+a = m.Matching("(())")
+for call in (lambda: m.closed_diagram(a, {}),
+             lambda: m.enumerate_matchings([2]),
+             lambda: m.distance([1], a),
+             lambda: associator.phi0(BUILTIN_RULES["default"], a, a, a, [])):
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_unhashable_arguments_raise_value_error(flags):
+    # the cached functions check their arguments before the cache lookup,
+    # which would raise TypeError on hashing them; -O strips no such check
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]]
+                      if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, *flags, "-c", UNHASHABLE_CALLS],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "{} is not a Matching",
+        "n=[2] out of range for matching: need 1 <= n <= 12",
+        "[1] is not a Matching",
+        "[] is not a Matching"]

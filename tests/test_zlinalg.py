@@ -303,10 +303,50 @@ def test_kernel_sparse_columns():
         assert dense_kernel(M, columns) == dense_kernel(M)
 
 
+def whole_echelon_kernel(columns):
+    """Reference for `kernel_basis_Z`: the whole `hnf_columns` echelon of
+    the columns stacked on the identity, every column back-reduced, read
+    off in its tag block."""
+    columns = [{i: x for i, x in col.items() if x} for col in columns]
+    tag = 1 + max((i for col in columns for i in col), default=-1)
+    echelon = hnf_columns({**col, tag + j: 1} for j, col in enumerate(columns))
+    return [{r - tag: x for r, x in col.items()}
+            for p, col in echelon.items() if p >= tag]
+
+
+def assert_kernel_block_reduced(columns):
+    want = whole_echelon_kernel([dict(col) for col in columns])
+    assert kernel_basis_Z([dict(col) for col in columns]) == want
+
+
+def test_kernel_block_back_reduction_equals_the_whole_echelon(monkeypatch):
+    # kernel_basis_Z back-reduces only the columns that pivot in a tag row;
+    # on fuzzed matrices, sparse columns on scattered rows and every center
+    # system for n <= 4 it must read off the kernel of the whole echelon
+    for M in fuzzed_matrices(31, 600, 9, 10):
+        assert_kernel_block_reduced([dict(enumerate(col))
+                                     for col in zip(*M)])
+    rng = random.Random(31)
+    for _ in range(1000):
+        assert_kernel_block_reduced(random_sparse_columns(rng))
+    systems = []
+    monkeypatch.setattr(centers, "kernel_basis_Z", lambda columns: (
+        systems.append([dict(col) for col in columns])
+        or kernel_basis_Z(columns)))
+    rule = BUILTIN_RULES["default"]
+    for n in (1, 2, 3, 4):
+        centers.odd_center(n, rule)
+        centers.even_center(n)
+        centers.ring_center(n, rule)
+    assert len(systems) == 3 * (2 + 3 + 4 + 5)
+    for columns in systems:
+        assert_kernel_block_reduced(columns)
+
+
 def test_kernel_check_raises(monkeypatch):
     # an echelon that claims a kernel vector off the kernel is caught: the
     # tag row of unknown 0 is row 1, below the system's row 0
-    monkeypatch.setattr(zlinalg, "hnf_columns", lambda columns: {1: {1: 1}})
+    monkeypatch.setattr(zlinalg, "_eliminate", lambda columns: {1: {1: 1}})
     with pytest.raises(AssertionError, match="not in the kernel"):
         kernel_basis_Z([{0: 1}])
 
