@@ -495,12 +495,16 @@ def _block_product(x, y, cache, resolve, rule, *theory):
     zero across non-matching blocks.  `cache`, a dict or None, keeps per
     monomial pair (mx, my) the built {BasisMonomial: coeff} of the product,
     so each distinct pair is resolved once per cache and a hit builds no
-    monomial.  The product's monomials are built without BasisMonomial's
-    length check, as their top and bottom come from the operands, and the
-    result without SparseZ.__init__.  No resolution holds a zero
-    coefficient (merges drop zero sums, splits and permutes are injective),
-    so a first contribution with coefficient 1 is copied into the result as
-    it is; the result never shares a dict with the cache."""
+    monomial.  Without a cache, a product of one term by one term writes
+    the resolution's terms straight into the result.  When both operands
+    have several terms, y's terms are grouped by their top word once, in
+    y's order, so each term of x meets only the terms of its own block, in
+    the order of a full scan.  The product's monomials are built without
+    BasisMonomial's length check, as their top and bottom come from the
+    operands, and the result without SparseZ.__init__.  No resolution holds
+    a zero coefficient (merges drop zero sums, splits and permutes are
+    injective), so a first contribution with coefficient 1 is copied into
+    the result as it is; the result never shares a dict with the cache."""
     if not (type(x) is RingElement and type(y) is RingElement):
         raise ValueError(f"cannot multiply {type(x).__name__} by "
                          f"{type(y).__name__}: need two RingElements")
@@ -512,9 +516,25 @@ def _block_product(x, y, cache, resolve, rule, *theory):
     if not (x.terms and y.terms):
         return out
     new, matching = tuple.__new__, _m.MATCHINGS
-    for mx, cx in x.terms.items():
+    x_terms, y_terms = x.terms.items(), y.terms.items()
+    if cache is None and len(x_terms) == 1 == len(y_terms):
+        ((mx, cx),), ((my, cy),) = x_terms, y_terms
         top, middle, colored_x = mx
-        for my, cy in y.terms.items():
+        if middle == my[0]:
+            bottom, k = my[1], cx * cy
+            for mask, coeff in resolve(rule, matching[top], matching[middle],
+                                       matching[bottom], colored_x, my[2],
+                                       *theory).items():
+                terms[new(BasisMonomial, (top, bottom, mask))] = k * coeff
+        return out
+    by_top = None
+    if len(x_terms) > 1 and len(y_terms) > 1:
+        by_top = {}
+        for term in y_terms:
+            by_top.setdefault(term[0][0], []).append(term)
+    for mx, cx in x_terms:
+        top, middle, colored_x = mx
+        for my, cy in y_terms if by_top is None else by_top.get(middle, ()):
             if middle != my[0]:
                 continue
             prods = None if cache is None else cache.get((mx, my))

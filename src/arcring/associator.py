@@ -197,10 +197,13 @@ def cocycle_defect(table, n):
         d^3(phi0)(g,h,k,l) = S(g,h) * S(k,l)  (mod 2),
     which reduces to the plain cocycle condition exactly where the cup
     square of S vanishes (e.g. everywhere it is testable at n <= 2)."""
+    words = _table_words(table, n)
+    # S mod 2 once per triple of words, not twice per quintuple
+    parity = {tuple(m.word for m in triple): scission_count(*triple) & 1
+              for triple in _product(_m.enumerate_matchings(n), repeat=3)}
     defects = {}
-    for cell, v in _coboundary(table, _table_words(table, n), 5).items():
-        e, d, c, b, a = (_m.MATCHINGS[w] for w in cell)
-        if v != (scission_count(e, d, c) * scission_count(c, b, a)) & 1:
+    for cell, v in _coboundary(table, words, 5).items():
+        if v != parity[cell[:3]] & parity[cell[2:]]:
             defects[cell] = 1
     return defects
 

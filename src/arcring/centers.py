@@ -3,7 +3,8 @@
 Every central element is supported on the diagonal blocks a(.)a, so the
 unknowns are the coefficients of diagonal basis monomials.  The defining
 system for the (odd or even) center is z_a . 1_ab = 1_ab . z_b over all
-ordered pairs (a, b); the ordinary ring center of the odd theory adds strict
+ordered pairs (a, b), and its rows are written for the unordered pairs
+a < b alone (below); the ordinary ring center of the odd theory adds strict
 commutation with the degree-1 diagonal generators.  Each exterior-degree
 slice is solved separately (the constraints are homogeneous) and the kernel
 is returned in canonical column-HNF form, so bases are deterministic.
@@ -15,6 +16,19 @@ Every product here lies on a split-free triple, (a, a, b), (a, b, b) or
 that identifies two circles, so merges in any order compose to the map of
 the circle map: OZ, Z(OH^n), the diagonal products and the Springer
 certificate are the same under every rule (pinned for n <= 4 in the tests).
+
+The same argument shows that the pair (b, a) adds no equation to (a, b).
+z_a . 1_ab lies on the triple (a, a, b) and 1_ba . z_a on (b, a, a), both
+split-free, so each is the image of z_a under the algebra map of a circle
+map: the circle of W(a)a through basepoint i goes to the circle through i
+of W(a)b, or of W(b)a.  W(a)b and W(b)a have the same circles, numbered by
+least point, so the two circle maps are one map, and the two products have
+the same masks, coefficients and signs.  Likewise 1_ab . z_b and
+z_b . 1_ba.  Read mask by mask, the (b, a) equation z_b . 1_ba = 1_ba . z_a
+is therefore the (a, b) equation with its sides swapped, and the kernel is
+the same (pinned for n <= 4 in the tests; Khovanov, arXiv:math/0202110,
+describes the center of H^n as compatible tuples over pairs of
+components, which is this equalizer).
 """
 
 from collections import defaultdict
@@ -29,17 +43,22 @@ from .exterior import ExteriorElement, wedge
 from .zlinalg import hnf_columns, hnf_reduce, kernel_basis_Z
 
 
-def diagonal_monomials(n, p):
-    """All [a|a|s] with |s| = p, in canonical order."""
-    return [mono for a in _m.enumerate_matchings(n)
-            for mono in block_monomials(a, a) if mono.mask.bit_count() == p]
+def diagonal_monomials(n):
+    """The diagonal monomials [a|a|s] by degree: entry p lists those with
+    |s| = p in canonical order, for p = 0..n, from one pass over the
+    diagonal blocks."""
+    by_degree = [[] for _ in range(n + 1)]
+    for a in _m.enumerate_matchings(n):
+        for mono in block_monomials(a, a):
+            by_degree[mono.mask.bit_count()].append(mono)
+    return by_degree
 
 
 def diagonal_rows(n):
     """{diagonal monomial: row}, over the diagonal monomials of every
     degree in order: the rows of a lattice of central elements."""
     return {m: i for i, m in enumerate(
-        m for p in range(n + 1) for m in diagonal_monomials(n, p))}
+        m for monos in diagonal_monomials(n) for m in monos)}
 
 
 @dataclass
@@ -95,24 +114,29 @@ class CenterBasis:
 
 
 def _pair_constraints(ones, rule, theory, blocks, columns, rows):
-    """Rows of {z_a.1_ab - 1_ab.z_b = 0}, one group per (a before b, word a,
-    word b, 1_ab) in `ones`: a row per monomial of a(.)b in order of first
-    appearance, numbered by `rows`; each unknown of a or b in fresh rows."""
-    for a_first, a, b, one_ab in ones:
+    """Rows of {z_a.1_ab - 1_ab.z_b = 0}, one group per (word a, word b,
+    1_ab) in `ones`: a row per monomial of a(.)b in order of first
+    appearance, numbered by `rows`; each unknown of a, then of b, in fresh
+    rows."""
+    for a, b, one_ab in ones:
         row_of = defaultdict(rows.__next__)
-        for word, sign in ((a, 1), (b, -1)) if a_first else ((b, -1), (a, 1)):
-            for j, z in blocks.get(word, ()):
-                col = columns[j]
-                image = (multiply(rule, z, one_ab, theory) if sign == 1 else
-                         multiply(rule, one_ab, z, theory))
-                for out_mono, coeff in image.terms.items():
-                    col[row_of[out_mono]] = sign * coeff
+        for j, z in blocks.get(a, ()):
+            col = columns[j]
+            for out_mono, coeff in multiply(rule, z, one_ab,
+                                            theory).terms.items():
+                col[row_of[out_mono]] = coeff
+        for j, z in blocks.get(b, ()):
+            col = columns[j]
+            for out_mono, coeff in multiply(rule, one_ab, z,
+                                            theory).terms.items():
+                col[row_of[out_mono]] = -coeff
 
 
-def _commutation_constraints(n, rule, blocks, columns, rows):
+def _commutation_constraints(gens, rule, blocks, columns, rows):
     """Rows of {z_a ^ g - g ^ z_a = 0}, one group per degree-1 diagonal
-    generator g, numbered as in `_pair_constraints`: g's block alone."""
-    for gen in diagonal_monomials(n, 1):
+    generator g in `gens`, numbered as in `_pair_constraints`: g's block
+    alone."""
+    for gen in gens:
         g = RingElement.monomial(gen)
         row_of = defaultdict(rows.__next__)
         for j, z in blocks.get(gen.top, ()):
@@ -128,14 +152,13 @@ def _solve(n, rule, theory, flavor):
     _m.check_size("center", n)
     basis = CenterBasis(n=n, flavor=flavor)
     mats = _m.enumerate_matchings(n)
-    # 1_ab per ordered pair a != b, in enumeration order, built once for
-    # every degree
-    ones = [(ia < ib, a.word, b.word, RingElement.monomial(
+    # 1_ab per unordered pair, a before b in enumeration order, built once
+    # for every degree
+    ones = [(a.word, b.word, RingElement.monomial(
                 BasisMonomial(a.word, b.word, ())))
-            for ia, a in enumerate(mats) for ib, b in enumerate(mats)
-            if ia != ib]
-    for p in range(n + 1):
-        unknowns = diagonal_monomials(n, p)
+            for ia, a in enumerate(mats) for b in mats[ia + 1:]]
+    by_degree = diagonal_monomials(n)
+    for p, unknowns in enumerate(by_degree):
         # {block word: [(j, unknown j as a RingElement, built once)]}
         blocks = {}
         for j, mono in enumerate(unknowns):
@@ -147,7 +170,8 @@ def _solve(n, rule, theory, flavor):
         # a diagonal block multiplies by merges alone, so z.g = z ^ g =
         # (-1)^p g ^ z for z of degree p: only odd p adds nonzero rows
         if flavor == "odd-ring-center" and p % 2:
-            _commutation_constraints(n, rule, blocks, columns, rows)
+            _commutation_constraints(by_degree[1], rule, blocks, columns,
+                                     rows)
         kernel = kernel_basis_Z(columns)
         basis.graded_rank[p] = len(kernel)
         basis.generators.extend(

@@ -267,6 +267,41 @@ def test_shared_memo_matches_memo_less_products():
                          (DEFAULT, "even")}
 
 
+def test_products_of_several_terms_follow_a_full_scan():
+    # y's terms grouped by block give the terms, and the term order, of the
+    # bilinear sum over every pair of terms in x-then-y order, with and
+    # without a memo, in both theories and through the oracle
+    rng = random.Random(3)
+    memo = {}
+    for n in (2, 3, 4):
+        basis = [bm for bm, _ in ring_basis(n)]
+        for size in (1, 2, 6, min(40, len(basis))):
+            x, y = (RingElement(n, {bm: rng.choice((-2, -1, 1, 3))
+                                    for bm in rng.sample(basis, size)})
+                    for _ in range(2))
+            for theory, product in (
+                    ("odd", lambda u, v: multiply(DEFAULT, u, v)),
+                    ("even", lambda u, v: multiply(DEFAULT, u, v, "even")),
+                    ("oracle", lambda u, v: multiply_diagrammatic(DEFAULT,
+                                                                  u, v))):
+                want = {}
+                for mx, cx in x.terms.items():
+                    for my, cy in y.terms.items():
+                        one = product(RingElement.monomial(mx),
+                                      RingElement.monomial(my))
+                        for key, c in one.terms.items():
+                            c = want.get(key, 0) + cx * cy * c
+                            if c:
+                                want[key] = c
+                            else:
+                                del want[key]
+                got = [product(x, y)]
+                if theory != "oracle":
+                    got.append(multiply(DEFAULT, x, y, theory, memo=memo))
+                for out in got:
+                    assert list(out.terms.items()) == list(want.items())
+
+
 def test_memo_hit_is_unchanged_by_mutating_a_result():
     # the memo keeps built monomials; every result owns its term dict
     x = mono("(())", "()()")

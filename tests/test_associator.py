@@ -127,6 +127,26 @@ def test_plain_cocycle_fails_on_18_quintuples_at_n3(rule_name):
     assert plain == odd and len(plain) == 18
 
 
+def test_cocycle_defect_computes_each_scission_count_once(monkeypatch):
+    # S depends on the triple alone: one call per triple, 125 at n = 3,
+    # where two per quintuple made 2,415 on a phi0 table; on the zero
+    # table every 5-cell is defined and the defects are the odd twists
+    words = [x.word for x in m.enumerate_matchings(3)]
+    twisted = {cell for cell in product(words, repeat=5)
+               if scission_count(*map(m.Matching, cell[:3]))
+               * scission_count(*map(m.Matching, cell[2:])) & 1}
+    calls = []
+
+    def counting(*triple):
+        calls.append(triple)
+        return scission_count(*triple)
+
+    monkeypatch.setattr(associator, "scission_count", counting)
+    defects = cocycle_defect(dict.fromkeys(product(words, repeat=4), 0), 3)
+    assert len(calls) == len(set(calls)) == 125
+    assert defects == dict.fromkeys(twisted, 1)
+
+
 def test_cochain_checks_reject_a_table_of_another_size(monkeypatch):
     # ValueError before any work unless the keys are exactly the 4-cells
     # of size n; an n = 2 table at n = 3 raised KeyError

@@ -225,10 +225,10 @@ def test_golden_center_digests(n, flavor):
 
 
 def test_center_systems_multiply_once_per_pair_and_unknown(monkeypatch):
-    # one product per ordered pair (a, b) and unknown of block a or b:
-    # 14 * 13 pairs times 2 * C(4, p) unknowns over p = 0..4, for each of
-    # the odd and the even center; the digest of the call sequence is
-    # pinned on the code before the systems were built block by block
+    # one product per unordered pair a < b and unknown of block a or b:
+    # 14 * 13 / 2 pairs times 2 * C(4, p) unknowns over p = 0..4, for each
+    # of the odd and the even center; the call sequence is that of the
+    # ordered-pair systems with every group of a pair a > b left out
     import arcring.centers as ce
     calls = []
     real = ce.multiply
@@ -240,18 +240,17 @@ def test_center_systems_multiply_once_per_pair_and_unknown(monkeypatch):
     monkeypatch.setattr(ce, "multiply", counting)
     odd_center(4, DEFAULT)
     even_center(4)
-    assert len(calls) == 11648
-    assert sum(call.startswith("even") for call in calls) == 5824
+    assert len(calls) == 5824
+    assert sum(call.startswith("even") for call in calls) == 2912
     assert hashlib.sha256("\n".join(calls).encode()).hexdigest()[:16] == \
-        "14920e2b88f993c0"
+        "fb157495d1786ac8"
 
 
 def test_center_systems_digest(monkeypatch):
     # sha256 over repr(columns) of every system the odd, even and ring
     # center solves for n <= 4 pass to kernel_basis_Z, in that order: the
     # rows, their numbering and each column's entry order; pinned on the
-    # code that added each pair's rows through one call over a chain of
-    # (unknown, sign, image) triples
+    # code that first wrote rows for unordered pairs alone
     digest = hashlib.sha256()
     real = centers.kernel_basis_Z
 
@@ -264,8 +263,8 @@ def test_center_systems_digest(monkeypatch):
         odd_center(n, DEFAULT)
         even_center(n)
         ring_center(n, DEFAULT)
-    assert digest.hexdigest() == ("6187da4b19043879cbf33f94728aa9b5"
-                                  "578d38abfaa468043baea85e2087f770")
+    assert digest.hexdigest() == ("4cc5321c83363a4ed7e01471a84a8ef1"
+                                  "7e84ffbbe82b8fc6f3c7be4ba6b0f6e6")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -287,19 +286,25 @@ def test_diagonal_blocks_associative(n, rule_name):
                         (a.word, i, j, k)
 
 
+def _five_rules(n, triples):
+    """default, ord, both flipped, and a CustomRule that scans each of the
+    (c, b, a) `triples` of size n in the reversed order 2n, ..., 1, which
+    is always admissible."""
+    reverse = tuple(range(2 * n, 0, -1))
+    return [DEFAULT, ORD, FlippedRule(DEFAULT), FlippedRule(ORD),
+            CustomRule(n, orders={(c.word, b.word, a.word): reverse
+                                  for c, b, a in triples})]
+
+
 def _split_free_disagreements(n):
     """(number of split-free triples of size n, those among them where the
-    odd block maps of five rules are not all equal): default, ord, both
-    flipped, and a CustomRule that scans every such triple in the reversed
-    order 2n, ..., 1, which is always admissible.  AssertionError if any
-    of their plans has an event other than a merge."""
+    odd block maps of the five rules of `_five_rules` are not all equal).
+    AssertionError if any of their plans has an event other than a
+    merge."""
     mats = m.enumerate_matchings(n)
     triples = [(c, b, a) for c in mats for b in mats for a in mats
                if scission_count(c, b, a) == 0]
-    reverse = tuple(range(2 * n, 0, -1))
-    rules = [DEFAULT, ORD, FlippedRule(DEFAULT), FlippedRule(ORD),
-             CustomRule(n, orders={(c.word, b.word, a.word): reverse
-                                   for c, b, a in triples})]
+    rules = _five_rules(n, triples)
     differ = []
     for c, b, a in triples:
         maps = []
@@ -320,18 +325,97 @@ def test_split_free_products_carry_no_choice():
         (1, []), (6, []), (63, []), (870, [])]
 
 
+def _unit_transpose_disagreements(n, rules):
+    """Each (rule name, theory, z, b word) where z.1_ab and 1_ba.z, for a
+    diagonal monomial z of a(.)a and a matching b != a, differ as {mask:
+    coeff}: odd under each of `rules`, even once (it ignores the rule).
+    Their equality lets the center systems write rows for unordered pairs
+    alone (the `centers` docstring)."""
+    mats = m.enumerate_matchings(n)
+    cases = [(rule, "odd") for rule in rules] + [(DEFAULT, "even")]
+    differ = []
+    for a in mats:
+        zs = [RingElement.monomial(z) for z in block_monomials(a, a)]
+        for b in mats:
+            if b is a:
+                continue
+            one_ab, one_ba = (RingElement.monomial(BasisMonomial(*words, ()))
+                              for words in ((a.word, b.word),
+                                            (b.word, a.word)))
+            for rule, theory in cases:
+                for z in zs:
+                    left, right = (
+                        {mono.mask: c for mono, c in prod.terms.items()}
+                        for prod in (multiply(rule, z, one_ab, theory),
+                                     multiply(rule, one_ba, z, theory)))
+                    if left != right:
+                        differ.append((rule.name, theory, repr(z), b.word))
+    return differ
+
+
+def _unit_triples(n):
+    """The triples (a, a, b) and (b, a, a) of z.1_ab and 1_ba.z, a != b."""
+    mats = m.enumerate_matchings(n)
+    return [t for a in mats for b in mats if b is not a
+            for t in ((a, a, b), (b, a, a))]
+
+
+def test_unit_products_agree_on_both_sides():
+    # z.1_ab (triple (a, a, b)) and 1_ba.z (triple (b, a, a)) are one map
+    # on the shared circles of W(a)b and W(b)a: n <= 3 under five rules,
+    # n = 4 under default
+    for n in (1, 2, 3):
+        assert _unit_transpose_disagreements(
+            n, _five_rules(n, _unit_triples(n))) == []
+    assert _unit_transpose_disagreements(4, [DEFAULT]) == []
+
+
+def _negated_high_merges_into_1(out, odd, merge):
+    """A `per_merge` mutation: negate every merge into circle 1 from circle
+    3 or above, which makes a merge sequence's map depend on its order."""
+    lo_bit, hi_bit = merge[:2]
+    if lo_bit == 1 and hi_bit >= 1 << 2:
+        return {k: -c for k, c in out.items()}
+    return out
+
+
+def test_unit_product_pin_sees_an_order_dependent_merge(monkeypatch):
+    # the order-dependent merge mutation makes z.1_ab and 1_ba.z differ,
+    # so the unit product pin would catch a merge kernel whose map depends
+    # on the order of the merges
+    clear_plans()
+    monkeypatch.setattr(functors, "_merge", per_merge(
+        functors._merge, _negated_high_merges_into_1))
+    try:
+        differ = [_unit_transpose_disagreements(
+            n, _five_rules(n, _unit_triples(n))) for n in (1, 2, 3)]
+    finally:
+        monkeypatch.undo()
+        clear_plans()
+    assert sum(map(len, differ)) > 0
+
+
 def test_a_center_solve_builds_each_pair_unit_once(monkeypatch):
-    # 1_ab for each ordered pair a != b is built once per solve, not once
-    # per degree: 14 * 13 = 182 at n = 4, over its 5 degrees
+    # 1_ab for each unordered pair a < b is built once per solve, not once
+    # per degree: 14 * 13 / 2 = 91 at n = 4, over its 5 degrees; the
+    # diagonal monomials are grouped once, also for the ring center's
+    # commutation rows in its odd degrees
     real, built = centers.BasisMonomial, []
+    real_diagonal, grouped = centers.diagonal_monomials, []
 
     def counted(top, bottom, colored):
         built.append((top, bottom))
         return real(top, bottom, colored)
 
+    def counted_diagonal(n):
+        grouped.append(n)
+        return real_diagonal(n)
+
     monkeypatch.setattr(centers, "BasisMonomial", counted)
-    odd_center(4, DEFAULT)
-    assert len(built) == len(set(built)) == 182
+    monkeypatch.setattr(centers, "diagonal_monomials", counted_diagonal)
+    ring_center(4, DEFAULT)
+    assert len(built) == len(set(built)) == 91
+    assert grouped == [4]
 
 
 def test_split_free_pin_sees_an_order_dependent_merge(monkeypatch):
@@ -341,15 +425,9 @@ def test_split_free_pin_sees_an_order_dependent_merge(monkeypatch):
     # mutation must reach each merge inside it, and compiled plans and their
     # shared ops keep the kernels they were built with, so clear them around
     # the patch
-    def negated(out, odd, merge):
-        lo_bit, hi_bit = merge[:2]
-        if lo_bit == 1 and hi_bit >= 1 << 2:
-            return {k: -c for k, c in out.items()}
-        return out
-
     clear_plans()
-    monkeypatch.setattr(functors, "_merge", per_merge(functors._merge,
-                                                      negated))
+    monkeypatch.setattr(functors, "_merge", per_merge(
+        functors._merge, _negated_high_merges_into_1))
     try:
         differ = [_split_free_disagreements(n)[1] for n in (1, 2, 3)]
     finally:
