@@ -26,6 +26,7 @@ Colored circles are int masks, bit k - 1 for circle k, from basis monomial
 to kernel and back.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 from operator import attrgetter, itemgetter
@@ -160,6 +161,10 @@ def unit(n):
 # ---------------------------------------------------------------------------
 # multiplication rules
 
+# n -> (1, ..., 2n), the usual scan order, one tuple per size
+_USUAL_ORDER = _m._Cache(lambda n: tuple(range(1, 2 * n + 1)))
+
+
 class MultiplicationRule:
     """Per-triple scan order on basepoints plus split orientations.  Products
     cache the resolution plan per rule and triple, so a rule must not change
@@ -170,7 +175,7 @@ class MultiplicationRule:
     def order(self, c, b, a):
         """The basepoints in scan order: the usual left-to-right order unless
         a rule overrides it."""
-        return tuple(range(1, 2 * c.n + 1))
+        return _USUAL_ORDER[c.n]
 
     def split_source(self, c, b, a, scan, partner, key_scan, key_partner):
         """Which endpoint of the arc {scan, partner} of b is the orientation
@@ -334,36 +339,109 @@ def _plan_of_words(rule, c, b, a):
                         child that keeps position p first; permutes then
                         carry the other child from the next slot to its own.
 
-    The starting positions are those of the cached closed diagrams W(c)b
-    and W(b)a.  Two arguments spare the walks of the stacked diagram after
-    a resolution:
+    The arcs of b come from the scan cache (`_SCANS`), one (col, partner)
+    per resolution, validated once per scan order and middle word.  Every
+    point of the stacked diagram carries a circle label, at first its
+    circle in the cached closed diagrams W(c)b and W(b)a, and `place` maps
+    each label to a position, so no resolution walks the whole diagram:
       - a merge leaves every other circle as it was, and the merged
-        circle's least point is the lesser of the two, so the positions are
-        relabelled: max(p, q) becomes min(p, q) and each slot above it
-        moves down by one;
+        circle's least point is the lesser of the two, so only `place`
+        changes: the label at max(p, q) moves to min(p, q) and each label
+        above it down by one;
+      - a split before the last resolution walks only the child through
+        the scanned column.  If that child holds the parent's least point it
+        keeps position p and the child through the partner is walked
+        instead.  The walked child gets a fresh label at the rank of its
+        least point among the least points of the circles (`least`), and
+        every label from that rank up moves up by one;
       - once every arc of b is resolved the circles are those of W(c)a, so
         the last resolution, if it splits, reads its children's positions
         off the cached closed_diagram(c, a).
-    Only a split before the last resolution walks the diagram.
 
     The ops are compiled from the events and the starting circle count,
-    once per such pair (`_PLAN_OPS`), so triples with equal events share one
+    once per such pair (`_PLAN_OPS`), from ops built once per event and
+    circle count (`_EVENT_OPS`), so triples with equal events share one
     events tuple and one op tuple.  Cached per (rule, c, b, a), so a rule
     must not be mutated after its first product; ValueError, not cached,
     unless `rule` is a MultiplicationRule whose order names points in
     1..2n only and resolves every arc of b."""
-    _check_rule(rule)
+    if not isinstance(rule, MultiplicationRule):
+        _check_rule(rule)  # raises; tested inline to spare a call
     c, b, a = _m.MATCHINGS[c], _m.MATCHINGS[b], _m.MATCHINGS[a]
     m = 2 * c.n
     upper, top = _m._closed_diagram(c, b)
     lower, bottom = _m._closed_diagram(b, a)
+    order = rule.order(c, b, a)
+    scan = _SCANS[order if type(order) is tuple else tuple(order), b]
     # top point k is k and bottom point k is m + k
-    pos = list(upper) + [top + k for k in lower[1:]]
-    outer = c.partner + [m + k for k in a.partner[1:]]
-    inner = b.partner + [m + k for k in b.partner[1:]]
-    left = c.n  # arcs of b still to resolve
+    label = list(upper) + [top + k for k in lower[1:]]
+    place = list(range(top + bottom + 1))
+    least = [0, *_LEAST_POINTS[c, b][0], *_LEAST_POINTS[b, a][1]]
+    outer = None
     events = []
-    for col in rule.order(c, b, a):
+    for col, partner, inner in scan:
+        p, q = place[label[col]], place[label[m + col]]
+        if p != q:
+            events.append(("merge", p, q))
+            if inner is not None:  # a later resolution reads the labels
+                lo, hi = (p, q) if p < q else (q, p)
+                place = [x if x < hi else lo if x == hi else x - 1
+                         for x in place]
+                del least[hi]
+            continue
+        if inner is None:
+            new = _m._closed_diagram(c, a)[0]
+            i, j = new[col], new[partner]
+        else:
+            if outer is None:
+                outer = c.partner + [m + k for k in a.partner[1:]]
+            child = _walk(col, outer, inner)
+            low = min(child)
+            moved = low != least[p]  # the child through col leaves slot p
+            if not moved:
+                child = _walk(partner, outer, inner)
+                low = min(child)
+            r = bisect_left(least, low)
+            least.insert(r, low)
+            place = [x + 1 if x >= r else x for x in place]
+            for x in child:
+                label[x] = len(place)
+            place.append(r)
+            i, j = (r, p) if moved else (p, r)
+        src = rule.split_source(c, b, a, col, partner, i, j)
+        if src not in (col, partner):
+            raise ValueError(f"split source {src!r} is not an endpoint "
+                             f"of the arc ({col}, {partner}) of {b.word}")
+        events.append(("split", p, i, j, src == col))
+    events, ops = _PLAN_OPS[tuple(events), top + bottom]
+    return events, ops, top
+
+
+def _walk(start, outer, inner):
+    """The points of the circle through `start`, whose arcs are outer on
+    one side and inner on the other."""
+    q = outer[start]
+    points = [start, q]
+    p = inner[q]
+    while p != start:
+        q = outer[p]
+        points += p, q
+        p = inner[q]
+    return points
+
+
+def _scan(key):
+    """The resolutions of a key (order, b), one (col, partner, inner) per
+    arc of b in scan order: col is the first point of the arc in the order,
+    partner its other end, and inner the inner arcs of the stacked diagram
+    once the arc is resolved (bottom point k is 2n + k), None for the last
+    arc, whose split walks nothing.  ValueError, caching nothing, unless
+    every point of the order is in 1..2n and every arc of b is resolved."""
+    order, b = key
+    m = 2 * b.n
+    inner = b.partner + [m + k for k in b.partner[1:]]
+    out = []
+    for col in order:
         if not 1 <= col <= m:
             raise ValueError(f"scan point {col!r} is not in 1..{m}")
         if inner[col] == m + col:
@@ -371,45 +449,62 @@ def _plan_of_words(rule, c, b, a):
         partner = b.partner[col]
         for k in (col, partner):
             inner[k], inner[m + k] = m + k, k
-        left -= 1
-        p, q = pos[col], pos[m + col]
-        if p != q:
-            events.append(("merge", p, q))
-            lo, hi = (p, q) if p < q else (q, p)
-            pos = [x if x < hi else lo if x == hi else x - 1 for x in pos]
-            continue
-        new = (_m.circle_positions(outer, inner)[0] if left
-               else _m._closed_diagram(c, a)[0])
-        i, j = new[col], new[partner]
-        src = rule.split_source(c, b, a, col, partner, i, j)
-        if src not in (col, partner):
-            raise ValueError(f"split source {src!r} is not an endpoint "
-                             f"of the arc ({col}, {partner}) of {b.word}")
-        events.append(("split", p, i, j, src == col))
-        pos = new
-    if left:
+        out.append((col, partner, tuple(inner)))
+    if len(out) < b.n:
         raise ValueError(f"the scan leaves an arc of {b.word} unresolved")
-    events, ops = _PLAN_OPS[tuple(events), top + bottom]
-    return events, ops, top
+    out[-1] = (*out[-1][:2], None)
+    return tuple(out)
+
+
+# (order, b) -> the resolutions of that scan of b
+_SCANS = _m._Cache(_scan)
+
+
+def _least_points(key):
+    """For a key (b, a): the least point of each circle of W(b)a in circle
+    order, as a point of W(b)a and as a point of W(b)a stacked under
+    another diagram (2n + point)."""
+    pos = _m._closed_diagram(*key)[0]
+    least = []
+    for x in range(1, len(pos)):
+        if pos[x] > len(least):
+            least.append(x)
+    return tuple(least), tuple(len(pos) - 1 + x for x in least)
+
+
+# (b, a) -> the least points of the circles of W(b)a, on top and below
+_LEAST_POINTS = _m._Cache(_least_points)
+
+
+def _event_ops(key):
+    """The functor ops of a key (event, circle count before it): a merge
+    run of one merge, or a split followed by the permutes that carry its
+    moved child from the next slot to its own."""
+    event, count = key
+    if event[0] == "merge":
+        return _f.merge_op(count, event[1], event[2]),
+    _, p, i, j, scan_is_source = event
+    return (_f.split_op(count, p, scan_is_source == (i == p)),
+            *(_f.permute_op(count + 1, k, k + 1)
+              for k in range(p + 1, max(i, j))))
+
+
+# (event, circle count) -> its ops; few distinct keys (those of the 555
+# event sequences at n = 4 under default)
+_EVENT_OPS = _m._Cache(_event_ops)
 
 
 def _compile_plan(key):
     """(events, ops) for a key (events, starting circle count): the key's
     events, which every plan with equal events then shares, and their
-    functor ops."""
+    functor ops, joined into merge runs."""
     events, count = key
     ops = []
     for event in events:
-        if event[0] == "merge":
-            _f.append_op(ops, _f.merge_op(count, event[1], event[2]))
-            count -= 1
-            continue
-        _, p, i, j, scan_is_source = event
-        ops.append(_f.split_op(count, p, scan_is_source == (i == p)))
-        count += 1
-        ops.extend(_f.permute_op(count, k, k + 1)
-                   for k in range(p + 1, max(i, j)))
-    return key[0], tuple(ops)
+        for op in _EVENT_OPS[event, count]:
+            _f.append_op(ops, op)
+        count += 1 if event[0] == "split" else -1
+    return events, tuple(ops)
 
 
 # (events, starting circle count) -> (events, ops); 555 event sequences at

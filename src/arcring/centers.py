@@ -95,18 +95,21 @@ class CenterBasis:
         """Coefficients of elem in the generators, as a tuple, or None if
         elem is off the lattice.  Reducing elem by the tagged echelon leaves
         the monomial rows empty exactly on the lattice, and -coordinates in
-        the tag rows."""
+        the tag rows; the tuple is written from the remainder's nonzero
+        rows alone."""
         row_of, echelon = self._echelon
         vec = {}
         for mono, coeff in elem.terms.items():
             if mono not in row_of:
                 return None
             vec[row_of[mono]] = coeff
-        rem = hnf_reduce(echelon, vec)
         tag = len(row_of)
-        if any(r < tag for r in rem):
-            return None
-        return tuple(-rem.get(tag + k, 0) for k in range(len(self.generators)))
+        coords = [0] * len(self.generators)
+        for r, coeff in hnf_reduce(echelon, vec).items():
+            if r < tag:
+                return None
+            coords[r - tag] = -coeff
+        return tuple(coords)
 
     def contains(self, elem):
         """Lattice membership."""

@@ -6,8 +6,8 @@ derived from it, as a list indexed by the basepoints 1..2n.  Stacking a
 matching a under the mirror W(b) of a matching b closes everything up into a
 disjoint union of circles; those circles, numbered by least basepoint, drive
 all sign conventions downstream, so the order is fixed here once and for all:
-`circle_positions` is the one walk that numbers them, for `closed_diagram`
-and for the resolution plans of `arc_rings` alike.
+`circle_positions` is the one walk that numbers them, for `closed_diagram`,
+whose cached diagrams the resolution plans of `arc_rings` start from.
 """
 
 from functools import lru_cache

@@ -19,6 +19,9 @@ def clear_plans():
     arc_rings._plan_of_words.cache_clear()
     arc_rings._PLAN_OPS.clear()
     arc_rings._DIAGRAM_STEPS.clear()
+    arc_rings._SCANS.clear()
+    arc_rings._LEAST_POINTS.clear()
+    arc_rings._EVENT_OPS.clear()
 
 
 def per_merge(real, mutate):

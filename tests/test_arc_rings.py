@@ -224,6 +224,67 @@ def test_golden_plan_digests(n):
     assert tuple(digests) == PLAN_DIGESTS[n]
 
 
+def walked_plan(rule, c, b, a):
+    """The events of the plan of (c, b, a) built the plain way: after every
+    resolution the whole stacked diagram is walked anew with
+    matchings.circle_positions and every position is read off that walk;
+    no labels, no child walks, no cached scan."""
+    size = 2 * c.n  # bottom point k is size + k
+    outer = c.partner + [size + k for k in a.partner[1:]]
+    inner = b.partner + [size + k for k in b.partner[1:]]
+    pos = m.circle_positions(outer, inner)[0]
+    events = []
+    for col in rule.order(c, b, a):
+        if inner[col] == size + col:
+            continue
+        partner = b.partner[col]
+        for k in (col, partner):
+            inner[k], inner[size + k] = size + k, k
+        new = m.circle_positions(outer, inner)[0]
+        p, q = pos[col], pos[size + col]
+        if p != q:
+            events.append(("merge", p, q))
+        else:
+            i, j = new[col], new[partner]
+            src = rule.split_source(c, b, a, col, partner, i, j)
+            events.append(("split", p, i, j, src == col))
+        pos = new
+    return tuple(events)
+
+
+def admissible_order(b, rng):
+    """A random admissible scan order of b, as a list: each next point is
+    drawn from those whose every spanning arc of b already has an endpoint
+    in the order."""
+    order = []
+    while len(order) < 2 * b.n:
+        order.append(rng.choice([
+            k for k in range(1, 2 * b.n + 1) if k not in order and all(
+                i in order or j in order for i, j in b.arcs() if i < k < j)]))
+    return order
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_plans_match_a_walk_of_the_stacked_diagram_after_every_resolution(n):
+    # every triple for n <= 4, 3,000 seeded triples at n = 5; the custom
+    # rule scans each triple in its own random admissible order and orients
+    # splits as ord does, so its events depend on both keys
+    sample = triples(n)
+    if n == 5:
+        sample = random.Random(5).sample(sample, 3000)
+    rng = random.Random(n)
+    custom = CustomRule(n, orders={
+        (c.word, b.word, a.word): admissible_order(b, rng)
+        for c, b, a in sample}, base=ORD)
+    if n > 1:  # most of them are not the usual order
+        assert sum(order != sorted(order)
+                   for order in custom.orders.values()) > len(sample) // 2
+    for rule in (DEFAULT, ORD, FlippedRule(DEFAULT), custom):
+        for c, b, a in sample:
+            assert _plan_of_words(rule, c.word, b.word, a.word)[0] == \
+                walked_plan(rule, c, b, a), (rule.name, c, b, a)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_golden_oracle_digests(n):
     # the oracle's own lines over every composable pair, per rule in

@@ -414,12 +414,31 @@ for bad in (lambda: BasisMonomial("()", "(())", frozenset()),
         bad()
     except (ValueError, AttributeError, AssertionError) as exc:
         print(type(exc).__name__)
+
+# the scans are cached per (order, middle word): a bad order for a middle
+# word whose usual scan is cached raises the same error on every call, and
+# only valid scans are kept
+from arcring.arc_rings import _SCANS
+_plan_of_words(DEFAULT, "()()", "()()", "()()")
+for points in ((0, 1, 2, 3, 4), (1, 2, 3, 4, 5), (1,)):
+    rule = ScanOrder(points)
+    for _ in range(2):
+        try:
+            _plan_of_words(rule, "(())", "()()", "()()")
+        except ValueError as exc:
+            print(exc)
+print(sorted((order, b.word) for order, b in _SCANS))
 """)
-    assert proc.stdout.split() == (
+    assert proc.stdout.splitlines() == (
         ["False"] + ["ValueError"] * 2 + ["AttributeError"]
         + ["AssertionError"] + ["ValueError"] * 5 + ["AssertionError"] * 4
         + ["ValueError"] * 2 + ["AssertionError"] * 2 + ["None"]
-        + ["AssertionError"] * 2 + ["ValueError"] * 7), proc.stderr
+        + ["AssertionError"] * 2 + ["ValueError"] * 7
+        + ["scan point 0 is not in 1..4"] * 2
+        + ["scan point 5 is not in 1..4"] * 2
+        + ["the scan leaves an arc of ()() unresolved"] * 2
+        + ["[((1, 2), '()'), ((1, 2, 3, 4), '(())'), "
+           "((1, 2, 3, 4), '()()')]"]), proc.stderr
 
 
 def test_non_unit_pivot_raises_under_optimize():
