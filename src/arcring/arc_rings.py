@@ -373,7 +373,9 @@ def _plan_of_words(rule, c, b, a):
     lower, bottom = _m._closed_diagram(b, a)
     order = rule.order(c, b, a)
     scan = _SCANS[order if type(order) is tuple else tuple(order), b]
-    # top point k is k and bottom point k is m + k
+    # top point k is k and bottom point k is m + k; label[point] -> place
+    # [label] is the position of its circle, least[position] the least
+    # point of the circle there (0 before position 1)
     label = list(upper) + [top + k for k in lower[1:]]
     place = list(range(top + bottom + 1))
     least = [0, *_LEAST_POINTS[c, b][0], *_LEAST_POINTS[b, a][1]]
