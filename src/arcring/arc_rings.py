@@ -26,10 +26,9 @@ Colored circles are int masks, bit k - 1 for circle k, from basis monomial
 to kernel and back.
 """
 
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
-from operator import attrgetter, itemgetter
+from operator import attrgetter, index, itemgetter
 import re
 
 from . import functors as _f
@@ -161,10 +160,6 @@ def unit(n):
 # ---------------------------------------------------------------------------
 # multiplication rules
 
-# n -> (1, ..., 2n), the usual scan order, one tuple per size
-_USUAL_ORDER = _m._Cache(lambda n: tuple(range(1, 2 * n + 1)))
-
-
 class MultiplicationRule:
     """Per-triple scan order on basepoints plus split orientations.  Products
     cache the resolution plan per rule and triple, so a rule must not change
@@ -175,7 +170,7 @@ class MultiplicationRule:
     def order(self, c, b, a):
         """The basepoints in scan order: the usual left-to-right order unless
         a rule overrides it."""
-        return _USUAL_ORDER[c.n]
+        return tuple(range(1, 2 * c.n + 1))
 
     def split_source(self, c, b, a, scan, partner, key_scan, key_partner):
         """Which endpoint of the arc {scan, partner} of b is the orientation
@@ -343,20 +338,18 @@ def _plan_of_words(rule, c, b, a):
     per resolution, validated once per scan order and middle word.  Every
     point of the stacked diagram carries a circle label, at first its
     circle in the cached closed diagrams W(c)b and W(b)a, and `place` maps
-    each label to a position, so no resolution walks the whole diagram:
+    each label to a position:
       - a merge leaves every other circle as it was, and the merged
         circle's least point is the lesser of the two, so only `place`
         changes: the label at max(p, q) moves to min(p, q) and each label
         above it down by one;
-      - a split before the last resolution walks only the child through
-        the scanned column.  If that child holds the parent's least point it
-        keeps position p and the child through the partner is walked
-        instead.  The walked child gets a fresh label at the rank of its
-        least point among the least points of the circles (`least`), and
-        every label from that rank up moves up by one;
       - once every arc of b is resolved the circles are those of W(c)a, so
         the last resolution, if it splits, reads its children's positions
         off the cached closed_diagram(c, a).
+    Only a split before the last resolution walks the stacked diagram
+    (`circle_positions`); its positions become the labels.  (Walking only
+    the split's children and placing them by least point read the same
+    events, but products4's p99 was higher with it.)
 
     The ops are compiled from the events and the starting circle count,
     once per such pair (`_PLAN_OPS`), from ops built once per event and
@@ -364,21 +357,21 @@ def _plan_of_words(rule, c, b, a):
     events tuple and one op tuple.  Cached per (rule, c, b, a), so a rule
     must not be mutated after its first product; ValueError, not cached,
     unless `rule` is a MultiplicationRule whose order names points in
-    1..2n only and resolves every arc of b."""
+    1..2n only and resolves every arc of b; TypeError for a scan point
+    with no integer value."""
     if not isinstance(rule, MultiplicationRule):
         _check_rule(rule)  # raises; tested inline to spare a call
     c, b, a = _m.MATCHINGS[c], _m.MATCHINGS[b], _m.MATCHINGS[a]
     m = 2 * c.n
     upper, top = _m._closed_diagram(c, b)
     lower, bottom = _m._closed_diagram(b, a)
-    order = rule.order(c, b, a)
-    scan = _SCANS[order if type(order) is tuple else tuple(order), b]
+    # the key holds the points as ints: 1.0 == 1, so a float order would
+    # otherwise find the scan cached for its int twin
+    scan = _SCANS[tuple(map(index, rule.order(c, b, a))), b]
     # top point k is k and bottom point k is m + k; label[point] -> place
-    # [label] is the position of its circle, least[position] the least
-    # point of the circle there (0 before position 1)
+    # [label] is the position of its circle
     label = list(upper) + [top + k for k in lower[1:]]
     place = list(range(top + bottom + 1))
-    least = [0, *_LEAST_POINTS[c, b][0], *_LEAST_POINTS[b, a][1]]
     outer = None
     events = []
     for col, partner, inner in scan:
@@ -389,27 +382,15 @@ def _plan_of_words(rule, c, b, a):
                 lo, hi = (p, q) if p < q else (q, p)
                 place = [x if x < hi else lo if x == hi else x - 1
                          for x in place]
-                del least[hi]
             continue
         if inner is None:
             new = _m._closed_diagram(c, a)[0]
-            i, j = new[col], new[partner]
         else:
             if outer is None:
                 outer = c.partner + [m + k for k in a.partner[1:]]
-            child = _walk(col, outer, inner)
-            low = min(child)
-            moved = low != least[p]  # the child through col leaves slot p
-            if not moved:
-                child = _walk(partner, outer, inner)
-                low = min(child)
-            r = bisect_left(least, low)
-            least.insert(r, low)
-            place = [x + 1 if x >= r else x for x in place]
-            for x in child:
-                label[x] = len(place)
-            place.append(r)
-            i, j = (r, p) if moved else (p, r)
+            new, count = _m.circle_positions(outer, inner)
+            label, place = new, list(range(count + 1))
+        i, j = new[col], new[partner]
         src = rule.split_source(c, b, a, col, partner, i, j)
         if src not in (col, partner):
             raise ValueError(f"split source {src!r} is not an endpoint "
@@ -419,25 +400,12 @@ def _plan_of_words(rule, c, b, a):
     return events, ops, top
 
 
-def _walk(start, outer, inner):
-    """The points of the circle through `start`, whose arcs are outer on
-    one side and inner on the other."""
-    q = outer[start]
-    points = [start, q]
-    p = inner[q]
-    while p != start:
-        q = outer[p]
-        points += p, q
-        p = inner[q]
-    return points
-
-
 def _scan(key):
     """The resolutions of a key (order, b), one (col, partner, inner) per
     arc of b in scan order: col is the first point of the arc in the order,
     partner its other end, and inner the inner arcs of the stacked diagram
     once the arc is resolved (bottom point k is 2n + k), None for the last
-    arc, whose split walks nothing.  ValueError, caching nothing, unless
+    arc, whose split reads W(c)a.  ValueError, caching nothing, unless
     every point of the order is in 1..2n and every arc of b is resolved."""
     order, b = key
     m = 2 * b.n
@@ -460,22 +428,6 @@ def _scan(key):
 
 # (order, b) -> the resolutions of that scan of b
 _SCANS = _m._Cache(_scan)
-
-
-def _least_points(key):
-    """For a key (b, a): the least point of each circle of W(b)a in circle
-    order, as a point of W(b)a and as a point of W(b)a stacked under
-    another diagram (2n + point)."""
-    pos = _m._closed_diagram(*key)[0]
-    least = []
-    for x in range(1, len(pos)):
-        if pos[x] > len(least):
-            least.append(x)
-    return tuple(least), tuple(len(pos) - 1 + x for x in least)
-
-
-# (b, a) -> the least points of the circles of W(b)a, on top and below
-_LEAST_POINTS = _m._Cache(_least_points)
 
 
 def _event_ops(key):

@@ -20,7 +20,6 @@ def clear_plans():
     arc_rings._PLAN_OPS.clear()
     arc_rings._DIAGRAM_STEPS.clear()
     arc_rings._SCANS.clear()
-    arc_rings._LEAST_POINTS.clear()
     arc_rings._EVENT_OPS.clear()
 
 

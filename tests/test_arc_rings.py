@@ -228,7 +228,7 @@ def walked_plan(rule, c, b, a):
     """The events of the plan of (c, b, a) built the plain way: after every
     resolution the whole stacked diagram is walked anew with
     matchings.circle_positions and every position is read off that walk;
-    no labels, no child walks, no cached scan."""
+    no labels, no cached scan."""
     size = 2 * c.n  # bottom point k is size + k
     outer = c.partner + [size + k for k in a.partner[1:]]
     inner = b.partner + [size + k for k in b.partner[1:]]

@@ -427,6 +427,13 @@ for points in ((0, 1, 2, 3, 4), (1, 2, 3, 4, 5), (1,)):
             _plan_of_words(rule, "(())", "()()", "()()")
         except ValueError as exc:
             print(exc)
+# a float order equals its int twin, whose scan is cached: still refused
+rule = ScanOrder((1.0, 2.0, 3.0, 4.0))
+for _ in range(2):
+    try:
+        _plan_of_words(rule, "(())", "()()", "()()")
+    except TypeError as exc:
+        print(type(exc).__name__)
 print(sorted((order, b.word) for order, b in _SCANS))
 """)
     assert proc.stdout.splitlines() == (
@@ -437,6 +444,7 @@ print(sorted((order, b.word) for order, b in _SCANS))
         + ["scan point 0 is not in 1..4"] * 2
         + ["scan point 5 is not in 1..4"] * 2
         + ["the scan leaves an arc of ()() unresolved"] * 2
+        + ["TypeError"] * 2
         + ["[((1, 2), '()'), ((1, 2, 3, 4), '(())'), "
            "((1, 2, 3, 4), '()()')]"]), proc.stderr
 
