@@ -114,8 +114,13 @@ class RingElement(SparseZ):
 
     @staticmethod
     def monomial(mono, coeff=1):
+        """coeff * mono; ValueError unless mono is a BasisMonomial and coeff
+        an int."""
+        if type(mono) is not BasisMonomial or type(coeff) is not int:
+            raise ValueError(f"need a BasisMonomial and an int coefficient, "
+                             f"not {mono!r}, {coeff!r}")
         out = object.__new__(RingElement)
-        out.space = mono.n
+        out.space = len(mono[0]) >> 1
         out.terms = {mono: coeff} if coeff else {}
         return out
 
@@ -337,8 +342,8 @@ def _plan_of_words(rule, c, b, a):
     The arcs of b come from the scan cache (`_SCANS`), one (col, partner)
     per resolution, validated once per scan order and middle word.  Every
     point of the stacked diagram carries a circle label, at first its
-    circle in the cached closed diagrams W(c)b and W(b)a, and `place` maps
-    each label to a position:
+    circle in the cached closed diagrams W(c)b and W(b)a, read straight
+    from them, and `place` maps each label to a position:
       - a merge leaves every other circle as it was, and the merged
         circle's least point is the lesser of the two, so only `place`
         changes: the label at max(p, q) moves to min(p, q) and each label
@@ -347,7 +352,8 @@ def _plan_of_words(rule, c, b, a):
         the last resolution, if it splits, reads its children's positions
         off the cached closed_diagram(c, a).
     Only a split before the last resolution walks the stacked diagram
-    (`circle_positions`); its positions become the labels.  (Walking only
+    (`circle_positions`); its positions become the labels, the one list of
+    labels a plan builds.  (Walking only
     the split's children and placing them by least point read the same
     events, but products4's p99 was higher with it.)
 
@@ -368,14 +374,14 @@ def _plan_of_words(rule, c, b, a):
     # the key holds the points as ints: 1.0 == 1, so a float order would
     # otherwise find the scan cached for its int twin
     scan = _SCANS[tuple(map(index, rule.order(c, b, a))), b]
-    # top point k is k and bottom point k is m + k; label[point] -> place
-    # [label] is the position of its circle
-    label = list(upper) + [top + k for k in lower[1:]]
+    # top point k carries the label up[k] and bottom point k the label
+    # shift + down[k]; place[label] is the position of its circle
+    up, down, shift = upper, lower, top
     place = list(range(top + bottom + 1))
     outer = None
     events = []
     for col, partner, inner in scan:
-        p, q = place[label[col]], place[label[m + col]]
+        p, q = place[up[col]], place[shift + down[col]]
         if p != q:
             events.append(("merge", p, q))
             if inner is not None:  # a later resolution reads the labels
@@ -389,7 +395,8 @@ def _plan_of_words(rule, c, b, a):
             if outer is None:
                 outer = c.partner + [m + k for k in a.partner[1:]]
             new, count = _m.circle_positions(outer, inner)
-            label, place = new, list(range(count + 1))
+            up, down, shift = new, new[m:], 0
+            place = list(range(count + 1))
         i, j = new[col], new[partner]
         src = rule.split_source(c, b, a, col, partner, i, j)
         if src not in (col, partner):
@@ -472,9 +479,19 @@ _PLAN_OPS = _m._Cache(_compile_plan)
 def _resolve_monomials(rule, c, b, a, colored_x, colored_y, theory):
     """Product of [c|b|colored_x] . [b|a|colored_y], both given as masks:
     the surface functor of `theory` on the compiled ops of the resolution
-    plan.  Returns {mask: int} over the circles of W(c)a."""
+    plan, run here with `functors.run_word`'s loop.  Returns {mask: int}
+    over the circles of W(c)a; ValueError for a theory other than "odd" and
+    "even"."""
     _, ops, top = _plan_of_words(rule, c.word, b.word, a.word)
-    return _f.run_word(ops, {colored_x | colored_y << top: 1}, theory)
+    odd = theory == "odd"
+    if not odd and theory != "even":
+        raise ValueError(f"unknown theory {theory!r}")
+    terms = {colored_x | colored_y << top: 1}
+    for kernel, consts in ops:
+        terms = kernel(terms, odd, consts)
+        if not terms:
+            break
+    return terms
 
 
 def block_map(rule, theory, c, b, a):
@@ -538,14 +555,15 @@ def transpose_witness(rule, n):
     return None
 
 
-def _block_product(x, y, cache, resolve, rule, *theory):
+def _block_product(x, y, cache, resolve, rule, theory):
     """Bilinear extension of resolve(rule, c, b, a, colored_x, colored_y,
-    *theory), the product of two basis monomials as {mask: coeff};
+    theory), the product of two basis monomials as {mask: coeff};
     zero across non-matching blocks.  `cache`, a dict or None, keeps per
     monomial pair (mx, my) the built {BasisMonomial: coeff} of the product,
     so each distinct pair is resolved once per cache and a hit builds no
-    monomial.  Without a cache, a product of one term by one term writes
-    the resolution's terms straight into the result.  When both operands
+    monomial.  Without a cache, a product of one term by one term reads
+    each operand's term once and builds its monomials straight from the
+    resolution, none when that is zero.  When both operands
     have several terms, y's terms are grouped by their top word once, in
     y's order, so each term of x meets only the terms of its own block, in
     the order of a full scan.  The product's monomials are built without
@@ -562,20 +580,26 @@ def _block_product(x, y, cache, resolve, rule, *theory):
     out = object.__new__(RingElement)
     out.space = x.space
     out.terms = terms = {}
-    if not (x.terms and y.terms):
+    x_terms, y_terms = x.terms, y.terms
+    if not (x_terms and y_terms):
+        return out
+    # loops, not comprehensions, write the terms: a comprehension would make
+    # the locals it reads cells, created on every call (CPython 3.11)
+    if cache is None and len(x_terms) == 1 == len(y_terms):
+        (mx,), (my,) = x_terms, y_terms
+        top, middle, colored_x = mx
+        y_top, bottom, colored_y = my
+        if middle == y_top:
+            matching = _m.MATCHINGS
+            prods = resolve(rule, matching[top], matching[middle],
+                            matching[bottom], colored_x, colored_y, theory)
+            if prods:
+                new, k = tuple.__new__, x_terms[mx] * y_terms[my]
+                for mask, coeff in prods.items():
+                    terms[new(BasisMonomial, (top, bottom, mask))] = k * coeff
         return out
     new, matching = tuple.__new__, _m.MATCHINGS
-    x_terms, y_terms = x.terms.items(), y.terms.items()
-    if cache is None and len(x_terms) == 1 == len(y_terms):
-        ((mx, cx),), ((my, cy),) = x_terms, y_terms
-        top, middle, colored_x = mx
-        if middle == my[0]:
-            bottom, k = my[1], cx * cy
-            for mask, coeff in resolve(rule, matching[top], matching[middle],
-                                       matching[bottom], colored_x, my[2],
-                                       *theory).items():
-                terms[new(BasisMonomial, (top, bottom, mask))] = k * coeff
-        return out
+    x_terms, y_terms = x_terms.items(), y_terms.items()
     by_top = None
     if len(x_terms) > 1 and len(y_terms) > 1:
         by_top = {}
@@ -592,7 +616,7 @@ def _block_product(x, y, cache, resolve, rule, *theory):
                 prods = {}
                 for mask, coeff in resolve(
                         rule, matching[top], matching[middle],
-                        matching[bottom], colored_x, my[2], *theory).items():
+                        matching[bottom], colored_x, my[2], theory).items():
                     prods[new(BasisMonomial, (top, bottom, mask))] = coeff
                 if cache is not None:
                     cache[mx, my] = prods
@@ -724,7 +748,11 @@ def _diagram_step(event):
 _DIAGRAM_STEPS = _m._Cache(_diagram_step)
 
 
-def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y):
+def _resolve_diagrammatic(rule, c, b, a, colored_x, colored_y, theory):
+    """Product of [c|b|colored_x] . [b|a|colored_y], both given as masks,
+    through the oracle's step for each event of the plan; `theory` is
+    "odd", its one theory, so that it takes the arguments of
+    `_resolve_monomials`.  Returns {mask: int} over the circles of W(c)a."""
     events, _, top = _plan_of_words(rule, c.word, b.word, a.word)
     terms = {colored_x | colored_y << top: 1}
     for event in events:
@@ -740,13 +768,15 @@ def multiply_diagrammatic(rule, x, y):
     tables."""
     if not isinstance(rule, MultiplicationRule):
         _check_rule(rule)  # raises; tested inline to spare a call
-    return _block_product(x, y, None, _resolve_diagrammatic, rule)
+    return _block_product(x, y, None, _resolve_diagrammatic, rule, "odd")
 
 
 # ---------------------------------------------------------------------------
 # element grammar
 
 def format_element(elem):
+    if type(elem) is not RingElement:
+        raise ValueError(f"{elem!r} is not a RingElement")
     return signed_sum((elem.terms[mono], f"{abs(elem.terms[mono])}*{mono!r}")
                       for mono in sorted(elem.terms,
                                          key=BasisMonomial.sort_key))

@@ -93,7 +93,11 @@ class ExteriorElement(_MaskElement):
 
 
 def wedge(x, y):
-    """x ^ y on a common label set."""
+    """x ^ y on a common label set; ValueError unless both are
+    ExteriorElements."""
+    if not (isinstance(x, ExteriorElement) and isinstance(y, ExteriorElement)):
+        raise ValueError(f"cannot wedge {type(x).__name__} and "
+                         f"{type(y).__name__}: need two ExteriorElements")
     if x.labels != y.labels:
         raise ValueError("label-set mismatch")
     out = ExteriorElement(x.labels)

@@ -18,9 +18,10 @@ shifts per monomial; an odd move's sign is the popcount parity of the bits a
 generator crosses.  `compile_word` checks a word of moves once and compiles
 each move to a kernel with precomputed bit constants, and consecutive merges
 to one merge run, which walks each monomial through all of its merges;
-`run_word` runs such a compiled word, and is the one engine under
-`apply_word`, `verify_relations` and the ring product, whose plans build the
-same ops through the `*_op` builders and `append_op`.
+`run_word` runs such a compiled word under `apply_word`, `verify_relations`
+and the ring's block maps, and a single ring product runs its plan's ops with
+the same loop inline; the plans build the same ops through the `*_op`
+builders and `append_op`, so every path runs these kernels.
 
 verify_relations instantiates every relation of the one presentation both
 functors satisfy, the odd one up to the chronology sign of each relation, on
@@ -226,8 +227,9 @@ def compile_word(word, m):
 def run_word(ops, terms, theory):
     """The functor of `theory` on a compiled word, applied to {mask: coeff}
     on its starting circles; returns the map on the final circles, a new
-    dict unless `ops` is empty, and stops at the first zero state.  The one
-    engine under apply_word, verify_relations and the ring product."""
+    dict unless `ops` is empty, and stops at the first zero state.  Under
+    apply_word, verify_relations and `arc_rings.block_map`;
+    `arc_rings._resolve_monomials` runs the same loop inline."""
     if theory not in _STATES:
         raise ValueError(f"unknown theory {theory!r}")
     odd = theory == "odd"

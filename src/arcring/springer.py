@@ -112,10 +112,17 @@ def parse_poly(text, nvars):
 
 def epsilon_generator(n, I, r):
     """The signed elementary symmetric sum over an ordered index subset I,
-    Sum_{i_1<...<i_r in I} prod_j (-1)^(pos_I(i_j)-1) x_{i_j}."""
+    Sum_{i_1<...<i_r in I} prod_j (-1)^(pos_I(i_j)-1) x_{i_j}.  ValueError
+    unless `check_size("springer", n)` passes, I is an iterable of ints and
+    r an int, in the ranges below."""
+    _m.check_size("springer", n)
+    if not (hasattr(I, "__iter__") and type(r) is int):
+        raise ValueError(f"need an iterable of indices and an int r, not "
+                         f"{I!r}, {r!r}")
     I = tuple(I)
     nvars = 2 * n
-    if not all(1 <= i <= nvars for i in I) or len(set(I)) != len(I):
+    if not all(type(i) is int and 1 <= i <= nvars for i in I) \
+            or len(set(I)) != len(I):
         raise ValueError(f"I = {I} must be distinct indices in 1..{nvars}")
     k = len(I) - n
     if not 1 <= k <= n:
@@ -144,7 +151,12 @@ def _eps_indices(n):
 
 def ideal_slice(n, d):
     """Spanning set of the degree-d slice of the defining ideal:
-    all m * eps^I_r with deg m + r = d."""
+    all m * eps^I_r with deg m + r = d.  ValueError unless
+    `check_size("springer", n)` passes and d is an int in 0..n + 1, the
+    degrees of the quotient."""
+    _m.check_size("springer", n)
+    if type(d) is not int or not 0 <= d <= n + 1:
+        raise ValueError(f"degree {d!r} out of range: need 0 <= d <= {n + 1}")
     nvars = 2 * n
     out = []
     for I, r in _eps_indices(n):
@@ -526,8 +538,8 @@ def qbinom(m, k):
     """[m choose k] = q^(-k(m-k)) G(q^2) for the Gaussian binomial
     G(q) = prod_{j=1..k} (1 - q^(m-k+j)) / (1 - q^j), built one exact factor
     at a time on coefficient lists."""
-    if not 0 <= k <= m:
-        raise ValueError("need 0 <= k <= m")
+    if not (type(m) is int and type(k) is int and 0 <= k <= m):
+        raise ValueError(f"need ints 0 <= k <= m, not m={m!r}, k={k!r}")
     if m:  # check_size starts at 1; [0 choose 0] = 1 needs no limit
         _m.check_size("qbinom", m)
     c = [1]

@@ -296,24 +296,26 @@ def test_n_above_limit_exits_2(capsys, argv):
     assert "out of range" in err
 
 
-def _run_optimized(*args):
-    """Run the interpreter with -O (asserts stripped) on src/."""
+def _run_python(*args, optimize=True):
+    """Run the interpreter on src/, with -O (asserts stripped) unless
+    optimize is false."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + ([os.environ["PYTHONPATH"]]
                       if os.environ.get("PYTHONPATH") else [])))
-    return subprocess.run([sys.executable, "-O", *args], env=env,
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, *args], env=env,
                           capture_output=True, text=True, timeout=60)
 
 
 def test_n_above_limit_exits_2_under_optimize():
-    proc = _run_optimized("-m", "arcring.cli", "center", "--n", "6")
+    proc = _run_python("-m", "arcring.cli", "center", "--n", "6")
     assert proc.returncode == 2
     assert "out of range" in proc.stderr
 
 
 def test_bad_input_raises_under_optimize():
-    proc = _run_optimized("-c", """
+    proc = _run_python("-c", """
 from arcring.arc_rings import BasisMonomial, RingElement, parse_element
 from arcring.springer import (OddPolynomial, QuotientPresentation,
                               _div_one_minus, epsilon_generator, map_s,
@@ -449,8 +451,56 @@ print(sorted((order, b.word) for order, b in _SCANS))
            "((1, 2, 3, 4), '()()')]"]), proc.stderr
 
 
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "-O"])
+def test_malformed_arguments_raise_value_error(optimize):
+    # these raised TypeError or AttributeError, built an element whose
+    # string coefficient failed only in repr, returned [] (ideal_slice(-1,
+    # 2)) or enumerated about 10^8 monomials per generator (ideal_slice(4,
+    # 50)); the last line shows the edge cases that still pass
+    proc = _run_python("-c", """
+from arcring.arc_rings import BasisMonomial, RingElement, format_element
+from arcring.exterior import ExteriorElement, wedge
+from arcring.springer import epsilon_generator, ideal_slice, qbinom
+
+mono = BasisMonomial("()", "()", ())
+g = ExteriorElement((1,), {(1,): 1})
+for bad in (lambda: RingElement.monomial("x"),
+            lambda: RingElement.monomial(("()", "()", 0)),
+            lambda: RingElement.monomial(mono, "a"),
+            lambda: RingElement.monomial(mono, True),
+            lambda: ideal_slice(-1, 2),
+            lambda: ideal_slice("a", 2),
+            lambda: ideal_slice(6, 1),
+            lambda: ideal_slice(4, 50),
+            lambda: ideal_slice(2, -1),
+            lambda: ideal_slice(2, 4),
+            lambda: ideal_slice(2, 2.0),
+            lambda: epsilon_generator("a", (1, 2, 3), 2),
+            lambda: epsilon_generator(6, range(1, 8), 6),
+            lambda: epsilon_generator(2, None, 2),
+            lambda: epsilon_generator(2, (1, 2, "3"), 2),
+            lambda: epsilon_generator(2, (1, 2, 3), "2"),
+            lambda: qbinom("a", 1),
+            lambda: qbinom(3, 1.0),
+            lambda: wedge(None, None),
+            lambda: wedge(g, None),
+            lambda: format_element(None),
+            lambda: format_element(mono)):
+    try:
+        bad()
+        print("no error")
+    except Exception as exc:
+        print(type(exc).__name__)
+print(len(ideal_slice(1, 0)), len(ideal_slice(2, 3)),
+      RingElement.monomial(mono, 0), RingElement.monomial(mono, -2),
+      len(epsilon_generator(2, [1, 2, 3], 2).terms), qbinom(0, 0))
+""", optimize=optimize)
+    assert proc.stdout.splitlines() == ["ValueError"] * 22 + [
+        "0 35 0 -2*[()|()|{}] 3 {0: 1}"], proc.stderr
+
+
 def test_non_unit_pivot_raises_under_optimize():
-    proc = _run_optimized("-c", """
+    proc = _run_python("-c", """
 import arcring.springer as S
 S._slice_columns = lambda n, d, previous: [{(2,): 2}] if d == 1 else []
 S.QuotientPresentation(1)

@@ -1,6 +1,8 @@
 import importlib
 import inspect
 
+import pytest
+
 MODULES = ("cli", "matchings", "exterior", "functors", "arc_rings", "centers",
            "springer", "associator", "zlinalg")
 
@@ -44,3 +46,8 @@ def test_resolve_monomials_contract(monkeypatch):
         ar.multiply(ar.BUILTIN_RULES["default"], x, y, theory)
         assert len(calls) == pairs
         assert len({args[1:6] for args in calls}) == pairs
+    # it runs the plan's ops itself, and still refuses a theory that
+    # multiply would have refused first
+    c, b, a = (ar._m.MATCHINGS[w] for w in ("(())", "()()", "(())"))
+    with pytest.raises(ValueError, match="unknown theory"):
+        real(ar.BUILTIN_RULES["default"], c, b, a, 0, 0, "mixed")
